@@ -1,19 +1,16 @@
-"""Solver engine sweep: batched outboxes + event-driven stages vs baselines.
+"""Solver engine sweep: batched outboxes + event-driven stages vs engine v1.
 
 PR 1's activity engine won 2-5x, but only on the BFS/convergecast/broadcast
 primitives; the real solver benchmarks (E01 MVC, E12 MDS) still paid one
 dict write and one metering call per (sender, target) pair and ran every
 node every round.  This benchmark measures what the batched-outbox fast
 path plus the solvers' ``wants_wake`` cadences recover on those workloads,
-against two baselines evaluated on *the same cells*:
-
-* ``v2-dict`` — the activity engine with the batch fast path disabled,
-  i.e. the engine exactly as of the pre-batching revision; and
-* ``v1`` — the reference every-node-every-round loop.
+against the reference every-node-every-round loop ``v1`` evaluated on *the
+same cells*.
 
 The (task, n, engine) cells live in
 :func:`repro.sweep.grids.solver_engines_grid`.  Every (task, n) point is a
-**parity cell**: the three engine configurations must produce byte-identical
+**parity cell**: both engines must produce byte-identical
 payloads (outputs signature, ``RunStats``, phase counts).  The small points
 additionally re-run the solver stages with tracing enabled and compare the
 full per-round timelines — the trace half of the parity contract, which the
@@ -25,8 +22,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_solver_engines.py [--quick]
         [--repeats R] [--json PATH] [--check] [--check-smoke]
 
-``--check`` exits nonzero unless v2 (batched) achieves >= 1.5x over
-``v2-dict`` on the E01 and E12 timing cells at n >= 200.  ``--check-smoke``
+``--check`` exits nonzero unless v2 (batched) achieves >= 2x over ``v1``
+on the E01 and E12 timing cells at n >= 200.  ``--check-smoke``
 is the CI regression gate for the quick grid: parity must hold exactly and
 v2 (batched) must not fall behind v1 by more than the jitter tolerance.
 """
@@ -57,11 +54,11 @@ from repro.sweep.grids import SOLVER_ENGINES, solver_engines_grid
 SMOKE_TOLERANCE = 0.8
 
 #: The headline requirement checked by ``--check``.
-CHECK_SPEEDUP = 1.5
+CHECK_SPEEDUP = 2.0
 
 
 def run_traced_stage_parity(n: int = 40, seed: int = 11) -> list[str]:
-    """Per-round trace parity across all three engine configurations.
+    """Per-round trace parity across both engines.
 
     Runs representative solver stages — the Phase I status protocol (self
     -waking on its send steps), the Lemma 29 estimator (guaranteed-traffic
@@ -134,7 +131,6 @@ def run_solver_sweep(quick: bool, repeats: int):
             )
         stats = payloads[0]["stats"]
         v1_s = point["v1-seconds"]
-        dict_s = point["v2-dict-seconds"]
         batch_s = point["v2-seconds"]
         points.append(
             {
@@ -144,9 +140,7 @@ def run_solver_sweep(quick: bool, repeats: int):
                 "rounds": stats["rounds"],
                 "signature": payloads[0]["signature"],
                 "v1_seconds": v1_s,
-                "v2_dict_seconds": dict_s,
                 "v2_seconds": batch_s,
-                "speedup_vs_dict": dict_s / batch_s,
                 "speedup_vs_v1": v1_s / batch_s,
                 "max_rss_kb": point["v2-max-rss-kb"],
             }
@@ -158,9 +152,7 @@ def run_solver_sweep(quick: bool, repeats: int):
                 stats["rounds"],
                 stats["messages"],
                 v1_s * 1e3,
-                dict_s * 1e3,
                 batch_s * 1e3,
-                dict_s / batch_s,
                 v1_s / batch_s,
             )
         )
@@ -179,7 +171,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"fail unless batched >= {CHECK_SPEEDUP}x over v2-dict on the "
+        help=f"fail unless batched >= {CHECK_SPEEDUP}x over v1 on the "
         "E01 and E12 timing cells (n >= 200)",
     )
     parser.add_argument(
@@ -196,14 +188,11 @@ def main(argv=None) -> int:
 
     rows, points = run_solver_sweep(args.quick, repeats)
     print_table(
-        "Solver engines: v1 vs v2-dict vs v2 (batched outboxes)",
-        [
-            "task", "n", "rounds", "messages",
-            "v1 ms", "dict ms", "batch ms", "x dict", "x v1",
-        ],
+        "Solver engines: v1 vs v2 (batched outboxes)",
+        ["task", "n", "rounds", "messages", "v1 ms", "v2 ms", "x v1"],
         rows,
     )
-    print("\nparity: identical payloads on every cell, all three engines")
+    print("\nparity: identical payloads on every cell, both engines")
 
     payload = {
         "grid": "solver-engines-quick" if args.quick else "solver-engines",
@@ -227,10 +216,10 @@ def main(argv=None) -> int:
             if not timing:
                 failures.append(f"no timing cell with n >= 200 for {task}")
                 continue
-            best = max(p["speedup_vs_dict"] for p in timing)
+            best = max(p["speedup_vs_v1"] for p in timing)
             if best < CHECK_SPEEDUP:
                 failures.append(
-                    f"{task}: best batched-vs-dict speedup {best:.2f}x "
+                    f"{task}: best batched-vs-v1 speedup {best:.2f}x "
                     f"< {CHECK_SPEEDUP}x"
                 )
     if args.check_smoke:

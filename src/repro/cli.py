@@ -824,10 +824,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mvc.add_argument(
         "--engine",
-        choices=("v1", "v2", "v2-dict"),
+        choices=("v1", "v2"),
         default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2; "
-        "v2-dict disables the batched-outbox fast path)",
+        help="simulator engine (default: REPRO_ENGINE env or v2)",
     )
     mvc.add_argument(
         "--alpha",
@@ -894,10 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mds.add_argument(
         "--engine",
-        choices=("v1", "v2", "v2-dict"),
+        choices=("v1", "v2"),
         default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2; "
-        "v2-dict disables the batched-outbox fast path)",
+        help="simulator engine (default: REPRO_ENGINE env or v2)",
     )
     mds.add_argument(
         "--alpha",
@@ -1042,7 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engines",
         default="",
-        help="comma-separated engines (v1,v2,v2-dict); empty = engine default",
+        help="comma-separated engines (v1,v2); empty = engine default",
     )
     sweep.add_argument(
         "--model",

@@ -11,7 +11,7 @@ ship 2-hop neighborhoods over single edges.
 
 Execution engines
 -----------------
-Three engine configurations run the rounds (see :mod:`repro.congest.engine`):
+Two engines run the rounds (see :mod:`repro.congest.engine`):
 
 * ``"v1"`` — the reference loop: every live node is invoked every round.
 * ``"v2"`` — the activity-scheduled engine (default): only nodes with
@@ -22,8 +22,6 @@ Three engine configurations run the rounds (see :mod:`repro.congest.engine`):
   batched outboxes (:meth:`~repro.congest.algorithm.NodeAlgorithm.broadcast`
   / :meth:`~repro.congest.algorithm.NodeAlgorithm.send_many`) are metered
   once per batch instead of once per message.
-* ``"v2-dict"`` — v2 with the batch fast path disabled, kept as the
-  pre-batching baseline for differential benchmarks.
 
 Select an engine per network (``CongestNetwork(graph, engine="v1")``) or
 process-wide via the ``REPRO_ENGINE`` environment variable.  All engines

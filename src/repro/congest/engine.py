@@ -1,30 +1,25 @@
 """Pluggable execution engines for :class:`~repro.congest.network.CongestNetwork`.
 
-Three engine configurations implement the same synchronous-round semantics:
+Two engines implement the same synchronous-round semantics:
 
 * ``v1`` (:class:`SynchronousEngine`) — the original reference loop: every
   live node is invoked every round, inbox dictionaries are rebuilt from
   scratch and quiescence is detected by scanning all algorithms.  Kept
-  verbatim as the differential-testing baseline; batched outboxes are
-  expanded through their per-message ``items()`` view, so the loop body is
-  untouched.
-* ``v2`` (:class:`ActivityEngine`) — the activity-scheduled runtime: only
-  nodes with pending inbox traffic or an explicit self-wake
-  (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`) are invoked,
-  inbox buffers are reused via :class:`~repro.congest.scheduler.MailboxRing`,
-  message metering caches :func:`~repro.congest.message.payload_words` for
-  repeated payload shapes, quiescence is a counter decrement, and a
-  :class:`~repro.congest.message.BatchOutbox` takes the **batch fast
-  path**: one word-cost computation, one strictness check and an O(1)
-  statistics update for the whole batch, delivered through
-  :meth:`~repro.congest.scheduler.MailboxRing.post_batch`.  Per-target
-  validation of untrusted batches is vectorized with numpy when available
-  (the pure-Python loop is the reference and the fallback).
-* ``v2-dict`` — the activity engine with the batch fast path disabled:
-  batches run through the same per-message loop as dictionaries (the
-  engine exactly as of the pre-batching revision).  Kept selectable so the
-  benchmarks can attribute speedups to batching separately from activity
-  scheduling, and as a differential baseline for the fast path.
+  verbatim as the per-message differential-testing oracle; batched
+  outboxes are expanded through their per-message ``items()`` view, so the
+  loop body is untouched.
+* ``v2`` (:class:`ActivityEngine`) — the activity-scheduled runtime.  Its
+  round body, :class:`RoundKernel`, is shared with the MPC compiler and
+  its shard workers: only nodes with pending inbox traffic or an explicit
+  self-wake (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`)
+  are invoked, inbox buffers are reused via
+  :class:`~repro.congest.scheduler.MailboxRing`, metering caches
+  :func:`~repro.congest.message.payload_words` per payload shape, and a
+  :class:`~repro.congest.message.BatchOutbox` is metered with one
+  word-cost computation, one strictness check and an O(1) statistics
+  update (untrusted targets validated with numpy when available).  A
+  recording kernel also returns each round's sends already metered, as
+  ``(sender, targets, payload, words)`` batches.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -42,13 +37,13 @@ algorithm behave exactly as under v1 unless it opts into sleeping; only
 algorithms whose silent rounds are genuinely idle (no timers, no
 round-counting) may override it to false.  A sleeping node is woken by
 incoming traffic regardless of its ``wants_wake`` answer.  If every live
-node sleeps and no traffic is in flight, nothing can ever happen again and
-the engine reproduces the reference engine's empty-round spin up to
-``max_rounds`` (same trace, same :class:`RoundLimitError`).
+node sleeps and no traffic is in flight, nothing can ever happen again:
+the kernel's rounds are empty, and the engine runs them to ``max_rounds``
+like the reference engine (same trace, same :class:`RoundLimitError`).
 
 The v1/v2 parity contract
 -------------------------
-All engine configurations must produce identical outputs, statistics and
+Both engines must produce identical outputs, statistics and
 traces on every run — same ``RunResult.outputs``/``by_id``, same
 ``RunStats`` field by field, same per-round ``RoundRecord`` timeline, and
 the same exceptions at the same rounds.  The ingredients:
@@ -85,8 +80,11 @@ Per-round instrumentation: both engines deliver a structured
 :class:`~repro.congest.network.RoundEvent` (round index, messages, words,
 cut words, awake-node count) to an ``on_round`` callback — per run or as a
 network-level default — as each round ends.  Events never affect
-execution; the parity contract covers every field except ``awake``, which
-deliberately exposes how many nodes each engine actually invoked.
+execution; the v1/v2 parity contract covers every field except
+``awake``, which deliberately exposes how many nodes each engine actually
+invoked.  Every backend that drives the kernel (engine v2 and compiled MPC
+at any window length and worker count) invokes exactly the same nodes, so
+among those ``awake`` is part of the parity surface too.
 
 Engine selection: the ``engine=`` constructor argument of
 :class:`~repro.congest.network.CongestNetwork` wins; otherwise the
@@ -133,7 +131,6 @@ _ALIASES = {
     "event": "v2",
     "v2-batched": "v2",
     "batched": "v2",
-    "v2-dict": "v2-dict",
 }
 
 #: Sentinel for payloads whose word cost cannot be cached by value.
@@ -152,35 +149,38 @@ def resolve_engine_name(name: str | None = None) -> str:
     if canonical is None:
         raise ValueError(
             f"unknown engine {name!r}; choose one of "
-            f"{sorted(set(_ALIASES))} (canonically 'v1', 'v2' or 'v2-dict')"
+            f"{sorted(set(_ALIASES))} (canonically 'v1' or 'v2')"
         )
     return canonical
 
 
-def _emit_round_event(
+def emit_round_event(
     hook, round_index: int, messages: int, words: int, awake: int,
-    cut_words: int, label: str | None = None,
+    cut_words: int, label: str | None = None, timeline=None, alive: int = 0,
 ) -> None:
     """Deliver one RoundEvent to ``hook`` (no-op when ``hook`` is None).
 
-    The single construction point for both engines and the spin loop, so
-    the event shape cannot drift between v1 and v2.  ``label`` is the
-    run-level stage label, stamped as ``RoundEvent.stage_label``.
+    The single construction point for both engines and the MPC compiler,
+    so the event shape cannot drift between backends.  ``label`` is the
+    run-level stage label, stamped as ``RoundEvent.stage_label``.  With a
+    ``timeline`` list the round's ``RoundRecord`` (``alive`` unfinished
+    nodes) is appended to it first.
     """
-    if hook is None:
-        return
-    from repro.congest.network import RoundEvent
+    from repro.congest.network import RoundEvent, RoundRecord
 
-    hook(
-        RoundEvent(
-            round_index=round_index,
-            messages=messages,
-            words=words,
-            awake=awake,
-            cut_words=cut_words,
-            stage_label=label,
+    if timeline is not None:
+        timeline.append(RoundRecord(round_index, messages, words, alive))
+    if hook is not None:
+        hook(
+            RoundEvent(
+                round_index=round_index,
+                messages=messages,
+                words=words,
+                awake=awake,
+                cut_words=cut_words,
+                stage_label=label,
+            )
         )
-    )
 
 
 def create_engine(network: "CongestNetwork", name: str | None = None) -> "Engine":
@@ -188,7 +188,7 @@ def create_engine(network: "CongestNetwork", name: str | None = None) -> "Engine
     canonical = resolve_engine_name(name)
     if canonical == "v1":
         return SynchronousEngine(network)
-    return ActivityEngine(network, batch_fast_path=canonical == "v2")
+    return ActivityEngine(network)
 
 
 class Engine:
@@ -279,7 +279,7 @@ class SynchronousEngine(Engine):
                     active_nodes=sum(1 for a in algorithms if not a.done),
                 )
             )
-        _emit_round_event(
+        emit_round_event(
             hook, 0, stats.messages, stats.total_words, len(algorithms),
             stats.cut_words, label,
         )
@@ -312,7 +312,7 @@ class SynchronousEngine(Engine):
                         active_nodes=sum(1 for a in algorithms if not a.done),
                     )
                 )
-            _emit_round_event(
+            emit_round_event(
                 hook, stats.rounds, stats.messages - before_messages,
                 stats.total_words - before_words, awake,
                 stats.cut_words - before_cut, label,
@@ -347,24 +347,19 @@ _NUMPY_MIN_BATCH = 32
 class ActivityEngine(Engine):
     """Engine v2: wake only nodes with traffic or an explicit self-wake.
 
-    With ``batch_fast_path`` (the default, canonical name ``"v2"``) a
-    :class:`BatchOutbox` is metered once for all its targets and delivered
-    via :meth:`MailboxRing.post_batch`; without it (canonical name
-    ``"v2-dict"``) batches expand through the same per-message loop as
-    dictionary outboxes, reproducing the engine exactly as it behaved
-    before batching existed.  Both configurations satisfy the parity
-    contract; only wall-clock differs.
+    Holds the network-level metering state every :class:`RoundKernel` on
+    this network shares — the payload word-cost cache and the adjacency
+    trust decisions, all fixed for the network's lifetime — and runs each
+    ``run`` as a sequence of kernel rounds.
     """
 
-    def __init__(
-        self, network: "CongestNetwork", batch_fast_path: bool = True
-    ) -> None:
+    name = "v2"
+
+    def __init__(self, network: "CongestNetwork") -> None:
         super().__init__(network)
         from repro.congest.clique import CongestedCliqueNetwork
         from repro.congest.network import CongestNetwork
 
-        self.name = "v2" if batch_fast_path else "v2-dict"
-        self._batch_fast_path = batch_fast_path
         #: payload value -> word cost, shared across runs on this network
         #: (word size is fixed per network, so keys need not include it).
         self._words_cache: dict[Any, int] = {}
@@ -413,35 +408,16 @@ class ActivityEngine(Engine):
         on_round=None,
         label: str | None = None,
     ) -> "RunResult":
-        from repro.congest.network import RoundRecord
-
-        network = self.network
         algorithms, stats, timeline, max_rounds, hook = self._setup(
             factory, inputs, max_rounds, trace, on_round
         )
-        ring = MailboxRing(network.n)
-        scheduler = ActivityScheduler(network.n)
-
-        for alg in algorithms:
-            self._collect(alg, alg.on_start(), ring, stats)
-            if alg.done:
-                scheduler.node_finished()
-            elif alg.wants_wake():
-                scheduler.request_wake(alg.node.id)
-        if timeline is not None:
-            timeline.append(
-                RoundRecord(
-                    round_index=0,
-                    messages=stats.messages,
-                    words=stats.total_words,
-                    active_nodes=scheduler.live,
-                )
-            )
-        _emit_round_event(
+        kernel = RoundKernel(self, algorithms, stats)
+        scheduler = kernel.scheduler
+        kernel.start()
+        emit_round_event(
             hook, 0, stats.messages, stats.total_words, len(algorithms),
-            stats.cut_words, label,
+            stats.cut_words, label, timeline, scheduler.live,
         )
-
         while scheduler.live:
             if stats.rounds >= max_rounds:
                 raise RoundLimitError(
@@ -452,8 +428,100 @@ class ActivityEngine(Engine):
             before_messages = stats.messages
             before_words = stats.total_words
             before_cut = stats.cut_words
-            awake = 0
-            runnable = scheduler.runnable(ring.flip())
+            awake = kernel.step()
+            emit_round_event(
+                hook, stats.rounds, stats.messages - before_messages,
+                stats.total_words - before_words, awake,
+                stats.cut_words - before_cut, label, timeline,
+                scheduler.live,
+            )
+        return self._result(algorithms, stats, timeline)
+
+
+#: A metered send: ``(sender, targets, payload, words)`` — one payload of
+#: ``words`` words addressed to every id in ``targets``.
+SentBatch = tuple[int, tuple[int, ...], Any, int]
+
+
+class RoundKernel:
+    """One activity-scheduled CONGEST round over a node set, metered once.
+
+    Engine v2 drives one kernel over the whole network, the serial MPC
+    compiler one recording kernel, and each MPC shard worker one kernel
+    over its own nodes.  A kernel owns the run's wake set, inbox buffers
+    and statistics, and meters through the engine's shared word-cost
+    cache, one :func:`payload_words` per :class:`BatchOutbox`.
+
+    With ``record`` each :meth:`start` / :meth:`step` leaves the round's
+    sends in :attr:`sends` as :data:`SentBatch` tuples, in sender order,
+    each (sender, target) pair once — the messages the round delivers.
+    A whole-network kernel posts its sends into its own ring as it meters
+    them; a shard kernel posts nothing itself and is handed every shard's
+    sends, its own included, through :meth:`deliver`.
+    """
+
+    def __init__(
+        self,
+        engine: ActivityEngine,
+        algorithms: list["NodeAlgorithm"],
+        stats: "RunStats",
+        node_ids: tuple[int, ...] | None = None,
+        record: bool = False,
+    ) -> None:
+        network = engine.network
+        self.network = network
+        self.algorithms = algorithms
+        self.stats = stats
+        self.node_ids = range(network.n) if node_ids is None else node_ids
+        self.ring = MailboxRing(network.n)
+        self.scheduler = ActivityScheduler(len(self.node_ids))
+        self._post = node_ids is None
+        self._owned = None if node_ids is None else frozenset(node_ids)
+        self._record = record
+        #: This round's metered sends (recording kernels only).
+        self.sends: list[SentBatch] | None = [] if self._record else None
+        #: Nodes that finished during this round, in invocation order.
+        self.finished: list[int] = []
+        #: The node executing when the last round raised, if any.
+        self.failed_node: int | None = None
+        self._engine = engine
+
+    def start(self) -> None:
+        """Round 0: every node's ``on_start``, in ascending id order."""
+        self._begin()
+        algorithms = self.algorithms
+        scheduler = self.scheduler
+        finished = self.finished
+        collect = self._collect
+        node_id = None
+        try:
+            for node_id in self.node_ids:
+                alg = algorithms[node_id]
+                outbox = alg.on_start()
+                if outbox:
+                    collect(node_id, outbox)
+                if alg.done:
+                    scheduler.node_finished()
+                    finished.append(node_id)
+                elif alg.wants_wake():
+                    scheduler.request_wake(node_id)
+        except BaseException:
+            self.failed_node = node_id
+            raise
+
+    def step(self) -> int:
+        """Execute one round; return how many nodes it invoked."""
+        self._begin()
+        algorithms = self.algorithms
+        scheduler = self.scheduler
+        finished = self.finished
+        ring = self.ring
+        inbox = ring.inbox
+        collect = self._collect
+        awake = 0
+        node_id = None
+        runnable = scheduler.runnable(ring.flip())
+        try:
             for node_id in runnable:
                 alg = algorithms[node_id]
                 if alg.done:
@@ -461,89 +529,60 @@ class ActivityEngine(Engine):
                     # send time (as in v1), never delivered.
                     continue
                 awake += 1
-                outbox = alg.on_round(ring.inbox(node_id))
-                self._collect(alg, outbox, ring, stats)
+                outbox = alg.on_round(inbox(node_id))
+                if outbox:
+                    collect(node_id, outbox)
                 if alg.done:
                     scheduler.node_finished()
+                    finished.append(node_id)
                 elif alg.wants_wake():
                     scheduler.request_wake(node_id)
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=stats.messages - before_messages,
-                        words=stats.total_words - before_words,
-                        active_nodes=scheduler.live,
-                    )
-                )
-            _emit_round_event(
-                hook, stats.rounds, stats.messages - before_messages,
-                stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, label,
-            )
-            if not runnable and not ring.has_pending():
-                self._spin_to_limit(
-                    stats, timeline, max_rounds, scheduler, hook, label
-                )
+        except BaseException:
+            self.failed_node = node_id
+            raise
+        return awake
 
-        return self._result(algorithms, stats, timeline)
+    def _begin(self) -> None:
+        self.finished = []
+        if self._record:
+            self.sends = []
 
-    def _spin_to_limit(
-        self, stats, timeline, max_rounds: int, scheduler, hook=None,
-        label: str | None = None,
-    ) -> None:
-        """Every live node sleeps and no traffic is in flight: nothing can
-        ever happen again.  The reference engine would keep running empty
-        rounds to the limit; reproduce its trace and error exactly."""
-        from repro.congest.network import RoundRecord
+    def deliver(self, batches: list[SentBatch]) -> None:
+        """Queue a round's sends for this kernel's nodes (shard kernels).
 
-        while True:
-            if stats.rounds >= max_rounds:
-                raise RoundLimitError(
-                    f"no termination within {max_rounds} rounds "
-                    f"({scheduler.live} nodes alive)"
-                )
-            stats.rounds += 1
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=0,
-                        words=0,
-                        active_nodes=scheduler.live,
-                    )
-                )
-            _emit_round_event(hook, stats.rounds, 0, 0, 0, 0, label)
+        ``batches`` must be in sender order — the order the whole-network
+        kernel posts in — so every inbox sees ascending sender ids.
+        """
+        owned = self._owned
+        post_batch = self.ring.post_batch
+        for sender, targets, payload, _words in batches:
+            mine = [target for target in targets if target in owned]
+            if mine:
+                post_batch(sender, mine, payload)
 
     def _collect(
-        self,
-        alg: "NodeAlgorithm",
-        outbox: Mapping[int, Any] | BatchOutbox | None,
-        ring: MailboxRing,
-        stats: "RunStats",
+        self, sender: int, outbox: Mapping[int, Any] | BatchOutbox
     ) -> None:
-        if not outbox:
-            return
         # Metering below is an inlined fast path of CongestNetwork._meter;
         # a subclass that overrides _meter must keep being honored
         # (resolved once at construction), so fall back to the virtual call
         # for it (as _can_send always is).
-        custom_meter = self._custom_meter
-        if (
-            custom_meter is None
-            and self._batch_fast_path
-            and type(outbox) is BatchOutbox
-        ):
-            self._collect_batch(alg, outbox, ring, stats)
+        engine = self._engine
+        custom_meter = engine._custom_meter
+        if custom_meter is None and type(outbox) is BatchOutbox:
+            self._collect_batch(sender, outbox)
             return
         network = self.network
+        stats = self.stats
         n = network.n
         word_bits = network.word_bits
         word_limit = network.word_limit
         strict = network.strict
         cut = network._cut
-        cache = self._words_cache
-        sender = alg.node.id
+        cache = engine._words_cache
+        ring = self.ring
+        post = self._post
+        sends = self.sends
         # Broadcasts reuse one payload object for every neighbor; a
         # single-slot identity memo skips even the cache lookup for them.
         prev_payload: Any = _UNCACHEABLE
@@ -562,9 +601,9 @@ class ActivityEngine(Engine):
                 )
             if custom_meter is not None:
                 custom_meter(network, sender, target, payload, stats)
-                ring.post(sender, target, payload)
-                continue
-            if payload is prev_payload:
+                if sends is not None:
+                    words = payload_words(payload, word_bits)
+            elif payload is prev_payload:
                 words = prev_words
             else:
                 key = _payload_cache_key(payload)
@@ -586,30 +625,28 @@ class ActivityEngine(Engine):
                     words = cached
                 prev_payload = payload
                 prev_words = words
-            if words > word_limit and strict:
-                raise CongestionError(
-                    f"message {network.label_of(sender)!r} -> "
-                    f"{network.label_of(target)!r} is {words} words but the "
-                    f"per-edge budget is {word_limit} words of "
-                    f"{word_bits} bits"
-                )
-            stats.messages += 1
-            stats.total_words += words
-            if words > stats.max_words_per_edge_round:
-                stats.max_words_per_edge_round = words
-            if cut and frozenset((sender, target)) in cut:
-                stats.cut_words += words
-            ring.post(sender, target, payload)
+            if custom_meter is None:
+                if words > word_limit and strict:
+                    raise CongestionError(
+                        f"message {network.label_of(sender)!r} -> "
+                        f"{network.label_of(target)!r} is {words} words but "
+                        f"the per-edge budget is {word_limit} words of "
+                        f"{word_bits} bits"
+                    )
+                stats.messages += 1
+                stats.total_words += words
+                if words > stats.max_words_per_edge_round:
+                    stats.max_words_per_edge_round = words
+                if cut and frozenset((sender, target)) in cut:
+                    stats.cut_words += words
+            if post:
+                ring.post(sender, target, payload)
+            if sends is not None:
+                sends.append((sender, (target,), payload, words))
 
     # -- batched outbox fast path ------------------------------------------
 
-    def _collect_batch(
-        self,
-        alg: "NodeAlgorithm",
-        outbox: BatchOutbox,
-        ring: MailboxRing,
-        stats: "RunStats",
-    ) -> None:
+    def _collect_batch(self, sender: int, outbox: BatchOutbox) -> None:
         """Meter and deliver a uniform-payload batch in O(1) + delivery.
 
         Must be indistinguishable from running the per-message loop over
@@ -621,18 +658,18 @@ class ActivityEngine(Engine):
         every check has passed, which matches the reference loop whenever
         it raises (a run that raises never reports stats).
         """
+        engine = self._engine
         network = self.network
-        sender = alg.node.id
         targets = outbox.targets
         payload = outbox.payload
         trusted = outbox.trusted and (
-            self._trust_broadcasts
-            or (self._stock_can_send and sender not in self._self_loops)
+            engine._trust_broadcasts
+            or (engine._stock_can_send and sender not in engine._self_loops)
         )
         if not trusted:
             self._validate_targets(sender, targets[:1])
         word_bits = network.word_bits
-        cache = self._words_cache
+        cache = engine._words_cache
         key = _payload_cache_key(payload)
         if key is _UNCACHEABLE:
             words = payload_words(payload, word_bits)
@@ -653,6 +690,7 @@ class ActivityEngine(Engine):
             )
         if not trusted:
             self._validate_targets(sender, targets[1:])
+        stats = self.stats
         count = len(targets)
         stats.messages += count
         stats.total_words += count * words
@@ -663,7 +701,13 @@ class ActivityEngine(Engine):
             for target in targets:
                 if frozenset((sender, target)) in cut:
                     stats.cut_words += words
-        ring.post_batch(sender, targets, payload)
+        if self._post:
+            self.ring.post_batch(sender, targets, payload)
+        if self._record:
+            if not outbox.trusted and len(set(targets)) != count:
+                # Duplicates are metered per occurrence but delivered once.
+                targets = tuple(dict.fromkeys(targets))
+            self.sends.append((sender, targets, payload, words))
 
     def _validate_targets(self, sender: int, targets: tuple[int, ...]) -> None:
         """Reference-order validation of untrusted batch targets.
@@ -673,11 +717,12 @@ class ActivityEngine(Engine):
         the sequential loop so the *first* offending target raises exactly
         the error the per-message loop would have raised.
         """
+        engine = self._engine
         network = self.network
         n = network.n
         if (
             _np is not None
-            and self._plain_adjacency
+            and engine._plain_adjacency
             and len(targets) >= _NUMPY_MIN_BATCH
             # The reference loop accepts exactly Python ints (bools ride
             # along via isinstance); numpy scalars coerce into an integer
@@ -688,12 +733,12 @@ class ActivityEngine(Engine):
         ):
             arr = _np.asarray(targets)
             if arr.dtype.kind in "iu":
-                neighbors = self._nbr_arrays.get(sender)
+                neighbors = engine._nbr_arrays.get(sender)
                 if neighbors is None:
                     neighbors = _np.asarray(
                         network._adjacency[sender], dtype=_np.int64
                     )
-                    self._nbr_arrays[sender] = neighbors
+                    engine._nbr_arrays[sender] = neighbors
                 ok = (
                     (arr != sender)
                     & (arr >= 0)

@@ -5,13 +5,12 @@ graph in synchronous rounds, delivering messages between rounds, metering
 round/message/bit usage and enforcing the per-edge bandwidth bound.
 
 The round loop itself lives in :mod:`repro.congest.engine` and comes in
-interchangeable implementations: the reference engine (``v1``), the
-activity-scheduled engine (``v2``, the default) which only wakes nodes with
-pending traffic or an explicit self-wake and meters batched outboxes in
-O(1), and ``v2-dict`` (v2 without the batch fast path, the pre-batching
-baseline).  Select one per network with the ``engine=`` constructor
-argument or globally with the ``REPRO_ENGINE`` environment variable; all
-must behave identically (see ``tests/test_engine_parity.py`` and
+two interchangeable implementations: the reference engine (``v1``) and the
+activity-scheduled engine (``v2``, the default), whose round kernel only
+wakes nodes with pending traffic or an explicit self-wake and meters
+batched outboxes in O(1).  Select one per network with the ``engine=``
+constructor argument or globally with the ``REPRO_ENGINE`` environment
+variable; both must behave identically (see ``tests/test_engine_parity.py`` and
 ``tests/test_batch_outbox.py``).
 
 Paper algorithms are sequences of phases whose round complexities add; the
@@ -357,20 +356,9 @@ class CongestNetwork:
         # Tracing tee: span the stage, sample a counter per RoundEvent.
         # Timing happens only in this wrapper — the engines and metering
         # never see the recorder, so traced runs stay byte-identical.
-        hook = on_round if on_round is not None else self.on_round
-
-        def traced_hook(event: "RoundEvent") -> None:
-            tracer.counter(
-                "congest.round",
-                {
-                    "messages": event.messages,
-                    "words": event.words,
-                    "awake": event.awake,
-                },
-            )
-            if hook is not None:
-                hook(event)
-
+        traced_hook = round_counter_hook(
+            tracer, on_round if on_round is not None else self.on_round
+        )
         with tracer.span(
             label or "run", cat="stage", engine=self._engine.name, n=self.n
         ):
@@ -412,6 +400,24 @@ class CongestNetwork:
                 )
             self._meter(sender, target, payload, stats)
             pending[target][sender] = payload
+
+
+def round_counter_hook(tracer: Any, hook: Callable[[RoundEvent], None] | None):
+    """``hook`` teed with a ``congest.round`` trace counter per event."""
+
+    def traced_hook(event: RoundEvent) -> None:
+        tracer.counter(
+            "congest.round",
+            {
+                "messages": event.messages,
+                "words": event.words,
+                "awake": event.awake,
+            },
+        )
+        if hook is not None:
+            hook(event)
+
+    return traced_hook
 
 
 def run_stages(

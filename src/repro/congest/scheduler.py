@@ -128,6 +128,15 @@ class ActivityScheduler:
         """Record that one node called ``finish``."""
         self.live -= 1
 
+    def snapshot(self) -> tuple[int, tuple[int, ...]]:
+        """``(live, sorted wake set)`` — the state a checkpoint must keep."""
+        return self.live, tuple(sorted(self._wake))
+
+    def restore(self, snapshot: tuple[int, tuple[int, ...]]) -> None:
+        """Reset to a :meth:`snapshot`."""
+        self.live, wake = snapshot
+        self._wake = set(wake)
+
     def runnable(self, traffic: Iterable[int]) -> list[int]:
         """Consume the wake set; return this round's nodes in id order.
 

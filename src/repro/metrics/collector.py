@@ -18,12 +18,15 @@ The document is split in two, and the split is the contract:
   These are covered by the engine parity contract *and* untouched by
   shuffle compression, so the section (and its canonical-JSON
   ``deterministic_sha256``) must be byte-identical across engines
-  v1/v2/v2-dict and across every ``compress`` setting (``"auto"``
-  included) on the same workload.
+  v1/v2 and across every ``compress`` setting (``"auto"`` included) on
+  the same workload.
 * ``variant`` — everything legitimately environment- or backend-
-  dependent: the ``awake`` series (the activity-scheduling observable),
-  the executing engine's name, the MPC shuffle ledger (shuffle count,
-  window lengths, per-machine loads) and the auto-compression ledger.
+  dependent: the ``awake`` series (the activity-scheduling observable:
+  engine v1 invokes every live node, while engine v2 and the compiled
+  MPC backend share one round kernel and so agree with each other at
+  every window length and worker count), the executing engine's name,
+  the MPC shuffle ledger (shuffle count, window lengths, per-machine
+  loads) and the auto-compression ledger.
 
 Phases are detected on the event stream itself: every ``run`` emits a
 round-0 event, so a new phase starts exactly there.  Stage attribution

@@ -14,9 +14,10 @@ graph, partition, compiled programs/algorithms — crosses into the workers
 exactly once at fork time (inherited copy-on-write under the ``fork``
 start method, the same mechanism that ships the runner's prewarmed graph
 cache), and only small mutable per-round deltas cross the pipes
-afterwards: inbox slices down, ``(pending, stats-delta, finished)``
-fragments up.  Platforms without ``fork`` fall back to the verbatim
-serial path rather than paying a per-round pickle of the whole instance.
+afterwards: inboxes (native programs) or the round's metered send
+batches (compiled CONGEST) down, ``(sends, stats-delta, finished)``
+fragments up.  Platforms without ``fork`` fall back to the serial path
+rather than paying a per-round pickle of the whole instance.
 
 **Parity contract.**  Shard workers change *where* local computation
 runs, never *what* the ledger records: every shuffle is executed by the

@@ -188,9 +188,10 @@ class MPCRuntime:
 
     def shuffle(
         self,
-        outboxes: Sequence[Iterable[tuple[int, Any]] | None],
+        outboxes: Sequence[Iterable[tuple[Any, ...]] | None],
         active: int | None = None,
         congest_rounds: int = 1,
+        costed: bool = False,
     ) -> list[list[tuple[int, Any]]]:
         """Execute one metered shuffle round.
 
@@ -201,6 +202,11 @@ class MPCRuntime:
         callers built their outboxes.  Word accounting and the per-machine
         I/O budget check happen here; budget violations raise
         :class:`MemoryBudgetExceeded` before any message is delivered.
+
+        With ``costed`` every message is a ``(dest, payload, words)``
+        triple whose ``words`` is its full cost, envelope included, as
+        the caller already metered it (the CONGEST compiler carries the
+        round kernel's counts); otherwise each payload is walked here.
 
         ``congest_rounds`` records how many CONGEST rounds this shuffle
         carries in the ledger (1 classically; the compressed compiler
@@ -217,6 +223,7 @@ class MPCRuntime:
             raise ValueError(
                 f"expected {m} outboxes, got {len(outboxes)}"
             )
+        word_bits = self.word_bits
         in_words = [0] * m
         out_words = [0] * m
         inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(m)]
@@ -225,18 +232,24 @@ class MPCRuntime:
         for sender, outbox in enumerate(outboxes):
             if not outbox:
                 continue
-            for dest, payload in outbox:
+            sent = 0
+            for message in outbox:
+                if costed:
+                    dest, payload, words = message
+                else:
+                    dest, payload = message
+                    words = ENVELOPE_WORDS + payload_words(payload, word_bits)
                 if not isinstance(dest, int) or not 0 <= dest < m:
                     raise ValueError(
                         f"machine {sender} addressed invalid machine "
                         f"{dest!r} (have {m} machines)"
                     )
-                words = ENVELOPE_WORDS + payload_words(payload, self.word_bits)
-                out_words[sender] += words
+                sent += words
                 in_words[dest] += words
                 messages += 1
-                words_total += words
                 inboxes[dest].append((sender, payload))
+            out_words[sender] += sent
+            words_total += sent
         for mid, machine in enumerate(self.machines):
             if out_words[mid] > machine.io_budget_words:
                 raise MemoryBudgetExceeded(

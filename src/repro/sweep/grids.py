@@ -111,22 +111,21 @@ def engine_scaling_grid(quick: bool = False) -> GridSpec:
 
 
 #: Engines compared by the solver-engines grid, in evaluation order.
-SOLVER_ENGINES = ("v1", "v2-dict", "v2")
+SOLVER_ENGINES = ("v1", "v2")
 
 
 def solver_engines_grid(quick: bool = False) -> GridSpec:
     """Batched-outbox engine sweep over the real solver benchmarks.
 
-    Adjacent (v1, v2-dict, v2) cell triples per (task, n) point:
+    Adjacent (v1, v2) cell pairs per (task, n) point:
 
     * *parity points* (small n) — the benchmark asserts byte-identical
-      payloads across all three engine configurations, and re-runs the
-      solver stages with tracing on to compare full round timelines;
+      payloads across both engines, and re-runs the solver stages with
+      tracing on to compare full round timelines;
     * *timing points* (n >= 200, denser than the sweep default so the
-      broadcast batches are wide) — the benchmark reports the v2-batched
-      speedup over v2-dict (the engine exactly as of the pre-batching
-      revision) and over v1, and ``--check`` requires >= 1.5x batched
-      vs dict on the E01 (MVC) and E12 (MDS) cells.
+      broadcast batches are wide) — the benchmark reports the v2
+      speedup over v1, and ``--check`` requires >= 2x on the E01 (MVC)
+      and E12 (MDS) cells.
 
     ``quick`` keeps the parity points and shrinks the timing points to CI
     scale (seconds, not minutes).

@@ -2,7 +2,7 @@
 
 A :class:`~repro.congest.message.BatchOutbox` must be indistinguishable
 from its expanded ``{target: payload}`` dictionary on every engine
-configuration (``v1``, ``v2-dict``, ``v2``): same outputs, same
+(``v1``, ``v2``): same outputs, same
 ``RunStats`` word for word, same traces, and the same exceptions with the
 same messages.  These tests pin that contract from every angle the
 engines distinguish internally — trusted broadcasts, untrusted
@@ -24,7 +24,7 @@ from repro.congest.network import CongestNetwork
 from repro.congest.scheduler import MailboxRing
 from repro.graphs.generators import gnp_graph, path_graph, star_graph
 
-ENGINES = ("v1", "v2-dict", "v2")
+ENGINES = ("v1", "v2")
 
 
 def run_everywhere(graph, factory, seed=0, trace=True, **net_kwargs):
@@ -423,15 +423,17 @@ class TestBatchMeteringProperty:
         assert batch_stats.total_words == expected_words
 
 
-def test_v2_dict_engine_is_selectable():
-    net = CongestNetwork(path_graph(3), engine="v2-dict")
-    assert net.engine_name == "v2-dict"
-    with pytest.raises(ValueError):
-        CongestNetwork(path_graph(3), engine="v3-batched")
+def test_v2_dict_engine_is_rejected():
+    # The pre-batching v2-dict configuration is retired; only v1 and v2
+    # (and their aliases) remain selectable.
+    for name in ("v2-dict", "v3-batched"):
+        with pytest.raises(ValueError):
+            CongestNetwork(path_graph(3), engine=name)
 
 
 def test_v2_dict_env_selection(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "v2-dict")
-    assert CongestNetwork(path_graph(3)).engine_name == "v2-dict"
+    with pytest.raises(ValueError):
+        CongestNetwork(path_graph(3))
     monkeypatch.setenv("REPRO_ENGINE", "batched")
     assert CongestNetwork(path_graph(3)).engine_name == "v2"

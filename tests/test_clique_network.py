@@ -5,7 +5,7 @@ is exactly why it needs dedicated coverage: the activity engine resolves
 trust decisions from the ``_can_send``/``_meter`` identities at
 construction time, and the PR-3 batch fast path takes different branches
 on the clique (stock-but-not-plain adjacency: trusted broadcasts allowed,
-numpy target validation not).  These tests pin v1 / v2 / v2-dict to
+numpy target validation not).  These tests pin v1 / v2 to
 identical results off the base network.
 """
 
@@ -18,7 +18,7 @@ from repro.congest.clique import CongestedCliqueNetwork
 from repro.congest.errors import CongestionError, ProtocolError
 from repro.graphs.generators import gnp_graph, path_graph
 
-ENGINES = ("v1", "v2-dict", "v2")
+ENGINES = ("v1", "v2")
 
 
 class AllToAllDict(NodeAlgorithm):

@@ -109,6 +109,14 @@ class TestAnalysisGateRegistered:
             "the analysis job must upload its JSON report artifact"
         )
 
+    def test_ci_runs_the_benchmark_harness_selftest(self):
+        # perfbench wraps layer entry points by name; its self-test fails
+        # when a refactor moves one, so CI must run it.
+        assert (
+            "PYTHONPATH=src python -m pytest -q perfbench/selftest.py"
+            in CI.read_text()
+        ), "ci.yml must run the perfbench self-test"
+
     def test_readme_has_quickstart(self):
         text = README.read_text()
         assert "python -m repro.analysis" in text

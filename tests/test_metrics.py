@@ -32,7 +32,7 @@ from repro.mpc.compile_congest import (
     solve_mvc_mpc,
 )
 
-ENGINES = ("v1", "v2", "v2-dict")
+ENGINES = ("v1", "v2")
 
 
 def _canonical(payload) -> str:
@@ -143,7 +143,7 @@ class TestCollector:
         )
         # Variant carries the engine name and the awake series, which are
         # exactly the fields the parity contract leaves engine-dependent.
-        assert doc["variant"]["engine"] in ("v1", "v2", "v2-dict")
+        assert doc["variant"]["engine"] in ("v1", "v2")
         assert len(doc["variant"]["awake"]["per_phase"]) == len(det["phases"])
 
     def test_attach_hooks_mpc_runtime(self):

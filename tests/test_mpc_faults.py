@@ -178,6 +178,58 @@ class TestCrashRecoveryParity:
         )
         assert faulted == clean
 
+    def test_crash_inside_a_compressed_window(self):
+        """A worker dies between two replayed rounds of one window, after a
+        checkpoint also taken mid-window: the respawned shard must get its
+        kernel wake set back from the checkpoint, or the self-woken nodes
+        of the replayed rounds would never run again."""
+        from repro.core.mvc_congest import PhaseOneAlgorithm
+        from repro.faults.recovery import DEFAULT_CHECKPOINT_INTERVAL
+        from repro.mpc.compile_congest import MPCCongestNetwork
+
+        graph = gnp_graph(16, 0.25, seed=3)
+
+        def stage(view):
+            return PhaseOneAlgorithm(view, threshold=2, iterations=6)
+
+        def run(workers, faults=None):
+            events = []
+            net = MPCCongestNetwork(
+                graph, alpha=1.0, seed=3, compress=4, workers=workers,
+                faults=faults, on_round=events.append,
+            )
+            result = net.run(stage, trace=True)
+            outcome = (
+                result.by_id, result.stats, result.trace, events,
+                list(net.runtime.trace), net.runtime.stats,
+            )
+            return outcome, net
+
+        clean, clean_net = run(workers=1)
+        # Barrier b of the stage's pool executes CONGEST round b (barrier
+        # 0 is on_start).  A round is replayed inside a window when it is
+        # not the first round its prefetch shuffle carried.
+        in_window = set()
+        first = 1
+        for record in clean_net.runtime.trace:
+            in_window.update(range(first + 1, first + record.congest_rounds))
+            first += record.congest_rounds
+        # Checkpoints follow every DEFAULT_CHECKPOINT_INTERVAL-th barrier:
+        # barrier 6j is round 6j - 1.
+        interval = DEFAULT_CHECKPOINT_INTERVAL
+        crash_at = next(
+            b for b in sorted(in_window)
+            if b > interval
+            and (b // interval) * interval - 1 in in_window
+            and (b // interval) * interval - 1 < b
+        )
+        recovered, net = run(workers=2, faults=f"crash@{crash_at}")
+        assert recovered == clean
+        report = net.fault_report()
+        assert report["injected"]["crash"] == 1
+        assert report["recoveries"] == 1
+        assert report["degraded"] is False
+
     def test_report_records_the_recovery(self):
         graph = gnp_graph(14, 0.3, seed=2)
         _result, payload = solve_mvc_mpc(

@@ -1,0 +1,137 @@
+"""The shared round kernel on the MPC backend.
+
+Engine v2 and the compiled MPC backend (serial and shard-parallel) run
+every CONGEST round on the same :class:`~repro.congest.engine.RoundKernel`,
+and the compiler carries each batch's metered word count into the window
+planner and the shuffle instead of walking payloads again.  These tests
+pin both halves: the per-round ``awake`` stream is the same on every
+backend, and the carried costs reproduce, word for word, the ledger that
+walking every shuffled envelope with ``payload_words`` gives.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.congest.message import payload_words, word_bits_for
+from repro.congest.network import CongestNetwork
+from repro.core.mds_congest import approx_mds_square
+from repro.core.mvc_congest import approx_mvc_square
+from repro.graphs.generators import gnp_graph
+from repro.mpc.compile_congest import MPCCongestNetwork
+from repro.mpc.parallel import fork_available
+from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
+
+GRID = [
+    (compress, workers)
+    for compress in (1, 4, "auto")
+    for workers in ((1, 2) if fork_available() else (1,))
+]
+
+SOLVERS = {
+    "mvc": lambda graph, net: approx_mvc_square(graph, 0.5, network=net),
+    "mds": lambda graph, net: approx_mds_square(graph, network=net, samples=4),
+}
+
+
+def _stream(events):
+    return [
+        (e.stage, e.round_index, e.messages, e.words, e.cut_words, e.awake)
+        for e in events
+    ]
+
+
+@pytest.mark.parametrize("problem", sorted(SOLVERS))
+def test_awake_stream_identical_on_v2_and_mpc(problem):
+    graph = gnp_graph(14, 0.25, seed=4)
+    solve = SOLVERS[problem]
+    ref_events = []
+    ref = solve(
+        graph,
+        CongestNetwork(graph, seed=4, engine="v2", on_round=ref_events.append),
+    )
+    expected = _stream(ref_events)
+    # Engine v1 invokes every live node, so the stream is not trivially
+    # backend-independent.
+    v1_events = []
+    solve(graph, CongestNetwork(graph, seed=4, engine="v1", on_round=v1_events.append))
+    assert sum(e.awake for e in v1_events) > sum(e.awake for e in ref_events)
+    for compress, workers in GRID:
+        events = []
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=4, compress=compress, workers=workers,
+            on_round=events.append,
+        )
+        result = solve(graph, net)
+        assert result.cover == ref.cover
+        assert _stream(events) == expected, (compress, workers)
+
+
+@pytest.mark.parametrize("compress, workers", GRID)
+def test_carried_costs_equal_walked_ledger(monkeypatch, compress, workers):
+    """Every shuffle the compiler issues, re-metered by walking payloads."""
+    walked: dict[int, MPCRuntime] = {}
+    entries = 0
+    real_shuffle = MPCRuntime.shuffle
+    real_absorb = MPCRuntime.absorb_early_finish
+
+    def reference_for(runtime):
+        if id(runtime) not in walked:
+            # The shuffle only reads machine budgets, so sharing them is safe.
+            walked[id(runtime)] = MPCRuntime(runtime.machines, runtime.word_bits)
+        return walked[id(runtime)]
+
+    def checked_shuffle(self, outboxes, active=None, congest_rounds=1,
+                        costed=False):
+        nonlocal entries
+        assert costed, "the compiler must hand the shuffle carried costs"
+        plain = []
+        for outbox in outboxes:
+            box = []
+            for dest, payload, words in outbox or ():
+                assert words == ENVELOPE_WORDS + payload_words(
+                    payload, self.word_bits
+                )
+                box.append((dest, payload))
+                entries += 1
+            plain.append(box)
+        real_shuffle(
+            reference_for(self), plain, active=active,
+            congest_rounds=congest_rounds,
+        )
+        return real_shuffle(
+            self, outboxes, active=active, congest_rounds=congest_rounds,
+            costed=costed,
+        )
+
+    def mirrored_absorb(self, unexecuted_rounds):
+        real_absorb(reference_for(self), unexecuted_rounds)
+        return real_absorb(self, unexecuted_rounds)
+
+    monkeypatch.setattr(MPCRuntime, "shuffle", checked_shuffle)
+    monkeypatch.setattr(MPCRuntime, "absorb_early_finish", mirrored_absorb)
+
+    graph = gnp_graph(16, 0.25, seed=7)
+    cut = sorted(graph.edges)[::3]
+    net = MPCCongestNetwork(
+        graph, alpha=0.9, seed=7, compress=compress, workers=workers, cut=cut,
+    )
+    result = approx_mvc_square(graph, 0.5, network=net)
+    ref = approx_mvc_square(graph, 0.5, network=CongestNetwork(graph, seed=7, cut=cut))
+    assert result.stats == ref.stats
+    assert result.stats.cut_words > 0
+    assert entries > 0
+    reference = walked[id(net.runtime)]
+    assert net.runtime.stats == reference.stats
+    assert net.runtime.trace == reference.trace
+    if compress != 1:
+        assert any(record.congest_rounds > 1 for record in net.runtime.trace)
+
+
+def test_node_ids_cost_one_word():
+    # The envelope-cost formula charges one word per node id: ids run
+    # 0..n-1 and word_bits_for(n) bits hold n.
+    for n in range(1, 5000):
+        word_bits = word_bits_for(n)
+        assert payload_words(0, word_bits) == 1
+        assert payload_words(n - 1, word_bits) == 1

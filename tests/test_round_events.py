@@ -17,7 +17,7 @@ from repro.core.mvc_congest import PhaseOneAlgorithm, approx_mvc_square
 from repro.congest.primitives import BfsTreeAlgorithm
 from repro.graphs.generators import gnp_graph, path_graph
 
-ENGINES = ("v1", "v2-dict", "v2")
+ENGINES = ("v1", "v2")
 
 
 def _phase_one(view):
@@ -50,7 +50,7 @@ class TestEventStream:
                 (e.round_index, e.messages, e.words, e.cut_words)
                 for e in events
             ]
-        assert streams["v1"] == streams["v2"] == streams["v2-dict"]
+        assert streams["v1"] == streams["v2"]
 
     def test_awake_shows_activity_scheduling(self):
         # The convergecast-OR genuinely sleeps on v2: only the moving

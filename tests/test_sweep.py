@@ -327,13 +327,13 @@ class TestNamedGrids:
     def test_solver_engines_grid_shape(self):
         grid = named_grid("solver-engines")
         engines = {c.engine for c in grid.cells}
-        assert engines == {"v1", "v2-dict", "v2"}
+        assert engines == {"v1", "v2"}
         assert {c.task for c in grid.cells} == {"mvc-congest", "mds-congest"}
         # The acceptance criterion needs an E01 and an E12 timing point at
         # n >= 200 for every engine.
         for task in ("mvc-congest", "mds-congest"):
             big = [c for c in grid.cells if c.task == task and c.n >= 200]
-            assert {c.engine for c in big} == {"v1", "v2-dict", "v2"}
+            assert {c.engine for c in big} == {"v1", "v2"}
 
 
 class TestGraphCache:
