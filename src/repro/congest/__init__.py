@@ -11,11 +11,13 @@ ship 2-hop neighborhoods over single edges.
 
 Execution engines
 -----------------
-Two engines run the rounds (see :mod:`repro.congest.engine`):
+``CongestNetwork.run`` sets a run up once and hands its rounds to one of
+two loops (see :mod:`repro.congest.engine`):
 
 * ``"v1"`` — the reference loop: every live node is invoked every round.
-* ``"v2"`` — the activity-scheduled engine (default): only nodes with
-  pending inbox traffic or an explicit self-wake
+* ``"v2"`` — the activity-scheduled loop (default, and the loop the
+  compiled MPC backend runs too): only nodes with pending inbox traffic
+  or an explicit self-wake
   (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`) run, inbox
   buffers are reused instead of reallocated, adjacency checks and message
   metering are O(1)/cached, quiescence is detected incrementally, and
@@ -24,8 +26,9 @@ Two engines run the rounds (see :mod:`repro.congest.engine`):
   once per batch instead of once per message.
 
 Select an engine per network (``CongestNetwork(graph, engine="v1")``) or
-process-wide via the ``REPRO_ENGINE`` environment variable.  All engines
-are required to produce identical outputs, statistics and traces;
+process-wide via the ``REPRO_ENGINE`` environment variable; only ``v1``
+and ``v2`` are accepted.  Both engines are required to produce identical
+outputs, statistics and traces;
 ``tests/test_engine_parity.py`` and ``tests/test_batch_outbox.py`` enforce
 this differentially, and ``benchmarks/bench_engine_scaling.py`` /
 ``benchmarks/bench_solver_engines.py`` measure the speedups.

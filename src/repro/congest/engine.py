@@ -1,25 +1,22 @@
-"""Pluggable execution engines for :class:`~repro.congest.network.CongestNetwork`.
+"""The two round loops behind ``CongestNetwork.run``.
 
-Two engines implement the same synchronous-round semantics:
-
-* ``v1`` (:class:`SynchronousEngine`) — the original reference loop: every
-  live node is invoked every round, inbox dictionaries are rebuilt from
-  scratch and quiescence is detected by scanning all algorithms.  Kept
-  verbatim as the per-message differential-testing oracle; batched
-  outboxes are expanded through their per-message ``items()`` view, so the
-  loop body is untouched.
-* ``v2`` (:class:`ActivityEngine`) — the activity-scheduled runtime.  Its
-  round body, :class:`RoundKernel`, is shared with the MPC compiler and
-  its shard workers: only nodes with pending inbox traffic or an explicit
-  self-wake (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`)
-  are invoked, inbox buffers are reused via
-  :class:`~repro.congest.scheduler.MailboxRing`, metering caches
-  :func:`~repro.congest.message.payload_words` per payload shape, and a
-  :class:`~repro.congest.message.BatchOutbox` is metered with one
-  word-cost computation, one strictness check and an O(1) statistics
-  update (untrusted targets validated with numpy when available).  A
-  recording kernel also returns each round's sends already metered, as
-  ``(sender, targets, payload, words)`` batches.
+* :func:`reference_rounds` (engine ``v1``) — the original loop: every live
+  node is invoked every round, inbox dictionaries are rebuilt from scratch
+  and quiescence is detected by scanning all algorithms.  Kept verbatim as
+  the per-message differential-testing oracle; batched outboxes are
+  expanded through their per-message ``items()`` view.
+* :func:`drive` — the activity-scheduled loop of engine ``v2`` and of the
+  compiled MPC backend (serial and shard-parallel), which adds only its
+  window step.  Each round is one :class:`RoundKernel` step: only nodes
+  with pending inbox traffic or an explicit self-wake
+  (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`) are invoked,
+  inbox buffers are reused via :class:`~repro.congest.scheduler.MailboxRing`,
+  metering caches :func:`~repro.congest.message.payload_words` per payload
+  shape on the network, and a :class:`~repro.congest.message.BatchOutbox`
+  is metered with one word-cost computation, one strictness check and an
+  O(1) statistics update (untrusted targets validated with numpy when
+  available).  A recording kernel also returns each round's sends already
+  metered, as ``(sender, targets, payload, words)`` batches.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -38,8 +35,8 @@ algorithms whose silent rounds are genuinely idle (no timers, no
 round-counting) may override it to false.  A sleeping node is woken by
 incoming traffic regardless of its ``wants_wake`` answer.  If every live
 node sleeps and no traffic is in flight, nothing can ever happen again:
-the kernel's rounds are empty, and the engine runs them to ``max_rounds``
-like the reference engine (same trace, same :class:`RoundLimitError`).
+the kernel's rounds are empty, and :func:`drive` runs them to
+``max_rounds`` like the reference loop (same trace, same error).
 
 The v1/v2 parity contract
 -------------------------
@@ -76,19 +73,20 @@ the contract differentially, and ``benchmarks/bench_engine_scaling.py`` /
 ``benchmarks/bench_solver_engines.py`` re-check it at benchmark scale via
 the sweep runner's per-cell engine selection.
 
-Per-round instrumentation: both engines deliver a structured
+Per-round instrumentation: both loops deliver a structured
 :class:`~repro.congest.network.RoundEvent` (round index, messages, words,
 cut words, awake-node count) to an ``on_round`` callback — per run or as a
 network-level default — as each round ends.  Events never affect
 execution; the v1/v2 parity contract covers every field except
 ``awake``, which deliberately exposes how many nodes each engine actually
-invoked.  Every backend that drives the kernel (engine v2 and compiled MPC
-at any window length and worker count) invokes exactly the same nodes, so
-among those ``awake`` is part of the parity surface too.
+invoked.  Every backend that runs :func:`drive` (engine v2 and compiled
+MPC at any window length and worker count) invokes exactly the same
+nodes, so among those ``awake`` is part of the parity surface too.
 
 Engine selection: the ``engine=`` constructor argument of
 :class:`~repro.congest.network.CongestNetwork` wins; otherwise the
 ``REPRO_ENGINE`` environment variable; otherwise :data:`DEFAULT_ENGINE`.
+Only ``"v1"`` and ``"v2"`` are accepted; the MPC backend ignores both.
 """
 
 from __future__ import annotations
@@ -108,12 +106,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.congest.algorithm import NodeAlgorithm
-    from repro.congest.network import (
-        AlgorithmFactory,
-        CongestNetwork,
-        RunResult,
-        RunStats,
-    )
+    from repro.congest.network import CongestNetwork, RoundRecord, RunStats
 
 #: Environment variable overriding the engine for networks constructed
 #: without an explicit ``engine=`` argument.
@@ -122,16 +115,8 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: Engine used when neither the constructor nor the environment chooses.
 DEFAULT_ENGINE = "v2"
 
-_ALIASES = {
-    "v1": "v1",
-    "sync": "v1",
-    "reference": "v1",
-    "v2": "v2",
-    "activity": "v2",
-    "event": "v2",
-    "v2-batched": "v2",
-    "batched": "v2",
-}
+#: The selectable engines: the reference loop and the activity-scheduled one.
+ENGINES = ("v1", "v2")
 
 #: Sentinel for payloads whose word cost cannot be cached by value.
 _UNCACHEABLE = object()
@@ -145,11 +130,10 @@ def resolve_engine_name(name: str | None = None) -> str:
     """Canonical engine name from an explicit choice or the environment."""
     if name is None:
         name = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-    canonical = _ALIASES.get(str(name).strip().lower())
-    if canonical is None:
+    canonical = str(name).strip().lower()
+    if canonical not in ENGINES:
         raise ValueError(
-            f"unknown engine {name!r}; choose one of "
-            f"{sorted(set(_ALIASES))} (canonically 'v1' or 'v2')"
+            f"unknown engine {name!r}; choose one of {list(ENGINES)}"
         )
     return canonical
 
@@ -160,11 +144,11 @@ def emit_round_event(
 ) -> None:
     """Deliver one RoundEvent to ``hook`` (no-op when ``hook`` is None).
 
-    The single construction point for both engines and the MPC compiler,
-    so the event shape cannot drift between backends.  ``label`` is the
-    run-level stage label, stamped as ``RoundEvent.stage_label``.  With a
-    ``timeline`` list the round's ``RoundRecord`` (``alive`` unfinished
-    nodes) is appended to it first.
+    The single construction point for both loops, so the event shape
+    cannot drift between backends.  ``label`` is the run-level stage
+    label, stamped as ``RoundEvent.stage_label``.  With a ``timeline``
+    list the round's ``RoundRecord`` (``alive`` unfinished nodes) is
+    appended to it first.
     """
     from repro.congest.network import RoundEvent, RoundRecord
 
@@ -183,142 +167,121 @@ def emit_round_event(
         )
 
 
-def create_engine(network: "CongestNetwork", name: str | None = None) -> "Engine":
-    """Instantiate the engine ``name`` (resolved per module rules) for ``network``."""
-    canonical = resolve_engine_name(name)
-    if canonical == "v1":
-        return SynchronousEngine(network)
-    return ActivityEngine(network)
-
-
-class Engine:
-    """Executes node algorithms in synchronous rounds on one network."""
-
-    name: str = "?"
-
-    def __init__(self, network: "CongestNetwork") -> None:
-        self.network = network
-
-    def run(
-        self,
-        factory: "AlgorithmFactory",
-        inputs: Mapping[Any, Any] | None = None,
-        max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
-        label: str | None = None,
-    ) -> "RunResult":
-        raise NotImplementedError
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _setup(
-        self,
-        factory: "AlgorithmFactory",
-        inputs: Mapping[Any, Any] | None,
-        max_rounds: int | None,
-        trace: bool,
-        on_round=None,
-    ):
-        from repro.congest.network import DEFAULT_ROUND_FACTOR, RunStats
-
-        network = self.network
-        if max_rounds is None:
-            max_rounds = DEFAULT_ROUND_FACTOR * network.n * network.n + 1000
-        views = network._make_views(inputs)
-        algorithms = [factory(view) for view in views]
-        stats = RunStats(word_bits=network.word_bits)
-        timeline = [] if trace else None
-        # Per-run callback wins; otherwise the network-level default.
-        hook = on_round if on_round is not None else network.on_round
-        return algorithms, stats, timeline, max_rounds, hook
-
-    def _result(self, algorithms: list["NodeAlgorithm"], stats, timeline):
-        from repro.congest.network import RunResult
-
-        network = self.network
-        outputs = {
-            network._label_of[alg.node.id]: alg.output for alg in algorithms
-        }
-        by_id = {alg.node.id: alg.output for alg in algorithms}
-        return RunResult(
-            outputs=outputs, stats=stats, by_id=by_id, trace=timeline
-        )
-
-
-class SynchronousEngine(Engine):
+def reference_rounds(
+    network: "CongestNetwork",
+    algorithms: list["NodeAlgorithm"],
+    stats: "RunStats",
+    max_rounds: int,
+    timeline: list["RoundRecord"] | None,
+    hook,
+    label: str | None,
+) -> None:
     """Engine v1: the reference every-node-every-round loop."""
+    from repro.congest.network import RoundRecord
 
-    name = "v1"
-
-    def run(
-        self,
-        factory: "AlgorithmFactory",
-        inputs: Mapping[Any, Any] | None = None,
-        max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
-        label: str | None = None,
-    ) -> "RunResult":
-        from repro.congest.network import RoundRecord
-
-        network = self.network
-        algorithms, stats, timeline, max_rounds, hook = self._setup(
-            factory, inputs, max_rounds, trace, on_round
+    pending: dict[int, dict[int, Any]] = {i: {} for i in range(network.n)}
+    for alg in algorithms:
+        network._collect(alg, alg.on_start(), pending, stats)
+    if timeline is not None:
+        timeline.append(
+            RoundRecord(
+                round_index=0,
+                messages=stats.messages,
+                words=stats.total_words,
+                active_nodes=sum(1 for a in algorithms if not a.done),
+            )
         )
+    emit_round_event(
+        hook, 0, stats.messages, stats.total_words, len(algorithms),
+        stats.cut_words, label,
+    )
 
-        pending: dict[int, dict[int, Any]] = {i: {} for i in range(network.n)}
+    while not all(alg.done for alg in algorithms):
+        if stats.rounds >= max_rounds:
+            raise RoundLimitError(
+                f"no termination within {max_rounds} rounds "
+                f"({sum(1 for a in algorithms if not a.done)} nodes alive)"
+            )
+        stats.rounds += 1
+        before_messages = stats.messages
+        before_words = stats.total_words
+        before_cut = stats.cut_words
+        awake = 0
+        inboxes, pending = pending, {i: {} for i in range(network.n)}
         for alg in algorithms:
-            network._collect(alg, alg.on_start(), pending, stats)
+            if alg.done:
+                continue
+            awake += 1
+            outbox = alg.on_round(inboxes[alg.node.id])
+            # A node may send a final outbox in the round it finishes.
+            network._collect(alg, outbox, pending, stats)
         if timeline is not None:
             timeline.append(
                 RoundRecord(
-                    round_index=0,
-                    messages=stats.messages,
-                    words=stats.total_words,
+                    round_index=stats.rounds,
+                    messages=stats.messages - before_messages,
+                    words=stats.total_words - before_words,
                     active_nodes=sum(1 for a in algorithms if not a.done),
                 )
             )
         emit_round_event(
-            hook, 0, stats.messages, stats.total_words, len(algorithms),
-            stats.cut_words, label,
+            hook, stats.rounds, stats.messages - before_messages,
+            stats.total_words - before_words, awake,
+            stats.cut_words - before_cut, label,
         )
 
-        while not all(alg.done for alg in algorithms):
-            if stats.rounds >= max_rounds:
-                raise RoundLimitError(
-                    f"no termination within {max_rounds} rounds "
-                    f"({sum(1 for a in algorithms if not a.done)} nodes alive)"
-                )
-            stats.rounds += 1
-            before_messages = stats.messages
-            before_words = stats.total_words
-            before_cut = stats.cut_words
-            awake = 0
-            inboxes, pending = pending, {i: {} for i in range(network.n)}
-            for alg in algorithms:
-                if alg.done:
-                    continue
-                awake += 1
-                outbox = alg.on_round(inboxes[alg.node.id])
-                # A node may send a final outbox in the round it finishes.
-                network._collect(alg, outbox, pending, stats)
-            if timeline is not None:
-                timeline.append(
-                    RoundRecord(
-                        round_index=stats.rounds,
-                        messages=stats.messages - before_messages,
-                        words=stats.total_words - before_words,
-                        active_nodes=sum(1 for a in algorithms if not a.done),
-                    )
-                )
-            emit_round_event(
-                hook, stats.rounds, stats.messages - before_messages,
-                stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, label,
-            )
 
-        return self._result(algorithms, stats, timeline)
+def drive(
+    rounds,
+    n: int,
+    stats: "RunStats",
+    max_rounds: int,
+    timeline: list["RoundRecord"] | None,
+    hook,
+    label: str | None,
+    window=None,
+) -> None:
+    """The activity-scheduled loop: rounds until all ``n`` nodes finish.
+
+    ``rounds`` is a :class:`RoundKernel` or the MPC backend's shard pool —
+    anything with ``start``/``step``/``sends``/``finished``.  Without a
+    ``window`` this is engine v2.  The MPC backend passes itself: before
+    each window, after the round-limit check, ``window.open_window(sends,
+    done)`` meters the last round's sends through a shuffle or a prefetch
+    and returns how many rounds the window replays; once they ran (or
+    every node finished), ``window.close_window(length, executed)`` ends it.
+    """
+    done: set[int] = set()
+    rounds.start()
+    done.update(rounds.finished)
+    emit_round_event(
+        hook, 0, stats.messages, stats.total_words, n, stats.cut_words,
+        label, timeline, n - len(done),
+    )
+    remaining = 0
+    while len(done) < n:
+        if stats.rounds >= max_rounds:
+            raise RoundLimitError(
+                f"no termination within {max_rounds} rounds "
+                f"({n - len(done)} nodes alive)"
+            )
+        if window is not None and not remaining:
+            length = remaining = window.open_window(rounds.sends, done)
+        stats.rounds += 1
+        before_messages = stats.messages
+        before_words = stats.total_words
+        before_cut = stats.cut_words
+        awake = rounds.step()
+        done.update(rounds.finished)
+        emit_round_event(
+            hook, stats.rounds, stats.messages - before_messages,
+            stats.total_words - before_words, awake,
+            stats.cut_words - before_cut, label, timeline, n - len(done),
+        )
+        if window is not None:
+            remaining -= 1
+            if not remaining or len(done) == n:
+                window.close_window(length, length - remaining)
 
 
 def _payload_cache_key(payload: Any) -> Any:
@@ -344,100 +307,6 @@ def _payload_cache_key(payload: Any) -> Any:
 _NUMPY_MIN_BATCH = 32
 
 
-class ActivityEngine(Engine):
-    """Engine v2: wake only nodes with traffic or an explicit self-wake.
-
-    Holds the network-level metering state every :class:`RoundKernel` on
-    this network shares — the payload word-cost cache and the adjacency
-    trust decisions, all fixed for the network's lifetime — and runs each
-    ``run`` as a sequence of kernel rounds.
-    """
-
-    name = "v2"
-
-    def __init__(self, network: "CongestNetwork") -> None:
-        super().__init__(network)
-        from repro.congest.clique import CongestedCliqueNetwork
-        from repro.congest.network import CongestNetwork
-
-        #: payload value -> word cost, shared across runs on this network
-        #: (word size is fixed per network, so keys need not include it).
-        self._words_cache: dict[Any, int] = {}
-        #: Whether ``_can_send`` is one of the two stock rules.  A subclass
-        #: override must stay honored per target, so trusted batches lose
-        #: their validation shortcut on such networks.
-        self._stock_can_send = type(network)._can_send in (
-            CongestNetwork._can_send,
-            CongestedCliqueNetwork._can_send,
-        )
-        #: Plain-CONGEST adjacency (not clique, not overridden) — the only
-        #: rule the vectorized membership test knows how to evaluate.
-        self._plain_adjacency = (
-            type(network)._can_send is CongestNetwork._can_send
-        )
-        #: Nodes whose adjacency contains themselves (graphs with self
-        #: loops).  A trusted broadcast from such a node must raise the
-        #: reference loop's "addressed itself" error, so it is demoted to
-        #: the validating path.
-        self._self_loops = frozenset(
-            node_id
-            for node_id, neighbors in network._adjacency_sets.items()
-            if node_id in neighbors
-        )
-        #: node id -> numpy array of its neighbors, built lazily for the
-        #: vectorized validation of untrusted batches.
-        self._nbr_arrays: dict[int, Any] = {}
-        #: Broadcast batches need no per-node trust decision at all when
-        #: the adjacency rule is stock and the graph has no self loops.
-        self._trust_broadcasts = self._stock_can_send and not self._self_loops
-        #: Overridden ``_meter`` resolved once — the network's class is
-        #: fixed for the engine's lifetime, so the virtual-dispatch check
-        #: need not be repeated on every outbox.
-        self._custom_meter = (
-            type(network)._meter
-            if type(network)._meter is not CongestNetwork._meter
-            else None
-        )
-
-    def run(
-        self,
-        factory: "AlgorithmFactory",
-        inputs: Mapping[Any, Any] | None = None,
-        max_rounds: int | None = None,
-        trace: bool = False,
-        on_round=None,
-        label: str | None = None,
-    ) -> "RunResult":
-        algorithms, stats, timeline, max_rounds, hook = self._setup(
-            factory, inputs, max_rounds, trace, on_round
-        )
-        kernel = RoundKernel(self, algorithms, stats)
-        scheduler = kernel.scheduler
-        kernel.start()
-        emit_round_event(
-            hook, 0, stats.messages, stats.total_words, len(algorithms),
-            stats.cut_words, label, timeline, scheduler.live,
-        )
-        while scheduler.live:
-            if stats.rounds >= max_rounds:
-                raise RoundLimitError(
-                    f"no termination within {max_rounds} rounds "
-                    f"({scheduler.live} nodes alive)"
-                )
-            stats.rounds += 1
-            before_messages = stats.messages
-            before_words = stats.total_words
-            before_cut = stats.cut_words
-            awake = kernel.step()
-            emit_round_event(
-                hook, stats.rounds, stats.messages - before_messages,
-                stats.total_words - before_words, awake,
-                stats.cut_words - before_cut, label, timeline,
-                scheduler.live,
-            )
-        return self._result(algorithms, stats, timeline)
-
-
 #: A metered send: ``(sender, targets, payload, words)`` — one payload of
 #: ``words`` words addressed to every id in ``targets``.
 SentBatch = tuple[int, tuple[int, ...], Any, int]
@@ -449,8 +318,8 @@ class RoundKernel:
     Engine v2 drives one kernel over the whole network, the serial MPC
     compiler one recording kernel, and each MPC shard worker one kernel
     over its own nodes.  A kernel owns the run's wake set, inbox buffers
-    and statistics, and meters through the engine's shared word-cost
-    cache, one :func:`payload_words` per :class:`BatchOutbox`.
+    and statistics, and meters through the network's word-cost cache,
+    one :func:`payload_words` per :class:`BatchOutbox`.
 
     With ``record`` each :meth:`start` / :meth:`step` leaves the round's
     sends in :attr:`sends` as :data:`SentBatch` tuples, in sender order,
@@ -462,13 +331,12 @@ class RoundKernel:
 
     def __init__(
         self,
-        engine: ActivityEngine,
+        network: "CongestNetwork",
         algorithms: list["NodeAlgorithm"],
         stats: "RunStats",
         node_ids: tuple[int, ...] | None = None,
         record: bool = False,
     ) -> None:
-        network = engine.network
         self.network = network
         self.algorithms = algorithms
         self.stats = stats
@@ -484,7 +352,6 @@ class RoundKernel:
         self.finished: list[int] = []
         #: The node executing when the last round raised, if any.
         self.failed_node: int | None = None
-        self._engine = engine
 
     def start(self) -> None:
         """Round 0: every node's ``on_start``, in ascending id order."""
@@ -563,13 +430,9 @@ class RoundKernel:
     def _collect(
         self, sender: int, outbox: Mapping[int, Any] | BatchOutbox
     ) -> None:
-        # Metering below is an inlined fast path of CongestNetwork._meter;
-        # a subclass that overrides _meter must keep being honored
-        # (resolved once at construction), so fall back to the virtual call
-        # for it (as _can_send always is).
-        engine = self._engine
-        custom_meter = engine._custom_meter
-        if custom_meter is None and type(outbox) is BatchOutbox:
+        # The metering below is the cached form of the reference loop's
+        # (CongestNetwork._collect); _can_send stays a virtual call.
+        if type(outbox) is BatchOutbox:
             self._collect_batch(sender, outbox)
             return
         network = self.network
@@ -579,7 +442,7 @@ class RoundKernel:
         word_limit = network.word_limit
         strict = network.strict
         cut = network._cut
-        cache = engine._words_cache
+        cache = network._words_cache
         ring = self.ring
         post = self._post
         sends = self.sends
@@ -599,11 +462,7 @@ class RoundKernel:
                     f"node {network.label_of(sender)!r} is not adjacent to "
                     f"{network.label_of(target)!r} in the communication graph"
                 )
-            if custom_meter is not None:
-                custom_meter(network, sender, target, payload, stats)
-                if sends is not None:
-                    words = payload_words(payload, word_bits)
-            elif payload is prev_payload:
+            if payload is prev_payload:
                 words = prev_words
             else:
                 key = _payload_cache_key(payload)
@@ -625,20 +484,19 @@ class RoundKernel:
                     words = cached
                 prev_payload = payload
                 prev_words = words
-            if custom_meter is None:
-                if words > word_limit and strict:
-                    raise CongestionError(
-                        f"message {network.label_of(sender)!r} -> "
-                        f"{network.label_of(target)!r} is {words} words but "
-                        f"the per-edge budget is {word_limit} words of "
-                        f"{word_bits} bits"
-                    )
-                stats.messages += 1
-                stats.total_words += words
-                if words > stats.max_words_per_edge_round:
-                    stats.max_words_per_edge_round = words
-                if cut and frozenset((sender, target)) in cut:
-                    stats.cut_words += words
+            if words > word_limit and strict:
+                raise CongestionError(
+                    f"message {network.label_of(sender)!r} -> "
+                    f"{network.label_of(target)!r} is {words} words but "
+                    f"the per-edge budget is {word_limit} words of "
+                    f"{word_bits} bits"
+                )
+            stats.messages += 1
+            stats.total_words += words
+            if words > stats.max_words_per_edge_round:
+                stats.max_words_per_edge_round = words
+            if cut and frozenset((sender, target)) in cut:
+                stats.cut_words += words
             if post:
                 ring.post(sender, target, payload)
             if sends is not None:
@@ -658,18 +516,16 @@ class RoundKernel:
         every check has passed, which matches the reference loop whenever
         it raises (a run that raises never reports stats).
         """
-        engine = self._engine
         network = self.network
         targets = outbox.targets
         payload = outbox.payload
-        trusted = outbox.trusted and (
-            engine._trust_broadcasts
-            or (engine._stock_can_send and sender not in engine._self_loops)
-        )
+        # A trusted broadcast from a self-loop node must raise the reference
+        # loop's "addressed itself" error, so it takes the validating path.
+        trusted = outbox.trusted and sender not in network._self_loops
         if not trusted:
             self._validate_targets(sender, targets[:1])
         word_bits = network.word_bits
-        cache = engine._words_cache
+        cache = network._words_cache
         key = _payload_cache_key(payload)
         if key is _UNCACHEABLE:
             words = payload_words(payload, word_bits)
@@ -717,12 +573,11 @@ class RoundKernel:
         the sequential loop so the *first* offending target raises exactly
         the error the per-message loop would have raised.
         """
-        engine = self._engine
         network = self.network
         n = network.n
         if (
             _np is not None
-            and engine._plain_adjacency
+            and network._plain_adjacency
             and len(targets) >= _NUMPY_MIN_BATCH
             # The reference loop accepts exactly Python ints (bools ride
             # along via isinstance); numpy scalars coerce into an integer
@@ -733,12 +588,12 @@ class RoundKernel:
         ):
             arr = _np.asarray(targets)
             if arr.dtype.kind in "iu":
-                neighbors = engine._nbr_arrays.get(sender)
+                neighbors = network._nbr_arrays.get(sender)
                 if neighbors is None:
                     neighbors = _np.asarray(
                         network._adjacency[sender], dtype=_np.int64
                     )
-                    engine._nbr_arrays[sender] = neighbors
+                    network._nbr_arrays[sender] = neighbors
                 ok = (
                     (arr != sender)
                     & (arr >= 0)

@@ -4,13 +4,15 @@
 graph in synchronous rounds, delivering messages between rounds, metering
 round/message/bit usage and enforcing the per-edge bandwidth bound.
 
-The round loop itself lives in :mod:`repro.congest.engine` and comes in
-two interchangeable implementations: the reference engine (``v1``) and the
-activity-scheduled engine (``v2``, the default), whose round kernel only
-wakes nodes with pending traffic or an explicit self-wake and meters
-batched outboxes in O(1).  Select one per network with the ``engine=``
-constructor argument or globally with the ``REPRO_ENGINE`` environment
-variable; both must behave identically (see ``tests/test_engine_parity.py`` and
+``run`` builds each run's views, algorithms, statistics and result once
+and hands the rounds to a loop in :mod:`repro.congest.engine`: the
+reference loop (engine ``v1``) or the activity-scheduled loop (engine
+``v2``, the default), whose round kernel only wakes nodes with pending
+traffic or an explicit self-wake and meters batched outboxes in O(1).  The
+compiled MPC backend runs the same activity-scheduled loop.  Select an
+engine per network with the ``engine=`` constructor argument or globally
+with the ``REPRO_ENGINE`` environment variable; both must behave
+identically (see ``tests/test_engine_parity.py`` and
 ``tests/test_batch_outbox.py``).
 
 Paper algorithms are sequences of phases whose round complexities add; the
@@ -21,6 +23,7 @@ from one stage to the next.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -29,6 +32,12 @@ from typing import Any
 import networkx as nx
 
 from repro.congest.algorithm import NodeAlgorithm, NodeView
+from repro.congest.engine import (
+    RoundKernel,
+    drive,
+    reference_rounds,
+    resolve_engine_name,
+)
 from repro.congest.errors import CongestionError, ProtocolError
 from repro.congest.message import BatchOutbox, payload_words, word_bits_for
 
@@ -185,8 +194,8 @@ class CongestNetwork:
         Optional iterable of label pairs; traffic crossing these edges is
         metered separately (the Alice-Bob cut of Theorem 19).
     engine:
-        Which execution engine runs the rounds: ``"v1"`` (reference) or
-        ``"v2"`` (activity-scheduled, default).  ``None`` defers to the
+        Which loop runs the rounds: ``"v1"`` (reference) or ``"v2"``
+        (activity-scheduled, default).  ``None`` defers to the
         ``REPRO_ENGINE`` environment variable, then the package default.
     on_round:
         Optional default :class:`RoundEvent` callback applied to every
@@ -194,6 +203,13 @@ class CongestNetwork:
         overrides it for that run).  Lets multi-stage drivers instrument
         all their stages by constructing the network once.
     """
+
+    #: Canonical name of the loop running this network's rounds: resolved
+    #: per network from ``engine=`` unless a backend class fixes it.
+    engine_name: str | None = None
+    #: Whether ``_can_send`` is plain adjacency, the only rule the kernel's
+    #: vectorized target validation knows how to evaluate.
+    _plain_adjacency = True
 
     def __init__(
         self,
@@ -244,15 +260,23 @@ class CongestNetwork:
             for u, v in cut:
                 self._cut.add(frozenset((self._id_of[u], self._id_of[v])))
         self.node_state: dict[int, dict] = {i: {} for i in range(self.n)}
-
-        from repro.congest.engine import create_engine
-
-        self._engine = create_engine(self, engine)
-
-    @property
-    def engine_name(self) -> str:
-        """Canonical name of the engine executing this network's rounds."""
-        return self._engine.name
+        self.engine_name = self.engine_name or resolve_engine_name(engine)
+        # Metering state of the round kernel, fixed for the network's
+        # lifetime and shared by every run on it.
+        #: payload value -> word cost (word size is fixed per network, so
+        #: keys need not include it).
+        self._words_cache: dict[Any, int] = {}
+        #: Nodes whose adjacency contains themselves (graphs with self
+        #: loops); their trusted broadcasts are validated like untrusted
+        #: batches.
+        self._self_loops = frozenset(
+            node_id
+            for node_id, neighbors in self._adjacency_sets.items()
+            if node_id in neighbors
+        )
+        #: node id -> numpy array of its neighbors, built lazily for the
+        #: vectorized validation of untrusted batches.
+        self._nbr_arrays: dict[int, Any] = {}
 
     # -- identifier mapping ------------------------------------------------
 
@@ -299,24 +323,6 @@ class CongestNetwork:
             )
         return views
 
-    def _meter(
-        self, sender: int, target: int, payload: Any, stats: RunStats
-    ) -> None:
-        words = payload_words(payload, self.word_bits)
-        if words > self.word_limit and self.strict:
-            raise CongestionError(
-                f"message {self.label_of(sender)!r} -> {self.label_of(target)!r} "
-                f"is {words} words but the per-edge budget is "
-                f"{self.word_limit} words of {self.word_bits} bits"
-            )
-        stats.messages += 1
-        stats.total_words += words
-        stats.max_words_per_edge_round = max(
-            stats.max_words_per_edge_round, words
-        )
-        if self._cut and frozenset((sender, target)) in self._cut:
-            stats.cut_words += words
-
     def run(
         self,
         factory: AlgorithmFactory,
@@ -339,37 +345,78 @@ class CongestNetwork:
         consumers (the metrics collector) can attribute rounds to a named
         solver stage; it does not affect execution or metering.
 
-        The round loop is executed by the engine chosen at construction
-        time (see :mod:`repro.congest.engine`); every engine produces
-        identical results.
+        The rounds run on the loop chosen at construction time (see
+        :mod:`repro.congest.engine`); every engine produces identical
+        results.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._engine.run(
-                factory,
-                inputs=inputs,
-                max_rounds=max_rounds,
-                trace=trace,
-                on_round=on_round,
-                label=label,
-            )
-        # Tracing tee: span the stage, sample a counter per RoundEvent.
-        # Timing happens only in this wrapper — the engines and metering
-        # never see the recorder, so traced runs stay byte-identical.
-        traced_hook = round_counter_hook(
-            tracer, on_round if on_round is not None else self.on_round
+        return self._run(
+            self._engine_rounds, factory, inputs, max_rounds, trace,
+            on_round, label,
         )
-        with tracer.span(
-            label or "run", cat="stage", engine=self._engine.name, n=self.n
-        ):
-            return self._engine.run(
-                factory,
-                inputs=inputs,
-                max_rounds=max_rounds,
-                trace=trace,
-                on_round=traced_hook,
-                label=label,
+
+    def _run(
+        self,
+        rounds: Callable[..., None],
+        factory: AlgorithmFactory,
+        inputs: Mapping[Any, Any] | None,
+        max_rounds: int | None,
+        trace: bool,
+        on_round: Callable[[RoundEvent], None] | None,
+        label: str | None,
+    ) -> RunResult:
+        """One run's setup and result around a backend's ``rounds`` loop.
+
+        ``rounds(algorithms, stats, max_rounds, timeline, hook, label)``
+        executes the rounds, leaving every algorithm finished.  With a
+        tracer the run is spanned and every round event also samples a
+        ``congest.round`` counter; timing happens only here, so traced
+        runs stay byte-identical.
+        """
+        # Per-run callback wins; otherwise the network-level default.
+        hook = on_round if on_round is not None else self.on_round
+        span: Any = contextlib.nullcontext()
+        tracer = self.tracer
+        if tracer is not None:
+            inner = hook
+
+            def hook(event: RoundEvent) -> None:
+                tracer.counter(
+                    "congest.round",
+                    {
+                        "messages": event.messages,
+                        "words": event.words,
+                        "awake": event.awake,
+                    },
+                )
+                if inner is not None:
+                    inner(event)
+
+            span = tracer.span(
+                label or "run", cat="stage", engine=self.engine_name, n=self.n
             )
+        with span:
+            if max_rounds is None:
+                max_rounds = DEFAULT_ROUND_FACTOR * self.n * self.n + 1000
+            algorithms = [factory(view) for view in self._make_views(inputs)]
+            stats = RunStats(word_bits=self.word_bits)
+            timeline: list[RoundRecord] | None = [] if trace else None
+            rounds(algorithms, stats, max_rounds, timeline, hook, label)
+        by_id = {alg.node.id: alg.output for alg in algorithms}
+        return RunResult(
+            outputs={self._label_of[nid]: out for nid, out in by_id.items()},
+            stats=stats,
+            by_id=by_id,
+            trace=timeline,
+        )
+
+    def _engine_rounds(
+        self, algorithms: list[NodeAlgorithm], stats: RunStats, *loop: Any
+    ) -> None:
+        """Engine v1's reference loop or engine v2's activity-scheduled one."""
+        if self.engine_name == "v1":
+            reference_rounds(self, algorithms, stats, *loop)
+        else:
+            drive(RoundKernel(self, algorithms, stats), self.n, stats, *loop)
 
     def _collect(
         self,
@@ -378,11 +425,11 @@ class CongestNetwork:
         pending: dict[int, dict[int, Any]],
         stats: RunStats,
     ) -> None:
-        # The reference collector: one validation + one metering call per
+        # The reference collector: one validation + one metering step per
         # (sender, target) pair.  A BatchOutbox is expanded through its
         # per-message ``items()`` view, so batches and dictionaries take
-        # the identical loop here — this is the semantics the activity
-        # engine's batch fast path must reproduce word for word.
+        # the identical loop here — this is the semantics the round
+        # kernel's batch fast path must reproduce word for word.
         if not outbox:
             return
         sender = alg.node.id
@@ -398,26 +445,22 @@ class CongestNetwork:
                     f"node {self.label_of(sender)!r} is not adjacent to "
                     f"{self.label_of(target)!r} in the communication graph"
                 )
-            self._meter(sender, target, payload, stats)
+            words = payload_words(payload, self.word_bits)
+            if words > self.word_limit and self.strict:
+                raise CongestionError(
+                    f"message {self.label_of(sender)!r} -> "
+                    f"{self.label_of(target)!r} is {words} words but the "
+                    f"per-edge budget is {self.word_limit} words of "
+                    f"{self.word_bits} bits"
+                )
+            stats.messages += 1
+            stats.total_words += words
+            stats.max_words_per_edge_round = max(
+                stats.max_words_per_edge_round, words
+            )
+            if self._cut and frozenset((sender, target)) in self._cut:
+                stats.cut_words += words
             pending[target][sender] = payload
-
-
-def round_counter_hook(tracer: Any, hook: Callable[[RoundEvent], None] | None):
-    """``hook`` teed with a ``congest.round`` trace counter per event."""
-
-    def traced_hook(event: RoundEvent) -> None:
-        tracer.counter(
-            "congest.round",
-            {
-                "messages": event.messages,
-                "words": event.words,
-                "awake": event.awake,
-            },
-        )
-        if hook is not None:
-            hook(event)
-
-    return traced_hook
 
 
 def run_stages(

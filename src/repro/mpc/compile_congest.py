@@ -30,14 +30,16 @@ identical to engine v2 at every ``k`` (the parity harness asserts it).
 
 Two ledgers are kept at once, and that is the point:
 
-* the **CONGEST ledger** — every round runs on engine v2's
-  :class:`~repro.congest.engine.RoundKernel`, the same activity-scheduled
-  round body (wake set, reusable inboxes, one ``payload_words`` per
-  batched outbox) engine v2 drives, so ``RunResult`` outputs,
-  ``RunStats``, traces and the per-round ``RoundEvent`` stream — ``awake``
-  included — are word-for-word identical to engine v2 on the same graph
-  and seed (the *parity claim*, asserted by :func:`solve_with_parity`
-  against a live engine-v2 shadow network);
+* the **CONGEST ledger** — a compiled run is engine v2's run: the same
+  setup and result (``CongestNetwork``'s), the same activity-scheduled
+  loop (:func:`~repro.congest.engine.drive`) and the same
+  :class:`~repro.congest.engine.RoundKernel` rounds, so ``RunResult``
+  outputs, ``RunStats``, traces and the per-round ``RoundEvent`` stream —
+  ``awake`` included — are word-for-word identical to engine v2 on the
+  same graph and seed (the *parity claim*, asserted by
+  :func:`solve_with_parity` against a live engine-v2 shadow network).
+  The compiler supplies only the loop's window step: plan the window,
+  shuffle or prefetch before its first round, close it after its last;
 * the **MPC ledger** — the runtime meters shuffle words, per-machine
   send/receive loads and budget violations, which is where ``alpha``
   bites: smaller budgets mean more machines, more cross traffic and
@@ -67,18 +69,15 @@ from typing import Any
 
 import networkx as nx
 
-from repro.congest.engine import RoundKernel, SentBatch, emit_round_event
-from repro.congest.errors import RoundLimitError
+from repro.congest.engine import RoundKernel, SentBatch, drive
 from repro.congest.message import payload_words
 from repro.congest.network import (
-    DEFAULT_ROUND_FACTOR,
     AlgorithmFactory,
     CongestNetwork,
     RoundEvent,
     RoundRecord,
     RunResult,
     RunStats,
-    round_counter_hook,
 )
 from repro.mpc import parallel as _parallel
 from repro.mpc.machine import Machine, memory_budget
@@ -99,17 +98,14 @@ class ParityError(AssertionError):
     """The compiled run diverged from the engine-v2 shadow run."""
 
 
-def _tee(*hooks):
-    """Combine ``on_round`` hooks: deliver each event to every non-None one."""
-    live = [hook for hook in hooks if hook is not None]
-    if not live:
-        return None
-    if len(live) == 1:
-        return live[0]
+def _tee(first, second):
+    """Combine two ``on_round`` hooks, either of which may be None."""
+    if first is None or second is None:
+        return second if first is None else first
 
     def fanout(event):
-        for hook in live:
-            hook(event)
+        first(event)
+        second(event)
 
     return fanout
 
@@ -118,13 +114,17 @@ class MPCCongestNetwork(CongestNetwork):
     """A CONGEST network whose rounds execute on low-space MPC machines.
 
     Drop-in for :class:`CongestNetwork` everywhere a solver accepts
-    ``network=``: identifier mapping, metering, per-node randomness and
-    state handling are inherited, so results match the CONGEST engines
-    exactly; only the execution substrate (and the extra MPC ledger)
-    differs.  Construction partitions vertices and their adjacency lists
-    across machines and charges each machine's storage — a too-small
-    ``alpha`` fails here, before any round runs.
+    ``network=``: identifier mapping, metering state, per-node randomness,
+    state handling and the run setup are inherited, and the rounds run on
+    engine v2's loop whatever ``REPRO_ENGINE`` says, so results match the
+    CONGEST engines exactly; only the MPC ledger is added, by this class's
+    window step (:meth:`open_window` / :meth:`close_window`).
+    Construction partitions vertices and their adjacency lists across
+    machines and charges each machine's storage — a too-small ``alpha``
+    fails here, before any round runs.
     """
+
+    engine_name = "mpc"
 
     def __init__(
         self,
@@ -140,16 +140,12 @@ class MPCCongestNetwork(CongestNetwork):
         workers: int | None = None,
         faults: Any = None,
     ) -> None:
-        # Pin engine v2 whatever REPRO_ENGINE says: its metering state
-        # (word-cost cache, adjacency trust) backs every round kernel the
-        # compiled runs drive.
         super().__init__(
             graph,
             word_limit=word_limit,
             strict=strict,
             seed=seed,
             cut=cut,
-            engine="v2",
             on_round=on_round,
         )
         self._estimator = None
@@ -231,10 +227,6 @@ class MPCCongestNetwork(CongestNetwork):
             self.runtime.recovery = self._recovery
 
     @property
-    def engine_name(self) -> str:
-        return "mpc"
-
-    @property
     def num_machines(self) -> int:
         return self.assignment.num_machines
 
@@ -283,7 +275,8 @@ class MPCCongestNetwork(CongestNetwork):
     ) -> RunResult:
         """Execute one CONGEST algorithm, at most one shuffle per round.
 
-        Every round runs on engine v2's round kernel; what the compiler
+        The run's setup and result are :class:`CongestNetwork`'s and its
+        rounds run on engine v2's loop and round kernel; what the compiler
         adds is the MPC ledger for the sends each round leaves behind.
         At ``compress=1`` (or whenever a larger window does not fit) each
         round's sends cross one :meth:`MPCRuntime.shuffle`; with
@@ -294,53 +287,33 @@ class MPCCongestNetwork(CongestNetwork):
         rounds, so the parity contract is independent of the window
         length.
         """
-        if max_rounds is None:
-            max_rounds = DEFAULT_ROUND_FACTOR * self.n * self.n + 1000
-        hook = on_round if on_round is not None else self.on_round
-        tracer = self.tracer
-        if tracer is None:
-            return self._run_compiled(
-                factory, inputs, max_rounds, trace, hook, label
-            )
-        # Tracing tee (see CongestNetwork.run): propagate the recorder to
-        # the shuffle barrier and the fault plane, span the stage, sample
-        # a counter per RoundEvent.  All of it observes after-the-fact —
-        # planning, metering and the ledgers never read the clock.
-        self.runtime.tracer = tracer
-        if (
-            self.fault_injector is not None
-            and getattr(self.fault_injector, "tracer", None) is None
-        ):
-            self.fault_injector.tracer = tracer
-        with tracer.span(
-            label or "run", cat="stage", engine="mpc", n=self.n
-        ):
-            return self._run_compiled(
-                factory, inputs, max_rounds, trace,
-                round_counter_hook(tracer, hook), label,
-            )
+        return self._run(
+            self._compiled_rounds, factory, inputs, max_rounds, trace,
+            on_round, label,
+        )
 
-    def _run_compiled(
-        self,
-        factory: AlgorithmFactory,
-        inputs: Mapping[Any, Any] | None,
-        max_rounds: int,
-        trace: bool,
-        hook: Callable[[RoundEvent], None] | None,
-        label: str | None,
-    ) -> RunResult:
-        """The compiled execution loop behind :meth:`run`.
+    def _compiled_rounds(
+        self, algorithms: list[Any], stats: RunStats, *loop: Any
+    ) -> None:
+        """The rounds of :meth:`run`, with this network as the window step.
 
-        Views and algorithms are built here, in the parent, so any
-        construction-time randomness draws from the same per-node streams
-        whichever executor runs the rounds: one in-process kernel, or —
-        with ``workers > 1`` and ``fork`` available — shard workers each
+        The algorithms are built in the parent, so any construction-time
+        randomness draws from the same per-node streams whichever executor
+        runs the rounds: one in-process recording kernel, or — with
+        ``workers > 1`` and ``fork`` available — shard workers each
         driving a kernel over their machines' vertices.  Every shuffle is
         metered here, between rounds, in both cases.
         """
-        algorithms = [factory(view) for view in self._make_views(inputs)]
-        stats = RunStats(word_bits=self.word_bits)
-        timeline: list[RoundRecord] | None = [] if trace else None
+        tracer = self.tracer
+        if tracer is not None:
+            # Propagate the recorder to the shuffle barrier and the fault
+            # plane; both observe after the fact, never read the clock.
+            self.runtime.tracer = tracer
+            if (
+                self.fault_injector is not None
+                and getattr(self.fault_injector, "tracer", None) is None
+            ):
+                self.fault_injector.tracer = tracer
         workers = min(self.workers, self.num_machines)
         shards = (
             self._node_shards(workers)
@@ -349,81 +322,37 @@ class MPCCongestNetwork(CongestNetwork):
         )
         if len(shards) > 1:
             with _ShardedRounds(self, algorithms, stats, shards) as rounds:
-                self._drive(rounds, stats, max_rounds, timeline, hook, label)
-            outputs = rounds.outputs
+                drive(rounds, self.n, stats, *loop, window=self)
         else:
-            kernel = RoundKernel(self._engine, algorithms, stats, record=True)
-            self._drive(kernel, stats, max_rounds, timeline, hook, label)
-            outputs = {alg.node.id: alg.output for alg in algorithms}
-        return RunResult(
-            outputs={self._label_of[nid]: outputs[nid] for nid in range(self.n)},
-            stats=stats,
-            by_id={nid: outputs[nid] for nid in range(self.n)},
-            trace=timeline,
-        )
+            kernel = RoundKernel(self, algorithms, stats, record=True)
+            drive(kernel, self.n, stats, *loop, window=self)
 
-    def _drive(self, rounds, stats, max_rounds, timeline, hook, label) -> None:
-        """Rounds and shuffles, alternating, until every node finishes.
+    def open_window(self, sends: list[SentBatch], done: set[int]) -> int:
+        """Meter the last round's sends; return the window's length.
 
-        ``rounds`` is a recording round kernel or a :class:`_ShardedRounds`
-        (same ``start``/``step``/``sends``/``finished`` surface).  Before
-        each window the sends of the last executed round are metered
-        through one shuffle: the classical one-round shuffle, or a
-        ``k``-round prefetch whose rounds then replay with no further
-        shuffle.
+        The classical one-round shuffle, or a ``k``-round prefetch whose
+        rounds then replay with no further shuffle (see
+        :meth:`_plan_window`).  ``done`` holds the finished node ids.
         """
-        tracer = self.tracer
         host = self._host
-        n = self.n
-        done: set[int] = set()
-        rounds.start()
-        done.update(rounds.finished)
-        emit_round_event(
-            hook, 0, stats.messages, stats.total_words, n, stats.cut_words,
-            label, timeline, n - len(done),
+        live_machines = len(
+            {host[nid] for nid in range(self.n) if nid not in done}
         )
-        while len(done) < n:
-            self._check_round_limit(stats, max_rounds, n - len(done))
-            live_machines = len(
-                {host[nid] for nid in range(n) if nid not in done}
-            )
-            window = self._plan_window(rounds.sends)
-            if window == 1:
-                self._shuffle_sends(rounds.sends, live_machines)
-            else:
-                if tracer is not None:
-                    tracer.begin("window", cat="mpc", k=window)
-                self._prefetch_window(rounds.sends, window, live_machines)
-            executed = 0
-            for _ in range(window):
-                if len(done) >= n:
-                    break
-                self._check_round_limit(stats, max_rounds, n - len(done))
-                stats.rounds += 1
-                before_messages = stats.messages
-                before_words = stats.total_words
-                before_cut = stats.cut_words
-                awake = rounds.step()
-                done.update(rounds.finished)
-                emit_round_event(
-                    hook, stats.rounds, stats.messages - before_messages,
-                    stats.total_words - before_words, awake,
-                    stats.cut_words - before_cut, label, timeline,
-                    n - len(done),
-                )
-                executed += 1
-            if window > 1:
-                self.runtime.absorb_early_finish(window - executed)
-                if tracer is not None:
-                    tracer.end(executed=executed)
+        window = self._plan_window(sends)
+        if window == 1:
+            self._shuffle_sends(sends, live_machines)
+        else:
+            if self.tracer is not None:
+                self.tracer.begin("window", cat="mpc", k=window)
+            self._prefetch_window(sends, window, live_machines)
+        return window
 
-    @staticmethod
-    def _check_round_limit(stats: RunStats, max_rounds: int, alive: int) -> None:
-        if stats.rounds >= max_rounds:
-            raise RoundLimitError(
-                f"no termination within {max_rounds} rounds "
-                f"({alive} nodes alive)"
-            )
+    def close_window(self, window: int, executed: int) -> None:
+        """End a window: give back the rounds it never replayed."""
+        if window > 1:
+            self.runtime.absorb_early_finish(window - executed)
+            if self.tracer is not None:
+                self.tracer.end(executed=executed)
 
     def _node_shards(self, workers: int) -> list[tuple[int, ...]]:
         """Group hosted node ids by shard: machines round-robin to workers.
@@ -755,6 +684,7 @@ class _ShardedRounds:
         node_shards: list[tuple[int, ...]],
     ) -> None:
         self._net = net
+        self._algorithms = algorithms
         self._stats = stats
         self._pool = _parallel.ForkShardPool(
             [_CompiledShard(net, algorithms, shard) for shard in node_shards],
@@ -762,7 +692,7 @@ class _ShardedRounds:
             recovery=net._recovery,
             tracer=net.tracer,
         )
-        self.outputs: dict[int, Any] = {}
+        self._outputs: dict[int, Any] = {}
         self.sends: list[SentBatch] = []
         self.finished: list[int] = []
 
@@ -774,6 +704,11 @@ class _ShardedRounds:
             if exc_type is None:
                 for frag in self._pool.step_all(("finalize", None)):
                     self._net.node_state.update(frag["state"])
+                # The parent's algorithms stay at pre-run state while the
+                # pool may still respawn workers from them; finish them
+                # only now, so the run's result can be read off them.
+                for nid, output in self._outputs.items():
+                    self._algorithms[nid].finish(output)
         finally:
             self._pool.close()
 
@@ -800,7 +735,7 @@ class _ShardedRounds:
             awake += frag["awake"]
             for nid, output in frag["finished"]:
                 self.finished.append(nid)
-                self.outputs[nid] = output
+                self._outputs[nid] = output
         sends.sort(key=itemgetter(0))
         self.sends = sends
         return awake
@@ -839,7 +774,7 @@ class _CompiledShard:
         self._net = net
         self._algs = [algorithms[nid] for nid in node_ids]
         self._kernel = RoundKernel(
-            net._engine, algorithms, RunStats(word_bits=net.word_bits),
+            net, algorithms, RunStats(word_bits=net.word_bits),
             node_ids=node_ids, record=True,
         )
 
@@ -963,23 +898,10 @@ def solve_with_parity(
         graph, seed=seed, engine="v2", on_round=ref_events.append
     )
     ref_result = solver(network=ref_net)
-    mpc_net = MPCCongestNetwork(
-        graph,
-        alpha=alpha,
-        seed=seed,
-        io_factor=io_factor,
-        on_round=_tee(
-            mpc_events.append,
-            collector.on_round if collector is not None else None,
-        ),
-        compress=compress,
-        workers=workers,
-        faults=faults,
+    mpc_net = _observed_network(
+        graph, alpha, seed, io_factor, compress, workers, faults, collector,
+        tracer, on_round=mpc_events.append,
     )
-    if collector is not None:
-        mpc_net.runtime.on_shuffle = collector.on_shuffle
-        mpc_net.collector = collector
-    mpc_net.tracer = tracer
     mpc_result = solver(network=mpc_net)
 
     if mpc_result.cover != ref_result.cover:
@@ -1062,6 +984,34 @@ def run_stage_parity(
     }
 
 
+def _observed_network(
+    graph: nx.Graph,
+    alpha: float,
+    seed: int,
+    io_factor: float,
+    compress: int | str,
+    workers: int | None,
+    faults: Any,
+    collector: Any | None,
+    tracer: Any,
+    on_round: Callable[[RoundEvent], None] | None = None,
+) -> MPCCongestNetwork:
+    """An MPC network observed by ``on_round``, a collector and a tracer.
+
+    The metrics collector is attached to the round and shuffle streams
+    and sees each round event after ``on_round``.
+    """
+    net = MPCCongestNetwork(
+        graph, alpha=alpha, seed=seed, io_factor=io_factor,
+        compress=compress, workers=workers, faults=faults,
+    )
+    if collector is not None:
+        collector.attach(net)
+    net.on_round = _tee(on_round, net.on_round)
+    net.tracer = tracer
+    return net
+
+
 def _solve_on_mpc(
     solver: Callable[..., Any],
     graph: nx.Graph,
@@ -1091,17 +1041,10 @@ def _solve_on_mpc(
             faults=faults, tracer=tracer,
         )
     else:
-        net = MPCCongestNetwork(
-            graph, alpha=alpha, seed=seed, io_factor=io_factor,
-            compress=compress,
-            on_round=collector.on_round if collector is not None else None,
-            workers=workers,
-            faults=faults,
+        net = _observed_network(
+            graph, alpha, seed, io_factor, compress, workers, faults,
+            collector, tracer,
         )
-        if collector is not None:
-            net.runtime.on_shuffle = collector.on_shuffle
-            net.collector = collector
-        net.tracer = tracer
         result = solver(network=net)
         report = {"parity": False}
     # The sweep/CLI payload is mpc_summary() verbatim — the worker count
@@ -1120,7 +1063,6 @@ def _solve_on_mpc(
         collector.record_mpc({**net.mpc_summary(), "workers": net.workers})
         if fault_report is not None:
             collector.record_faults(fault_report)
-        collector.set_engine(net.engine_name)
     return result, payload
 
 

@@ -257,30 +257,6 @@ def test_duplicate_targets_metered_per_occurrence_delivered_once():
     assert results["v1"].by_id[1] == {0: (5,)}  # one inbox slot
 
 
-class _SurchargeNetwork(CongestNetwork):
-    """Custom metering must stay honored for batches on every engine."""
-
-    def _meter(self, sender, target, payload, stats):
-        super()._meter(sender, target, payload, stats)
-        stats.total_words += 1
-
-
-def test_custom_meter_applies_to_batches_everywhere():
-    graph = star_graph(10)
-    results = {
-        engine: _SurchargeNetwork(graph, seed=1, engine=engine).run(
-            _BatchPing, trace=True
-        )
-        for engine in ENGINES
-    }
-    assert_all_equal(results)
-    plain = CongestNetwork(graph, seed=1).run(_BatchPing)
-    surcharged = results["v2"].stats
-    assert surcharged.total_words == (
-        plain.stats.total_words + plain.stats.messages
-    )
-
-
 class TestNumpyValidationPath:
     """The vectorized validator must be invisible (numpy installed or not)."""
 
@@ -425,7 +401,7 @@ class TestBatchMeteringProperty:
 
 def test_v2_dict_engine_is_rejected():
     # The pre-batching v2-dict configuration is retired; only v1 and v2
-    # (and their aliases) remain selectable.
+    # remain selectable.
     for name in ("v2-dict", "v3-batched"):
         with pytest.raises(ValueError):
             CongestNetwork(path_graph(3), engine=name)
@@ -436,4 +412,5 @@ def test_v2_dict_env_selection(monkeypatch):
     with pytest.raises(ValueError):
         CongestNetwork(path_graph(3))
     monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert CongestNetwork(path_graph(3)).engine_name == "v2"
+    with pytest.raises(ValueError):
+        CongestNetwork(path_graph(3))

@@ -1,12 +1,11 @@
 """Engine parity and batched-outbox coverage on the CONGESTED CLIQUE.
 
 ``CongestedCliqueNetwork`` is a one-method ``_can_send`` override, which
-is exactly why it needs dedicated coverage: the activity engine resolves
-trust decisions from the ``_can_send``/``_meter`` identities at
-construction time, and the PR-3 batch fast path takes different branches
-on the clique (stock-but-not-plain adjacency: trusted broadcasts allowed,
-numpy target validation not).  These tests pin v1 / v2 to
-identical results off the base network.
+is exactly why it needs dedicated coverage: the round kernel's batch
+fast path takes different branches on the clique, which sets the
+``_plain_adjacency`` class flag to ``False`` (trusted broadcasts still
+skip validation, numpy target validation is off).  These tests pin v1 /
+v2 to identical results off the base network.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.graphs.generators import (
     random_weights,
     star_graph,
 )
+from repro.mpc.compile_congest import MPCCongestNetwork
 
 ENGINES = ("v1", "v2")
 
@@ -207,38 +208,24 @@ class _SleepForever(NodeAlgorithm):
 @pytest.mark.parametrize("algorithm", (_Forever, _SleepForever))
 def test_round_limit_parity(algorithm):
     graph = path_graph(4)
+    networks = [CongestNetwork(graph, engine=eng) for eng in ENGINES]
+    # Compiled MPC runs the same loop; its limit check fires before a
+    # window's shuffle, so no shuffle is metered for the refused round.
+    expected_shuffles = {1: 17, 4: 5, "auto": 3}
+    mpc = [
+        MPCCongestNetwork(graph, compress=compress, workers=workers)
+        for compress in expected_shuffles
+        for workers in (1, 2)
+    ]
     errors = []
-    for eng in ENGINES:
-        net = CongestNetwork(graph, engine=eng)
+    for net in networks + mpc:
         with pytest.raises(RoundLimitError) as excinfo:
             net.run(algorithm, max_rounds=17)
         errors.append(str(excinfo.value))
-    assert errors[0] == errors[1]
-
-
-class _SurchargeNetwork(CongestNetwork):
-    """Network variant with a custom metering rule (one extra word/message)."""
-
-    def _meter(self, sender, target, payload, stats):
-        super()._meter(sender, target, payload, stats)
-        stats.total_words += 1
-
-
-def test_custom_meter_override_honored_by_both_engines():
-    graph = star_graph(12)
-    results = [
-        _SurchargeNetwork(graph, seed=3, engine=eng).run(
-            lambda v: BfsTreeAlgorithm(v, 0), trace=True
-        )
-        for eng in ENGINES
-    ]
-    assert_same_result(*results, trace=True)
-    # The surcharge actually applied: one extra word per message.
-    plain = CongestNetwork(graph, seed=3).run(
-        lambda v: BfsTreeAlgorithm(v, 0)
-    ).stats
-    surcharged = results[0].stats
-    assert surcharged.total_words == plain.total_words + plain.messages
+    assert errors == [errors[0]] * len(errors)
+    for net in mpc:
+        shuffles = net.runtime.stats.shuffles
+        assert shuffles == expected_shuffles[net.compress], net.workers
 
 
 def test_engine_env_override(monkeypatch):
@@ -246,7 +233,8 @@ def test_engine_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "v1")
     assert CongestNetwork(graph).engine_name == "v1"
     monkeypatch.setenv("REPRO_ENGINE", "activity")
-    assert CongestNetwork(graph).engine_name == "v2"
+    with pytest.raises(ValueError):
+        CongestNetwork(graph)
     monkeypatch.delenv("REPRO_ENGINE")
     assert CongestNetwork(graph).engine_name == "v2"
     # An explicit constructor choice beats the environment.

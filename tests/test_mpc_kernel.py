@@ -22,10 +22,12 @@ from repro.mpc.compile_congest import MPCCongestNetwork
 from repro.mpc.parallel import fork_available
 from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
 
+GRID_WORKERS = (1, 2) if fork_available() else (1,)
+
 GRID = [
     (compress, workers)
     for compress in (1, 4, "auto")
-    for workers in ((1, 2) if fork_available() else (1,))
+    for workers in GRID_WORKERS
 ]
 
 SOLVERS = {
@@ -135,3 +137,28 @@ def test_node_ids_cost_one_word():
         word_bits = word_bits_for(n)
         assert payload_words(0, word_bits) == 1
         assert payload_words(n - 1, word_bits) == 1
+
+
+@pytest.mark.parametrize("workers", GRID_WORKERS)
+def test_mpc_run_ignores_engine_override(monkeypatch, workers):
+    """REPRO_ENGINE picks a CONGEST loop; compiled MPC always runs v2's."""
+    graph = gnp_graph(14, 0.25, seed=4)
+
+    def observed(engine):
+        if engine is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+        events = []
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=4, compress=4, workers=workers,
+            on_round=events.append,
+        )
+        result = SOLVERS["mvc"](graph, net)
+        return (
+            result.cover, result.stats, _stream(events), net.mpc_summary()
+        )
+
+    unset = observed(None)
+    assert observed("v1") == unset
+    assert observed("no-such-engine") == unset
