@@ -54,6 +54,7 @@ from repro.lowerbounds.mds_square_gap import (
     GapConstructionParams,
     build_gap_family,
 )
+from repro.mpc.options import RunOptions, parse_scalar
 from repro.sweep import (
     TABLE_HEADER,
     Cell,
@@ -72,19 +73,12 @@ def _last_error_line(result) -> str:
     return lines[-1] if lines else result.status
 
 
-def _reject_engine_for_mpc(args: argparse.Namespace) -> bool:
-    """Whether --engine was (illegally) combined with --model mpc."""
-    if args.engine is None:
-        return False
-    print(
-        "error: --engine selects a CONGEST engine; the mpc model "
-        "has its own runtime (tune --alpha instead)",
-        file=sys.stderr,
-    )
-    return True
+class _UsageError(Exception):
+    """A bad flag value or combination: ``error: ...`` and exit status 2."""
 
 
-def _print_mpc_ledger(payload: dict, workers: int = 1) -> None:
+def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
+    """The MPC ledger line, then the fault report of a faulted run."""
     shuffle = payload["shuffle"]
     line = (
         f"mpc: machines={payload['machines']} S={payload['budget_words']} "
@@ -92,9 +86,10 @@ def _print_mpc_ledger(payload: dict, workers: int = 1) -> None:
         f"shuffle_words={shuffle['total_words']} "
         f"max_machine_load={shuffle['max_in_words']}"
     )
+    workers = options.shard_workers(payload["machines"])
     if workers > 1:
-        # Printed from the resolved worker count, never the payload: the
-        # ledger payload is byte-identical at any worker count by contract.
+        # Printed from the run options, never the payload: the ledger
+        # payload is byte-identical at any worker count by contract.
         line += f"  workers={workers}"
     # compress is an int window or the string "auto" — compare carefully.
     compress = payload.get("compress", 1)
@@ -110,82 +105,39 @@ def _print_mpc_ledger(payload: dict, workers: int = 1) -> None:
         )
         line += f"  auto[{choices or 'no windows'} skips={auto['skips']}]"
     print(line)
+    _print_fault_report(payload)
 
 
-def _compress_value(text: str):
-    """argparse type for --compress/-k: an integer window or ``auto``."""
-    text = text.strip()
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 or 'auto', got {text!r}"
-        ) from None
+#: The mpc-only run flags: ``(flag, attribute, default, what it does)``.
+_MPC_FLAGS = (
+    ("--compress", "compress", 1,
+     "batches CONGEST rounds per MPC shuffle"),
+    ("--mpc-workers", "mpc_workers", None,
+     "shards MPC machines over worker processes"),
+    ("--faults", "faults", None,
+     "injects crashes into the MPC shard pool and shuffle plane"),
+)
 
 
-def _check_compress(args: argparse.Namespace) -> int | None:
-    """Validate --compress/-k; returns an exit code on error, else None."""
-    if args.compress != "auto" and args.compress < 1:
-        print(
-            f"error: --compress must be >= 1, got {args.compress}",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.compress == "auto" or args.compress > 1
-    ) and args.model != "mpc":
-        print(
-            "error: --compress batches CONGEST rounds per MPC shuffle; it "
-            "requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    return None
+def _run_options(args: argparse.Namespace) -> RunOptions | None:
+    """The validated MPC run options of ``--model mpc``, else ``None``.
 
-
-def _check_mpc_workers(args: argparse.Namespace) -> int | None:
-    """Validate --mpc-workers; returns an exit code on error, else None."""
-    workers = getattr(args, "mpc_workers", None)
-    if workers is None:
-        return None
-    if workers < 1:
-        print(
-            f"error: --mpc-workers must be >= 1, got {workers}",
-            file=sys.stderr,
-        )
-        return 2
+    Off the mpc model every mpc-only flag must keep its default.
+    """
     if args.model != "mpc":
-        print(
-            "error: --mpc-workers shards MPC machines over worker "
-            "processes; it requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    return None
-
-
-def _check_faults(args: argparse.Namespace) -> int | None:
-    """Validate --faults; returns an exit code on error, else None."""
-    faults = getattr(args, "faults", None)
-    if faults is None:
+        for flag, attr, default, what in _MPC_FLAGS:
+            if getattr(args, attr, default) != default:
+                raise _UsageError(f"{flag} {what}; it requires --model mpc")
         return None
-    if args.model != "mpc":
-        print(
-            "error: --faults injects crashes into the MPC shard pool and "
-            "shuffle plane; it requires --model mpc",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.faults import FaultPlan
-
     try:
-        FaultPlan.from_spec(faults, seed=getattr(args, "seed", 0))
+        return RunOptions(
+            args.compress,
+            args.mpc_workers,
+            getattr(args, "faults", None),
+            seed=getattr(args, "seed", 0),
+        )
     except ValueError as exc:
-        print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-        return 2
-    return None
+        raise _UsageError(str(exc)) from None
 
 
 def _print_fault_report(payload: dict) -> None:
@@ -204,36 +156,22 @@ def _print_fault_report(payload: dict) -> None:
     print(line)
 
 
-def _resolved_mpc_workers(args: argparse.Namespace) -> int:
-    """The worker count a run will use (explicit flag, else env, else 1)."""
-    from repro.mpc.parallel import resolve_workers
-
-    try:
-        return resolve_workers(getattr(args, "mpc_workers", None))
-    except ValueError:
-        return 1
-
-
 def _make_collector(args: argparse.Namespace, command: str):
-    """Build the --metrics collector, or an exit code on a bad combination.
+    """The --metrics collector, or ``None`` when --metrics is not set.
 
-    Returns ``(collector, None)`` — collector ``None`` when --metrics was
-    not requested — or ``(None, 2)`` for models whose instrumentation
-    streams the collector cannot observe.
+    Only the CONGEST and MPC models have the streams a collector observes.
     """
     if args.metrics is None:
-        return None, None
+        return None
     if args.model not in ("congest", "mpc"):
-        print(
-            "error: --metrics attaches to the CONGEST/MPC instrumentation "
-            "streams; it requires --model congest or --model mpc",
-            file=sys.stderr,
+        raise _UsageError(
+            "--metrics attaches to the CONGEST/MPC instrumentation streams; "
+            "it requires --model congest or --model mpc"
         )
-        return None, 2
     from repro.metrics import MetricsCollector
 
     label = f"{command}/{args.graph}/n={args.n}/seed={args.seed}"
-    return MetricsCollector(label=label), None
+    return MetricsCollector(label=label)
 
 
 def _write_metrics(collector, path: str) -> None:
@@ -245,24 +183,21 @@ def _write_metrics(collector, path: str) -> None:
 
 
 def _make_tracer(args: argparse.Namespace):
-    """Build the --trace recorder, or an exit code on a bad combination.
+    """The --trace recorder, or ``None`` when --trace is not set.
 
-    Returns ``(recorder, None)`` — recorder ``None`` when --trace was not
-    requested — or ``(None, 2)`` for models without tracer hook points.
-    Only checked where a --model exists; sweep/verify always accept it.
+    Only checked where a --model exists (the CONGEST and MPC models have
+    tracer hook points); sweep/verify always accept it.
     """
     if getattr(args, "trace", None) is None:
-        return None, None
+        return None
     if getattr(args, "model", None) not in (None, "congest", "mpc"):
-        print(
-            "error: --trace records the CONGEST/MPC execution timeline; "
-            "it requires --model congest or --model mpc",
-            file=sys.stderr,
+        raise _UsageError(
+            "--trace records the CONGEST/MPC execution timeline; it "
+            "requires --model congest or --model mpc"
         )
-        return None, 2
     from repro.trace import TraceRecorder
 
-    return TraceRecorder(), None
+    return TraceRecorder()
 
 
 def _write_trace(recorder, path: str) -> None:
@@ -273,50 +208,60 @@ def _write_trace(recorder, path: str) -> None:
     )
 
 
+def _solve_preamble(args: argparse.Namespace, command: str):
+    """Validate ``mvc``/``mds`` flags: ``(run options, collector, tracer)``."""
+    options = _run_options(args)
+    if options is not None and args.engine is not None:
+        raise _UsageError(
+            "--engine selects a CONGEST engine; the mpc model has its own "
+            "runtime (tune --alpha instead)"
+        )
+    return options, _make_collector(args, command), _make_tracer(args)
+
+
+def _congest_network(args: argparse.Namespace, graph, collector, tracer):
+    """The CONGEST network a solver builds by default, plus observers."""
+    from repro.congest.network import CongestNetwork
+
+    network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
+    if collector is not None:
+        collector.attach(network)
+    if tracer is not None:
+        network.tracer = tracer
+    return network
+
+
+def _finish_observers(args: argparse.Namespace, collector, tracer) -> None:
+    if collector is not None:
+        _write_metrics(collector, args.metrics)
+    if tracer is not None:
+        _write_trace(tracer, args.trace)
+
+
 def _cmd_mvc(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is None:
-        code = _check_faults(args)
-    if code is not None:
-        return code
-    collector, code = _make_collector(args, "mvc")
-    if code is not None:
-        return code
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    options, collector, tracer = _solve_preamble(args, "mvc")
+    if args.model == "centralized" and args.engine is not None:
+        raise _UsageError(
+            "--engine applies only to distributed models "
+            "(congest, clique-det, clique-rand)"
+        )
     graph = build_graph(args.graph, args.n, seed=args.seed)
     sq = square(graph)
     if args.model == "congest":
-        if collector is not None or tracer is not None:
-            from repro.congest.network import CongestNetwork
-
-            network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
-            if collector is not None:
-                collector.attach(network)
-            if tracer is not None:
-                network.tracer = tracer
-            result = approx_mvc_square(graph, args.eps, network=network)
-        else:
-            result = approx_mvc_square(
-                graph, args.eps, seed=args.seed, engine=args.engine
-            )
+        network = _congest_network(args, graph, collector, tracer)
+        result = approx_mvc_square(graph, args.eps, network=network)
         cover, rounds = result.cover, result.stats.rounds
     elif args.model == "mpc":
-        if _reject_engine_for_mpc(args):
-            return 2
         from repro.mpc.compile_congest import solve_mvc_mpc
 
         result, mpc_payload = solve_mvc_mpc(
             graph, args.eps, alpha=args.alpha, seed=args.seed,
-            check_parity=True, compress=args.compress, collector=collector,
-            workers=args.mpc_workers, faults=args.faults, tracer=tracer,
+            check_parity=True, compress=options.compress,
+            collector=collector, workers=options.workers,
+            faults=options.faults, tracer=tracer,
         )
         cover, rounds = result.cover, result.stats.rounds
-        _print_mpc_ledger(mpc_payload, workers=_resolved_mpc_workers(args))
-        _print_fault_report(mpc_payload)
+        _print_mpc_ledger(mpc_payload, options)
     elif args.model == "clique-det":
         result = approx_mvc_square_clique_deterministic(
             graph, args.eps, seed=args.seed, engine=args.engine
@@ -328,13 +273,6 @@ def _cmd_mvc(args: argparse.Namespace) -> int:
         )
         cover, rounds = result.cover, result.stats.rounds
     else:  # centralized
-        if args.engine is not None:
-            print(
-                "error: --engine applies only to distributed models "
-                "(congest, clique-det, clique-rand)",
-                file=sys.stderr,
-            )
-            return 2
         cover, _ = five_thirds_mvc_square(graph)
         rounds = 0
     assert_vertex_cover(sq, cover)
@@ -344,52 +282,26 @@ def _cmd_mvc(args: argparse.Namespace) -> int:
     if args.exact:
         opt = len(minimum_vertex_cover(sq))
         print(f"exact optimum: {opt}  ratio: {len(cover) / opt:.3f}")
-    if collector is not None:
-        _write_metrics(collector, args.metrics)
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _finish_observers(args, collector, tracer)
     return 0
 
 
 def _cmd_mds(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is None:
-        code = _check_faults(args)
-    if code is not None:
-        return code
-    collector, code = _make_collector(args, "mds")
-    if code is not None:
-        return code
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    options, collector, tracer = _solve_preamble(args, "mds")
     graph = build_graph(args.graph, args.n, seed=args.seed)
     sq = square(graph)
     if args.model == "mpc":
-        if _reject_engine_for_mpc(args):
-            return 2
         from repro.mpc.compile_congest import solve_mds_mpc
 
         result, mpc_payload = solve_mds_mpc(
             graph, alpha=args.alpha, seed=args.seed, check_parity=True,
-            compress=args.compress, collector=collector,
-            workers=args.mpc_workers, faults=args.faults, tracer=tracer,
+            compress=options.compress, collector=collector,
+            workers=options.workers, faults=options.faults, tracer=tracer,
         )
-        _print_mpc_ledger(mpc_payload, workers=_resolved_mpc_workers(args))
-        _print_fault_report(mpc_payload)
-    elif collector is not None or tracer is not None:
-        from repro.congest.network import CongestNetwork
-
-        network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
-        if collector is not None:
-            collector.attach(network)
-        if tracer is not None:
-            network.tracer = tracer
-        result = approx_mds_square(graph, network=network)
+        _print_mpc_ledger(mpc_payload, options)
     else:
-        result = approx_mds_square(graph, seed=args.seed, engine=args.engine)
+        network = _congest_network(args, graph, collector, tracer)
+        result = approx_mds_square(graph, network=network)
     assert_dominating_set(sq, result.cover)
     print(f"graph: {args.graph} n={graph.number_of_nodes()} "
           f"m={graph.number_of_edges()}")
@@ -398,10 +310,7 @@ def _cmd_mds(args: argparse.Namespace) -> int:
     if args.exact:
         opt = len(minimum_dominating_set(sq))
         print(f"exact optimum: {opt}  ratio: {len(result.cover) / opt:.3f}")
-    if collector is not None:
-        _write_metrics(collector, args.metrics)
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
+    _finish_observers(args, collector, tracer)
     return 0
 
 
@@ -459,12 +368,10 @@ def _mpc_verify_grid(
     return GridSpec(name="verify-mpc", cells=cells)
 
 
-def _cmd_verify_mpc(args: argparse.Namespace) -> int:
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+def _cmd_verify_mpc(args: argparse.Namespace, options: RunOptions) -> int:
+    tracer = _make_tracer(args)
     grid = _mpc_verify_grid(
-        args.n, args.alpha, args.samples, compress=args.compress,
+        args.n, args.alpha, args.samples, compress=options.compress,
         workers=args.mpc_workers,
     )
     sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
@@ -489,16 +396,10 @@ def _cmd_verify_mpc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    code = _check_compress(args)
-    if code is None:
-        code = _check_mpc_workers(args)
-    if code is not None:
-        return code
-    if args.model == "mpc":
-        return _cmd_verify_mpc(args)
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    options = _run_options(args)
+    if options is not None:
+        return _cmd_verify_mpc(args, options)
+    tracer = _make_tracer(args)
     grid = _verify_grid(args.family, args.k, args.samples)
     sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
     failures = 0
@@ -526,15 +427,15 @@ def _parse_list(text: str, convert):
     return tuple(convert(part) for part in text.split(",") if part)
 
 
-def _parse_axis(text, flag, convert, type_name, valid, constraint):
+def _parse_axis(text, flag, convert):
     """Parse one comma-separated sweep axis: convert, validate, dedupe.
 
     A repeated axis value (``--alphas 0.8,0.8`` or ``0.8,0.80``) would
     expand the grid twice over identical cells — every duplicated cell
     re-runs and double-counts in the aggregate stats — so duplicates are
-    dropped while preserving first-occurrence order; values failing
-    ``valid`` are rejected up front with ``constraint`` as a parse error
-    instead of failing inside every cell.
+    dropped while preserving first-occurrence order.  ``convert`` raises
+    ``ValueError`` on a bad value, which is rejected up front as a parse
+    error instead of failing inside every cell.
     """
     values = []
     for part in text.split(","):
@@ -543,50 +444,45 @@ def _parse_axis(text, flag, convert, type_name, valid, constraint):
             continue
         try:
             value = convert(part)
-        except ValueError:
-            raise SystemExit(
-                f"{flag}: {part!r} is not {type_name}"
-            ) from None
-        if not valid(value):
-            raise SystemExit(f"{flag} values must be {constraint}, got {part}")
+        except ValueError as exc:
+            raise SystemExit(f"{flag}: {exc}") from None
         if value not in values:
             values.append(value)
     return tuple(values)
 
 
+def _alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a number") from None
+    if value <= 0:
+        raise ValueError(
+            f"values must be positive memory exponents, got {text}"
+        )
+    return value
+
+
 def _parse_alphas(text: str) -> tuple[float, ...]:
     """``--alphas``: positive floats (memory exponents), deduped, ordered."""
-    return _parse_axis(
-        text,
-        "--alphas",
-        float,
-        "a number",
-        lambda value: value > 0,
-        "positive memory exponents",
-    )
+    return _parse_axis(text, "--alphas", _alpha)
 
 
 def _parse_compress(text: str) -> tuple[int | str, ...]:
-    """``--compress`` for sweeps: ints >= 1 and/or ``auto``, deduped."""
+    """``--compress`` for sweeps: windows ``RunOptions`` accepts, deduped."""
     return _parse_axis(
         text,
         "--compress",
-        lambda part: "auto" if part == "auto" else int(part),
-        "an integer or 'auto'",
-        lambda value: value == "auto" or value >= 1,
-        ">= 1",
+        lambda part: RunOptions(parse_scalar(part), workers=1).compress,
     )
 
 
 def _parse_mpc_workers(text: str) -> tuple[int, ...]:
-    """``--mpc-workers`` for sweeps: shard counts >= 1, deduped."""
+    """``--mpc-workers`` for sweeps: counts ``RunOptions`` accepts, deduped."""
     return _parse_axis(
         text,
         "--mpc-workers",
-        int,
-        "an integer",
-        lambda value: value >= 1,
-        ">= 1",
+        lambda part: RunOptions(workers=parse_scalar(part)).workers,
     )
 
 
@@ -636,12 +532,10 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if args.faults:
         if args.model != "mpc":
             raise SystemExit("--faults requires --model mpc")
-        from repro.faults import FaultPlan
-
         try:
-            FaultPlan.from_spec(args.faults)
+            RunOptions(workers=1, faults=args.faults)
         except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}")
+            raise SystemExit(f"--faults: {exc}") from None
         faults_param = (("faults", args.faults),)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
@@ -704,16 +598,14 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    tracer, code = _make_tracer(args)
-    if code is not None:
-        return code
+    tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
-    # the environment override every MPC network resolves its default
-    # worker count from: the whole grid runs sharded while every payload
-    # (and the deterministic digest) stays byte-identical to a serial run
-    # — which is exactly how the parallel-parity acceptance gate compares
-    # worker counts.
+    # the environment override every cell's RunOptions resolves its
+    # default worker count from: the whole grid runs sharded while every
+    # payload (and the deterministic digest) stays byte-identical to a
+    # serial run — which is exactly how the parallel-parity acceptance
+    # gate compares worker counts.
     env_workers: int | None = None
     if args.grid is not None and args.mpc_workers:
         values = _parse_mpc_workers(args.mpc_workers)
@@ -837,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     mvc.add_argument(
         "--compress",
         "-k",
-        type=_compress_value,
+        type=parse_scalar,
         default=1,
         help="mpc model only: batch up to k CONGEST rounds per shuffle "
         "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
@@ -846,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mvc.add_argument(
         "--mpc-workers",
-        type=int,
+        type=parse_scalar,
         default=None,
         help="mpc model only: shard the machines over this many forked "
         "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
@@ -906,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     mds.add_argument(
         "--compress",
         "-k",
-        type=_compress_value,
+        type=parse_scalar,
         default=1,
         help="mpc model only: batch up to k CONGEST rounds per shuffle "
         "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
@@ -915,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mds.add_argument(
         "--mpc-workers",
-        type=int,
+        type=parse_scalar,
         default=None,
         help="mpc model only: shard the machines over this many forked "
         "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
@@ -983,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--compress",
-        type=_compress_value,
+        type=parse_scalar,
         default=1,
         help="mpc model only: batch up to k CONGEST rounds per shuffle in "
         "the parity cells, or 'auto' (no -k short form here; --k is the "
@@ -991,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--mpc-workers",
-        type=int,
+        type=parse_scalar,
         default=None,
         help="mpc model only: shard each parity cell's machines over this "
         "many forked worker processes (orthogonal to --jobs, which fans "
@@ -1141,7 +1033,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,9 @@ the ledger records:
 - :mod:`repro.faults.inject` — the :class:`FaultInjector` that fires a
   plan's events from the two hook points (`ForkShardPool.step` and
   `MPCRuntime.shuffle`) behind a no-op-when-absent interface.
-- :mod:`repro.faults.recovery` — the :class:`RecoveryConfig` knob plus
-  the :class:`DegradedExecutionWarning` surfaced when a pool exhausts
-  its recovery budget and falls back to the verbatim serial path.
+- :mod:`repro.faults.recovery` — the :class:`DegradedExecutionWarning`
+  surfaced when a pool exhausts the plan's recovery budget and falls
+  back to the verbatim serial path.
 
 The recovery oracle is the byte-identical shuffle ledger: a
 crash-recovered run must produce the same ShuffleRecord stream,
@@ -23,7 +23,7 @@ fault-free run (see ``tests/test_mpc_faults.py``).
 
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import DEFAULT_MAX_RECOVERIES, FaultEvent, FaultPlan
-from repro.faults.recovery import DegradedExecutionWarning, RecoveryConfig
+from repro.faults.recovery import DegradedExecutionWarning
 
 __all__ = [
     "DEFAULT_MAX_RECOVERIES",
@@ -31,5 +31,4 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "RecoveryConfig",
 ]

@@ -33,7 +33,10 @@ class FaultInjector:
     """Fires one :class:`~repro.faults.plan.FaultPlan` against one run.
 
     An injector is single-use: it tracks which events already fired, so
-    attach a fresh one per run (the network/runtime constructors do).
+    attach a fresh one per run (built by
+    :meth:`~repro.mpc.options.RunOptions.fault_injector`).  A pool with an
+    injector also recovers from worker crashes, within the plan's
+    ``max_recoveries``.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -44,17 +47,12 @@ class FaultInjector:
         self.skipped = 0
         self.recoveries = 0
         self.degraded = False
-        #: Optional :class:`repro.trace.TraceRecorder`: fired events drop
-        #: instant markers into the timeline.  Set by whoever wires the
-        #: tracing plane (the shard pool / compiled network); the report
-        #: and firing logic never read it.
-        self.tracer = None
 
-    def _mark(self, kind: str, at: int, target: int | None) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"fault.{kind}", cat="fault", at=at, target=target
-            )
+    @staticmethod
+    def _mark(tracer: Any, kind: str, at: int, target: int | None) -> None:
+        """Drop a fired event into the hooking pool's or runtime's trace."""
+        if tracer is not None:
+            tracer.instant(f"fault.{kind}", cat="fault", at=at, target=target)
 
     def _pop(self, kind: str, at: int) -> list[Any]:
         hits = [e for e in self._pending if e.kind == kind and e.at == at]
@@ -69,7 +67,7 @@ class FaultInjector:
                 time.sleep(event.delay)  # repro: allow[DET002] straggler injection is timing-plane behavior by design
             self.injected["straggle"] += 1
             self.fired.append(("straggle", step_index, None))
-            self._mark("straggle", step_index, None)
+            self._mark(pool.tracer, "straggle", step_index, None)
         for event in self._pop("crash", step_index):
             victim = event.target
             if victim is None:
@@ -81,7 +79,7 @@ class FaultInjector:
             if pool.kill_worker(victim):
                 self.injected["crash"] += 1
                 self.fired.append(("crash", step_index, victim))
-                self._mark("crash", step_index, victim)
+                self._mark(pool.tracer, "crash", step_index, victim)
             else:
                 self.skipped += 1
 
@@ -96,7 +94,7 @@ class FaultInjector:
                 machine %= runtime.num_machines
             self.injected["mem"] += 1
             self.fired.append(("mem", at, machine))
-            self._mark("mem", at, machine)
+            self._mark(runtime.tracer, "mem", at, machine)
             raise MemoryBudgetExceeded(
                 f"machine {machine} exceeded its I/O budget at shuffle {at} "
                 f"(injected by fault plan)"

@@ -10,6 +10,8 @@ against engine v2 (:mod:`repro.mpc.compile_congest`), a native
 matching workload (:mod:`repro.mpc.matching`), and process-parallel
 shard execution of one instance's machines between shuffle barriers
 (:mod:`repro.mpc.parallel`) — ledger-identical at any worker count.
+Every MPC entry point validates its run settings (compression window,
+shard workers, fault plan) as one :class:`~repro.mpc.options.RunOptions`.
 """
 
 from repro.mpc.compile_congest import (
@@ -27,12 +29,12 @@ from repro.mpc.machine import (
     MemoryBudgetExceeded,
     memory_budget,
 )
+from repro.mpc.options import RunOptions
 from repro.mpc.parallel import (
     WORKERS_ENV_VAR,
     ForkShardPool,
     WorkerCrashError,
     plan_shards,
-    resolve_workers,
 )
 from repro.mpc.matching import (
     MatchingResult,
@@ -67,6 +69,7 @@ __all__ = [
     "MatchingResult",
     "MemoryBudgetExceeded",
     "ParityError",
+    "RunOptions",
     "ShuffleRecord",
     "WORKERS_ENV_VAR",
     "WorkerCrashError",
@@ -77,7 +80,6 @@ __all__ = [
     "partition_edges",
     "partition_vertices",
     "plan_shards",
-    "resolve_workers",
     "run_stage_parity",
     "solve_mds_mpc",
     "solve_mvc_mpc",

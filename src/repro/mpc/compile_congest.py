@@ -81,6 +81,7 @@ from repro.congest.network import (
 )
 from repro.mpc import parallel as _parallel
 from repro.mpc.machine import Machine, memory_budget
+from repro.mpc.options import RunOptions
 from repro.mpc.partition import partition_vertices
 from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
 
@@ -122,6 +123,13 @@ class MPCCongestNetwork(CongestNetwork):
     Construction partitions vertices and their adjacency lists across
     machines and charges each machine's storage — a too-small ``alpha``
     fails here, before any round runs.
+
+    ``options`` (:class:`~repro.mpc.options.RunOptions`; by default
+    ``RunOptions()``: no compression, ``REPRO_MPC_WORKERS`` shard workers,
+    no faults) sets the compression window, the shard-worker count and
+    the fault plan.  A fault plan gets one injector for the network's
+    lifetime, which also turns on checkpointed crash recovery in the
+    shard pools.
     """
 
     engine_name = "mpc"
@@ -134,11 +142,8 @@ class MPCCongestNetwork(CongestNetwork):
         strict: bool = True,
         seed: int = 0,
         cut: Iterable[tuple[Any, Any]] | None = None,
-        io_factor: float = 8.0,
         on_round: Callable[[RoundEvent], None] | None = None,
-        compress: int | str = 1,
-        workers: int | None = None,
-        faults: Any = None,
+        options: RunOptions | None = None,
     ) -> None:
         super().__init__(
             graph,
@@ -148,29 +153,23 @@ class MPCCongestNetwork(CongestNetwork):
             cut=cut,
             on_round=on_round,
         )
+        if options is None:
+            options = RunOptions()
+        self.options = options
         self._estimator = None
-        if isinstance(compress, str):
-            if compress != "auto":
-                raise ValueError(
-                    f"compress must be an integer >= 1 or 'auto', "
-                    f"got {compress!r}"
-                )
+        if options.compress == "auto":
             from repro.metrics.adaptive import PeakHoldEstimator
 
-            self.compress: int | str = "auto"
             self._max_compress = AUTO_COMPRESS_CAP
             self._estimator = PeakHoldEstimator()
         else:
-            if compress < 1:
-                raise ValueError(f"compress must be >= 1, got {compress!r}")
-            self.compress = int(compress)
-            self._max_compress = int(compress)
+            self._max_compress = options.compress
         self.alpha = alpha
         self.budget_words = memory_budget(self.n, alpha)
         self.assignment = partition_vertices(graph, self.budget_words, seed=seed)
         self._host = self.assignment.machine_of
         self.machines = [
-            Machine(mid, self.budget_words, io_factor=io_factor)
+            Machine(mid, self.budget_words)
             for mid in range(self.assignment.num_machines)
         ]
         for node_id, mid in enumerate(self._host):
@@ -179,6 +178,7 @@ class MPCCongestNetwork(CongestNetwork):
                 what=f"vertex {self.label_of(node_id)!r} and its adjacency",
             )
         self.runtime = MPCRuntime(self.machines, self.word_bits)
+        self.runtime.fault_injector = options.fault_injector()
         # Frontier tables for round compression, built lazily on the first
         # compressed window (all graph-static, so one build serves every
         # run on this network).
@@ -204,27 +204,6 @@ class MPCCongestNetwork(CongestNetwork):
         #: static frontier-load builds — the latter stays bounded by the
         #: window cap no matter how many windows are planned.
         self.planner_stats = {"windows_planned": 0, "state_radii_built": 0}
-        #: Shard-worker count for process-parallel execution; resolved
-        #: from the ``REPRO_MPC_WORKERS`` override when not explicit.
-        self.workers = _parallel.resolve_workers(workers)
-        #: Fault-injection plane: ``faults`` is a spec string or
-        #: :class:`~repro.faults.plan.FaultPlan`; attaching one enables
-        #: checkpointed crash recovery on the shard pool.  ``None`` (the
-        #: default) leaves the fault-free hot path untouched.
-        self.fault_injector = None
-        self._recovery = None
-        if faults:
-            from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
-
-            plan = (
-                FaultPlan.from_spec(faults, seed=seed)
-                if isinstance(faults, str)
-                else faults
-            )
-            self.fault_injector = FaultInjector(plan)
-            self._recovery = RecoveryConfig(max_recoveries=plan.max_recoveries)
-            self.runtime.fault_injector = self.fault_injector
-            self.runtime.recovery = self._recovery
 
     @property
     def num_machines(self) -> int:
@@ -239,7 +218,7 @@ class MPCCongestNetwork(CongestNetwork):
         summary = {
             "model": "mpc",
             "alpha": self.alpha,
-            "compress": self.compress,
+            "compress": self.options.compress,
             "budget_words": self.budget_words,
             "machines": self.num_machines,
             "partition_digest": self.partition_digest(),
@@ -258,9 +237,8 @@ class MPCCongestNetwork(CongestNetwork):
         the parity-compared ledger, and the whole point of the recovery
         contract is that it is byte-identical with and without faults.
         """
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.report()
+        injector = self.runtime.fault_injector
+        return None if injector is None else injector.report()
 
     # -- compiled execution -------------------------------------------------
 
@@ -299,27 +277,16 @@ class MPCCongestNetwork(CongestNetwork):
 
         The algorithms are built in the parent, so any construction-time
         randomness draws from the same per-node streams whichever executor
-        runs the rounds: one in-process recording kernel, or — with
-        ``workers > 1`` and ``fork`` available — shard workers each
-        driving a kernel over their machines' vertices.  Every shuffle is
-        metered here, between rounds, in both cases.
+        runs the rounds: one in-process recording kernel, or — with more
+        than one shard worker — shard workers each driving a kernel over
+        their machines' vertices.  Every shuffle is metered here, between
+        rounds, in both cases.
         """
-        tracer = self.tracer
-        if tracer is not None:
-            # Propagate the recorder to the shuffle barrier and the fault
-            # plane; both observe after the fact, never read the clock.
-            self.runtime.tracer = tracer
-            if (
-                self.fault_injector is not None
-                and getattr(self.fault_injector, "tracer", None) is None
-            ):
-                self.fault_injector.tracer = tracer
-        workers = min(self.workers, self.num_machines)
-        shards = (
-            self._node_shards(workers)
-            if workers > 1 and _parallel.fork_available()
-            else []
-        )
+        # The shuffle barrier and the fault plane observe through the
+        # runtime's recorder, after the fact; neither reads the clock.
+        self.runtime.tracer = self.tracer
+        workers = self.options.shard_workers(self.num_machines)
+        shards = self._node_shards(workers) if workers > 1 else []
         if len(shards) > 1:
             with _ShardedRounds(self, algorithms, stats, shards) as rounds:
                 drive(rounds, self.n, stats, *loop, window=self)
@@ -688,8 +655,7 @@ class _ShardedRounds:
         self._stats = stats
         self._pool = _parallel.ForkShardPool(
             [_CompiledShard(net, algorithms, shard) for shard in node_shards],
-            injector=net.fault_injector,
-            recovery=net._recovery,
+            injector=net.runtime.fault_injector,
             tracer=net.tracer,
         )
         self._outputs: dict[int, Any] = {}
@@ -870,11 +836,8 @@ def solve_with_parity(
     graph: nx.Graph,
     alpha: float,
     seed: int = 0,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
+    options: RunOptions | None = None,
     collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
     tracer: Any = None,
 ) -> tuple[Any, MPCCongestNetwork, dict[str, Any]]:
     """Run ``solver`` on the MPC backend and on an engine-v2 shadow.
@@ -885,9 +848,10 @@ def solve_with_parity(
     runs must agree on the solution, on every ``RunStats`` field and on
     the per-round ``RoundEvent`` stream (messages/words/cut words/awake,
     round by round, across all stages) — any divergence raises
-    :class:`ParityError`.  ``compress`` only changes the MPC ledger (how
-    many shuffles carry those rounds), so the parity claim is asserted
-    unchanged at every ``k`` (``"auto"`` included).  A metrics
+    :class:`ParityError`.  The MPC side runs with ``options``; its
+    ``compress`` window only changes the MPC ledger (how many shuffles
+    carry those rounds), so the parity claim is asserted unchanged at
+    every ``k`` (``"auto"`` included).  A metrics
     ``collector`` observes the MPC side's round and shuffle streams
     alongside the parity check.  Returns ``(mpc_result, mpc_network,
     report)``.
@@ -899,8 +863,8 @@ def solve_with_parity(
     )
     ref_result = solver(network=ref_net)
     mpc_net = _observed_network(
-        graph, alpha, seed, io_factor, compress, workers, faults, collector,
-        tracer, on_round=mpc_events.append,
+        graph, alpha, seed, options, collector, tracer,
+        on_round=mpc_events.append,
     )
     mpc_result = solver(network=mpc_net)
 
@@ -941,26 +905,20 @@ def run_stage_parity(
     alpha: float,
     seed: int = 0,
     prepare: Callable[[CongestNetwork], None] | None = None,
-    io_factor: float = 8.0,
-    compress: int | str = 1,
-    workers: int | None = None,
-    faults: Any = None,
+    options: RunOptions | None = None,
 ) -> dict[str, Any]:
     """Stage-level parity check for bare ``NodeAlgorithm`` factories.
 
-    Runs each factory back to back on an MPC network and an engine-v2
-    network (same graph, same seed), with ``prepare(network)`` seeding any
-    required per-node state on each side first.  Asserts per-stage outputs,
-    stats and traces are identical — at any ``compress`` window, since
-    compression never touches the CONGEST ledger; returns a summary dict
-    (stage count, rounds, the MPC ledger).
+    Runs each factory back to back on an MPC network (run with
+    ``options``) and an engine-v2 network (same graph, same seed), with
+    ``prepare(network)`` seeding any required per-node state on each side
+    first.  Asserts per-stage outputs, stats and traces are identical — at
+    any ``compress`` window, since compression never touches the CONGEST
+    ledger; returns a summary dict (stage count, rounds, the MPC ledger).
     """
     stages = list(stages)
     ref_net = CongestNetwork(graph, seed=seed, engine="v2")
-    mpc_net = MPCCongestNetwork(
-        graph, alpha=alpha, seed=seed, io_factor=io_factor,
-        compress=compress, workers=workers, faults=faults,
-    )
+    mpc_net = MPCCongestNetwork(graph, alpha=alpha, seed=seed, options=options)
     for net in (ref_net, mpc_net):
         net.reset_state()
         if prepare is not None:
@@ -988,10 +946,7 @@ def _observed_network(
     graph: nx.Graph,
     alpha: float,
     seed: int,
-    io_factor: float,
-    compress: int | str,
-    workers: int | None,
-    faults: Any,
+    options: RunOptions | None,
     collector: Any | None,
     tracer: Any,
     on_round: Callable[[RoundEvent], None] | None = None,
@@ -1001,10 +956,7 @@ def _observed_network(
     The metrics collector is attached to the round and shuffle streams
     and sees each round event after ``on_round``.
     """
-    net = MPCCongestNetwork(
-        graph, alpha=alpha, seed=seed, io_factor=io_factor,
-        compress=compress, workers=workers, faults=faults,
-    )
+    net = MPCCongestNetwork(graph, alpha=alpha, seed=seed, options=options)
     if collector is not None:
         collector.attach(net)
     net.on_round = _tee(on_round, net.on_round)
@@ -1018,12 +970,9 @@ def _solve_on_mpc(
     alpha: float,
     seed: int,
     check_parity: bool,
-    io_factor: float,
-    compress: int | str = 1,
-    collector: Any | None = None,
-    workers: int | None = None,
-    faults: Any = None,
-    tracer: Any = None,
+    options: RunOptions,
+    collector: Any | None,
+    tracer: Any,
 ):
     """Shared scaffolding of the compiled solver entry points.
 
@@ -1036,21 +985,19 @@ def _solve_on_mpc(
     """
     if check_parity:
         result, net, report = solve_with_parity(
-            solver, graph, alpha=alpha, seed=seed, io_factor=io_factor,
-            compress=compress, collector=collector, workers=workers,
-            faults=faults, tracer=tracer,
+            solver, graph, alpha, seed, options, collector, tracer
         )
     else:
         net = _observed_network(
-            graph, alpha, seed, io_factor, compress, workers, faults,
-            collector, tracer,
+            graph, alpha, seed, options, collector, tracer
         )
         result = solver(network=net)
         report = {"parity": False}
     # The sweep/CLI payload is mpc_summary() verbatim — the worker count
     # never enters it, so payload digests stay byte-identical across
-    # worker counts; the metrics collector gets it as a variant-section
-    # extra (timing-adjacent provenance, like jobs for the sweep).
+    # worker counts; the metrics collector gets the shard workers the run
+    # used as a variant-section extra (timing-adjacent provenance, like
+    # jobs for the sweep).
     payload = net.mpc_summary()
     payload.update(report)
     # The fault/recovery report rides outside mpc_summary(): it is
@@ -1060,7 +1007,12 @@ def _solve_on_mpc(
     if fault_report is not None:
         payload["faults"] = fault_report
     if collector is not None:
-        collector.record_mpc({**net.mpc_summary(), "workers": net.workers})
+        collector.record_mpc(
+            {
+                **net.mpc_summary(),
+                "workers": options.shard_workers(net.num_machines),
+            }
+        )
         if fault_report is not None:
             collector.record_faults(fault_report)
     return result, payload
@@ -1072,7 +1024,6 @@ def solve_mvc_mpc(
     alpha: float,
     seed: int = 0,
     check_parity: bool = False,
-    io_factor: float = 8.0,
     compress: int | str = 1,
     collector: Any | None = None,
     workers: int | None = None,
@@ -1081,17 +1032,23 @@ def solve_mvc_mpc(
 ):
     """Algorithm 1 ((1+eps)-MVC of G^2) compiled onto the MPC backend.
 
-    Returns ``(DistributedCoverResult, mpc_payload)`` where the payload is
-    the machine-side ledger (plus the parity report when requested).
+    ``compress``, ``workers`` and ``faults`` are validated on entry as one
+    :class:`~repro.mpc.options.RunOptions` (a fault spec is parsed with
+    ``seed``).  ``check_parity`` adds the engine-v2 shadow run of
+    :func:`solve_with_parity`; ``collector`` and ``tracer`` observe the
+    MPC run.  Returns ``(DistributedCoverResult, mpc_payload)`` where the
+    payload is the machine-side ledger (plus the parity report when
+    requested, and the fault report under a fault plan).
     """
     from repro.core.mvc_congest import approx_mvc_square
+
+    options = RunOptions(compress, workers, faults, seed=seed)
 
     def solver(network):
         return approx_mvc_square(graph, epsilon, network=network)
 
     return _solve_on_mpc(
-        solver, graph, alpha, seed, check_parity, io_factor, compress,
-        collector, workers, faults, tracer,
+        solver, graph, alpha, seed, check_parity, options, collector, tracer
     )
 
 
@@ -1101,20 +1058,24 @@ def solve_mds_mpc(
     seed: int = 0,
     samples: int | None = None,
     check_parity: bool = False,
-    io_factor: float = 8.0,
     compress: int | str = 1,
     collector: Any | None = None,
     workers: int | None = None,
     faults: Any = None,
     tracer: Any = None,
 ):
-    """Theorem 28 (O(log Delta)-MDS of G^2) compiled onto the MPC backend."""
+    """Theorem 28 (O(log Delta)-MDS of G^2) compiled onto the MPC backend.
+
+    Takes and returns what :func:`solve_mvc_mpc` does, with the
+    estimator's ``samples`` in place of ``epsilon``.
+    """
     from repro.core.mds_congest import approx_mds_square
+
+    options = RunOptions(compress, workers, faults, seed=seed)
 
     def solver(network):
         return approx_mds_square(graph, network=network, samples=samples)
 
     return _solve_on_mpc(
-        solver, graph, alpha, seed, check_parity, io_factor, compress,
-        collector, workers, faults, tracer,
+        solver, graph, alpha, seed, check_parity, options, collector, tracer
     )

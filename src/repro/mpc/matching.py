@@ -42,6 +42,7 @@ import networkx as nx
 
 from repro.congest.message import payload_words, word_bits_for
 from repro.mpc.machine import Machine, MachineProgram, memory_budget
+from repro.mpc.options import RunOptions
 from repro.mpc.partition import (
     EDGE_WORDS,
     canonical_ids,
@@ -284,7 +285,6 @@ def mpc_maximal_matching(
     graph: nx.Graph,
     alpha: float = 0.8,
     seed: int = 0,
-    io_factor: float = 8.0,
     workers: int | None = None,
     faults: Any = None,
     collector: Any = None,
@@ -292,19 +292,21 @@ def mpc_maximal_matching(
 ) -> MatchingResult:
     """Compute a maximal matching of ``graph`` on the MPC simulator.
 
-    Deterministic for a fixed ``(graph, alpha, seed)`` — including the
-    shuffle ledger at any ``workers`` (the process-parallel shard count,
-    resolved from ``REPRO_MPC_WORKERS`` when omitted).  Raises
-    :class:`~repro.mpc.machine.MemoryBudgetExceeded` when ``alpha`` is too
-    small for the edge partition or the phase traffic.  ``faults`` (a
-    spec string or :class:`~repro.faults.plan.FaultPlan`) attaches the
-    fault-injection plane with checkpointed crash recovery; the ledger
-    and matching are unchanged by recovered faults.  ``collector`` (a
-    :class:`~repro.metrics.MetricsCollector`) observes the shuffle
-    stream and receives the matched/active-edge convergence curves;
-    ``tracer`` (a :class:`~repro.trace.TraceRecorder`) gets the shuffle
-    and worker-barrier timeline.
+    ``workers`` and ``faults`` are validated on entry as one
+    :class:`~repro.mpc.options.RunOptions` (a fault spec is parsed with
+    ``seed``).  Deterministic for a fixed ``(graph, alpha, seed)`` —
+    including the shuffle ledger at any ``workers`` (the process-parallel
+    shard count, resolved from ``REPRO_MPC_WORKERS`` when omitted).
+    Raises :class:`~repro.mpc.machine.MemoryBudgetExceeded` when
+    ``alpha`` is too small for the edge partition or the phase traffic.
+    ``faults`` attaches the fault-injection plane with checkpointed crash
+    recovery; the ledger and matching are unchanged by recovered faults.
+    ``collector`` (a :class:`~repro.metrics.MetricsCollector`) observes
+    the shuffle stream and receives the matched/active-edge convergence
+    curves; ``tracer`` (a :class:`~repro.trace.TraceRecorder`) gets the
+    shuffle and worker-barrier timeline.
     """
+    options = RunOptions(workers=workers, faults=faults, seed=seed)
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must be non-empty")
     n = graph.number_of_nodes()
@@ -313,10 +315,7 @@ def mpc_maximal_matching(
     label_of, _ = canonical_ids(graph)
     edges, assignment = partition_edges(graph, budget, seed=seed)
     tree_workers = assignment.num_machines
-    machines = [
-        Machine(mid, budget, io_factor=io_factor)
-        for mid in range(tree_workers + 1)
-    ]
+    machines = [Machine(mid, budget) for mid in range(tree_workers + 1)]
     io_budget = machines[_COORDINATOR].io_budget_words
 
     # Quotas from exact word costs.  A report carries (tag, count, edge
@@ -372,21 +371,9 @@ def mpc_maximal_matching(
     runtime = MPCRuntime(machines, word_bits)
     if collector is not None:
         runtime.on_shuffle = collector.on_shuffle
-    if tracer is not None:
-        runtime.tracer = tracer
-    fault_injector = None
-    if faults:
-        from repro.faults import FaultInjector, FaultPlan, RecoveryConfig
-
-        plan = (
-            FaultPlan.from_spec(faults, seed=seed)
-            if isinstance(faults, str)
-            else faults
-        )
-        fault_injector = FaultInjector(plan)
-        runtime.fault_injector = fault_injector
-        runtime.recovery = RecoveryConfig(max_recoveries=plan.max_recoveries)
-    result = runtime.run(programs, max_rounds=max_rounds, workers=workers)
+    runtime.tracer = tracer
+    fault_injector = runtime.fault_injector = options.fault_injector()
+    result = runtime.run(programs, max_rounds=max_rounds, options=options)
     coordinator = programs[_COORDINATOR]
     matching: set[frozenset] = set()
     matched_vertices: set[int] = set()
@@ -409,8 +396,6 @@ def mpc_maximal_matching(
         faults=None if fault_injector is None else fault_injector.report(),
     )
     if collector is not None:
-        from repro.mpc import parallel as _parallel
-
         collector.set_engine("mpc")
         matched_curve: list[int] = []
         matched_total = 0
@@ -424,9 +409,7 @@ def mpc_maximal_matching(
         collector.record_mpc(
             {
                 **outcome.summary(),
-                "workers": min(
-                    _parallel.resolve_workers(workers), total_machines
-                ),
+                "workers": options.shard_workers(total_machines),
             }
         )
         if outcome.faults is not None:

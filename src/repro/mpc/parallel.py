@@ -52,14 +52,22 @@ import warnings
 from collections.abc import Callable, Sequence
 from typing import Any
 
-#: Environment override for the default worker count: every MPC execution
-#: entry point that is not handed an explicit ``workers`` resolves it from
-#: this variable (then falls back to 1, the serial path).  Because the
-#: value is read at network/runtime construction time, exporting it turns
-#: a whole sweep parallel without touching any cell coordinates — which is
-#: how the parity acceptance gate runs one grid at several worker counts
-#: and byte-compares the ledgers.
+#: Environment override for the default worker count: a
+#: :class:`~repro.mpc.options.RunOptions` built without an explicit
+#: ``workers`` resolves it from this variable (then falls back to 1, the
+#: serial path).  Because the value is read when the options are built,
+#: exporting it turns a whole sweep parallel without touching any cell
+#: coordinates — which is how the parity acceptance gate runs one grid at
+#: several worker counts and byte-compares the ledgers.
 WORKERS_ENV_VAR = "REPRO_MPC_WORKERS"
+
+#: Successful barriers between shard-state checkpoints of a recovering
+#: pool.  Each checkpoint is an extra pipe round-trip, so the interval
+#: trades steady-state overhead against replay length on crash: a crash
+#: re-executes at most this many barriers of (deterministic) local
+#: computation, and since every metered shuffle runs parent-side, no
+#: shuffle is ever replayed whatever the interval.
+CHECKPOINT_INTERVAL = 6
 
 #: Sentinel shutting down a shard worker's command loop.
 _STOP = "__repro_mpc_shard_stop__"
@@ -72,24 +80,6 @@ class WorkerCrashError(RuntimeError):
     process itself was lost (killed, segfaulted), not that the simulated
     machine exceeded a budget.
     """
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Effective worker count: explicit value, else env override, else 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-            ) from None
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def fork_available() -> bool:
@@ -227,37 +217,38 @@ class ForkShardPool:
     caller proceeds — the process-level analogue of the model's
     synchronous round.
 
-    **Crash recovery.**  With a ``recovery`` config attached, every
-    ``checkpoint_interval``-th successful barrier is followed by a
-    ``("checkpoint", None)`` broadcast whose per-shard state blobs the
-    parent retains (pipe pickling makes them deep copies for free); the
-    barrier tasks in between are recorded for replay.  A
+    **Crash recovery.**  A pool with a fault ``injector``
+    (:class:`~repro.faults.inject.FaultInjector`) recovers from worker
+    crashes: every :data:`CHECKPOINT_INTERVAL`-th successful barrier is
+    followed by a ``("checkpoint", None)`` broadcast whose per-shard
+    state blobs the parent retains (pipe pickling makes them deep copies
+    for free); the barrier tasks in between are recorded for replay.  A
     :class:`WorkerCrashError` then tears down every child, respawns
     fresh forks — valid restore bases because the parent's handler
     objects stay at pre-run state throughout a parallel run — replays
     ``("restore", blob)`` plus the recorded barriers (local computation
     is deterministic, so the replay reproduces the pre-crash state
     exactly) and retries the interrupted barrier.  Workers re-execute at
-    most ``checkpoint_interval`` barriers of local computation, and
+    most :data:`CHECKPOINT_INTERVAL` barriers of local computation, and
     since every metered shuffle happens parent-side *between* barriers,
     no shuffle is ever replayed: the ledger of a recovered run is
-    byte-identical to a fault-free one.  After ``max_recoveries``
-    crashes the pool restores checkpoint-plus-replay onto the
-    parent-side handlers and degrades to in-process serial execution,
-    surfacing a :class:`~repro.faults.recovery.DegradedExecutionWarning`.
+    byte-identical to a fault-free one.  After the plan's
+    ``max_recoveries`` crashes the pool restores checkpoint-plus-replay
+    onto the parent-side handlers and degrades to in-process serial
+    execution, surfacing a
+    :class:`~repro.faults.recovery.DegradedExecutionWarning`.
 
-    **Fault injection.**  An ``injector``
-    (:class:`~repro.faults.inject.FaultInjector`) gets a
+    **Fault injection.**  The ``injector`` gets a
     ``before_step(pool, step_index)`` callback at the top of every
-    external :meth:`step`; both hooks are absent-by-default so the
-    fault-free hot path is unchanged.
+    external :meth:`step`.  Without one the pool neither injects nor
+    checkpoints, so the fault-free hot path is unchanged, and a worker
+    crash tears the pool down and propagates.
     """
 
     def __init__(
         self,
         handlers: Sequence[Callable[[Any], Any]],
         injector: Any = None,
-        recovery: Any = None,
         tracer: Any = None,
     ) -> None:
         if not handlers:
@@ -269,17 +260,11 @@ class ForkShardPool:
             )
         self._handlers = list(handlers)
         self._injector = injector
-        self._recovery = recovery
         #: Optional :class:`repro.trace.TraceRecorder`: barrier windows on
         #: the main track, worker-stamped compute intervals on per-shard
         #: tracks (tid ``shard+1``), fork/checkpoint/restore/replay/degrade
-        #: markers.  Observation only.
-        self._tracer = tracer
-        if tracer is not None and injector is not None:
-            # Fault markers land in the same timeline as the recovery
-            # spans they cause.
-            if getattr(injector, "tracer", None) is None:
-                injector.tracer = tracer
+        #: markers, and the injector's fault markers.  Observation only.
+        self.tracer = tracer
         self._conns: list[Any] = []
         self._procs: list[Any] = []
         self._checkpoints: list[Any] | None = None
@@ -322,7 +307,7 @@ class ForkShardPool:
 
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context("fork")
-        tracer = self._tracer
+        tracer = self.tracer
         for index, handler in enumerate(self._handlers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
@@ -375,7 +360,7 @@ class ForkShardPool:
         self, tasks: Sequence[Any], trace_label: str | None = None
     ) -> list[Any]:
         """Raw barrier: send one task per shard, collect one result each."""
-        tracer = self._tracer
+        tracer = self.tracer
         barrier_start = tracer.now_ns() if tracer is not None else 0
         for index, (conn, task) in enumerate(zip(self._conns, tasks)):
             try:
@@ -438,7 +423,7 @@ class ForkShardPool:
         self._steps_since_checkpoint = 0
 
     def _after_barrier(self, tasks: Sequence[Any]) -> None:
-        """Checkpoint every ``checkpoint_interval`` barriers, else record.
+        """Checkpoint every :data:`CHECKPOINT_INTERVAL` barriers, else record.
 
         Between checkpoints the barrier tasks are retained: local
         computation is deterministic, so replaying them against the last
@@ -446,10 +431,7 @@ class ForkShardPool:
         pipe round-trip on every step.
         """
         self._steps_since_checkpoint += 1
-        if (
-            self._steps_since_checkpoint
-            >= self._recovery.checkpoint_interval
-        ):
+        if self._steps_since_checkpoint >= CHECKPOINT_INTERVAL:
             self._checkpoint()
         else:
             self._history.append(list(tasks))
@@ -466,7 +448,7 @@ class ForkShardPool:
         tasks since then (results discarded — the parent already
         consumed them) reproduces the pre-crash state exactly.
         """
-        tracer = self._tracer
+        tracer = self.tracer
         respawn_start = tracer.now_ns() if tracer is not None else 0
         self._spawn()
         if self._checkpoints is not None:
@@ -488,8 +470,8 @@ class ForkShardPool:
     def _degrade(self) -> None:
         """Fall back to in-process serial execution of the handlers."""
         self._degraded = True
-        if self._tracer is not None:
-            self._tracer.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 "recovery.degrade", cat="recovery",
                 recoveries=self._recoveries - 1,
             )
@@ -500,8 +482,7 @@ class ForkShardPool:
             for handler, task in zip(self._handlers, tasks):
                 handler(task)
         self._history = []
-        if self._injector is not None:
-            self._injector.note_degraded()
+        self._injector.note_degraded()
         warnings.warn(
             f"MPC shard pool exceeded its recovery budget "
             f"({self._recoveries - 1} recoveries); degrading to in-process "
@@ -513,7 +494,7 @@ class ForkShardPool:
     def step(self, tasks: Sequence[Any]) -> list[Any]:
         """Send one task per shard, collect one result per shard.
 
-        With recovery enabled this is the crash-safe barrier: worker
+        With an injector this is the crash-safe barrier: worker
         crashes trigger respawn-and-replay from the last checkpoint (or
         in-process degradation once the budget is spent); without it a
         :class:`WorkerCrashError` tears down every child before
@@ -538,24 +519,23 @@ class ForkShardPool:
                 results = self._barrier(tasks)
                 # Finalize is the last barrier of a run — nothing left
                 # to recover to, so skip the checkpoint bookkeeping.
-                if self._recovery is not None and not _is_finalize(tasks):
+                if self._injector is not None and not _is_finalize(tasks):
                     self._after_barrier(tasks)
                 return results
             except WorkerCrashError:
-                if self._tracer is not None:
-                    self._tracer.instant(
+                if self.tracer is not None:
+                    self.tracer.instant(
                         "worker.crash-detected", cat="recovery",
                         step=self._step_index,
                     )
                 self._teardown_procs()
-                if self._recovery is None:
+                if self._injector is None:
                     self._broken = True
                     self.close()
                     raise
                 self._recoveries += 1
-                if self._injector is not None:
-                    self._injector.note_recovery()
-                if self._recoveries > self._recovery.max_recoveries:
+                self._injector.note_recovery()
+                if self._recoveries > self._injector.plan.max_recoveries:
                     self._degrade()
 
     def step_all(self, task: Any) -> list[Any]:

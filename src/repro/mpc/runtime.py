@@ -29,6 +29,7 @@ from repro.congest.errors import RoundLimitError
 from repro.congest.message import payload_words
 from repro.congest.network import combine_word_bits
 from repro.mpc.machine import Machine, MachineProgram, MemoryBudgetExceeded
+from repro.mpc.options import RunOptions
 
 #: Routing-header words charged per shuffled message on top of its payload.
 ENVELOPE_WORDS = 1
@@ -168,13 +169,10 @@ class MPCRuntime:
         self.on_shuffle = on_shuffle
         #: Optional :class:`~repro.faults.inject.FaultInjector` whose
         #: ``before_shuffle`` hook fires at the top of :meth:`shuffle`
-        #: and whose ``before_step`` hook the shard pool calls; ``None``
-        #: (the default) keeps the fault-free hot path untouched.
+        #: and which the parallel path hands to its shard pool (enabling
+        #: checkpointed crash recovery); ``None`` (the default) keeps the
+        #: fault-free hot path untouched.
         self.fault_injector = None
-        #: Optional :class:`~repro.faults.recovery.RecoveryConfig` that
-        #: the parallel path forwards to its :class:`ForkShardPool`,
-        #: enabling checkpointed crash recovery.
-        self.recovery = None
         #: Optional :class:`repro.trace.TraceRecorder`.  Observation only:
         #: it times the shuffle barrier and rides along to the shard pool;
         #: ledger, stats and delivery order never depend on it.
@@ -329,7 +327,7 @@ class MPCRuntime:
         self,
         programs: Sequence[MachineProgram],
         max_rounds: int | None = None,
-        workers: int | None = None,
+        options: RunOptions | None = None,
     ) -> MPCRunResult:
         """Run one program per machine until all finish.
 
@@ -340,13 +338,13 @@ class MPCRuntime:
         :class:`~repro.congest.errors.RoundLimitError` when the programs
         do not terminate within ``max_rounds``.
 
-        ``workers`` > 1 executes the per-machine local computation on a
-        pool of forked shard workers (:mod:`repro.mpc.parallel`), with
-        every shuffle still a parent-side barrier — the shuffle ledger,
-        stats, outputs and raised errors are identical to the serial path
-        at any worker count.  ``None`` resolves the count from the
-        ``REPRO_MPC_WORKERS`` environment override (default 1); platforms
-        without the ``fork`` start method always take the serial path.
+        ``options`` (:class:`~repro.mpc.options.RunOptions`, default
+        ``RunOptions()``) supplies the shard-worker count.  With more than
+        one, the per-machine local computation runs on a pool of forked
+        shard workers (:mod:`repro.mpc.parallel`), with every shuffle
+        still a parent-side barrier — the shuffle ledger, stats, outputs
+        and raised errors are identical to the serial path at any worker
+        count.
         """
         if len(programs) != self.num_machines:
             raise ValueError(
@@ -354,11 +352,11 @@ class MPCRuntime:
             )
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
-        from repro.mpc import parallel as _parallel
-
-        effective = min(_parallel.resolve_workers(workers), len(programs))
-        if effective > 1 and _parallel.fork_available():
-            return self._run_parallel(programs, max_rounds, effective)
+        if options is None:
+            options = RunOptions()
+        workers = options.shard_workers(len(programs))
+        if workers > 1:
+            return self._run_parallel(programs, max_rounds, workers)
         trace_start = len(self.trace)
         rounds_before = self.stats.rounds
         outboxes: list[Any] = [prog.on_start() for prog in programs]
@@ -421,10 +419,7 @@ class MPCRuntime:
                     done.add(mid)
 
         with _parallel.ForkShardPool(
-            handlers,
-            injector=self.fault_injector,
-            recovery=self.recovery,
-            tracer=self.tracer,
+            handlers, injector=self.fault_injector, tracer=self.tracer
         ) as pool:
             absorb(pool.step_all(("start", None)))
             while len(done) < m:

@@ -116,50 +116,18 @@ METRICS_TASKS: frozenset[str] = frozenset(
 )
 
 
-def _compress_of(cell: Cell) -> int | str:
-    """A cell's shuffle-compression setting: an int window or ``"auto"``.
-
-    Cell params are JSON scalars, so ``"auto"`` arrives as a plain string;
-    anything else is coerced to the integer window the compiler expects.
-    """
-    compress = cell.param("compress", 1)
-    if compress == "auto":
-        return "auto"
-    return int(compress)
-
-
-def _workers_of(cell: Cell) -> int | None:
-    """A cell's MPC shard-worker count, or ``None`` to use the default.
-
-    ``None`` lets the network resolve the count from ``REPRO_MPC_WORKERS``
-    (then 1), which is how named grids run parallel without changing cell
-    coordinates.  The payload is identical at any value — worker count is
-    an execution detail, not a workload axis — so it never enters the
-    payload digests the runner compares.
-    """
-    workers = cell.param("mpc_workers")
-    return None if workers is None else int(workers)
-
-
-def _faults_of(cell: Cell) -> str | None:
-    """A cell's fault-injection spec string, or ``None`` for fault-free.
-
-    Like worker count, faults are an execution-environment detail: the
-    recovery contract pins the ledger byte-identical with and without
-    them, so the spec never enters the metrics label.  The fault/recovery
-    *report* rides in the payload but records execution (whether an event
-    fired depends on the worker count), so ``CellResult.to_json`` scopes
-    it out of the deterministic digest along with the timings.
-    """
-    faults = cell.param("faults")
-    return None if faults is None else str(faults)
-
-
 #: Cell coordinates that select a backend variant rather than a workload;
 #: they must stay out of the metrics label, which sits inside the
 #: deterministic section and therefore must be byte-identical across
 #: engines, compression windows, worker counts and fault plans on the
-#: same workload.
+#: same workload.  The MPC tasks hand ``compress``, ``mpc_workers`` and
+#: ``faults`` to the entry points as they are, which validate them as one
+#: :class:`~repro.mpc.options.RunOptions`: a missing ``mpc_workers``
+#: resolves ``REPRO_MPC_WORKERS``, which is how named grids run parallel
+#: without changing cell coordinates.  The fault/recovery *report* rides
+#: in the payload but records execution (whether an event fired depends
+#: on the worker count), so ``CellResult.to_json`` scopes it out of the
+#: deterministic digest along with the timings.
 _VARIANT_PARAMS = frozenset(
     {"compress", "parity", "metrics", "mpc_workers", "faults"}
 )
@@ -182,6 +150,19 @@ def _cell_collector(cell: Cell):
     from repro.metrics import MetricsCollector
 
     return MetricsCollector(label=_metrics_label(cell))
+
+
+def _observed_congest(cell: Cell, graph: Any):
+    """The cell's CONGEST network, with its collector attached if any.
+
+    The same network the solvers build when handed none, so a cell's
+    payload does not depend on whether it collects metrics.
+    """
+    network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
+    collector = _cell_collector(cell)
+    if collector is not None:
+        collector.attach(network)
+    return network, collector
 
 
 def graph_cache_key(cell: Cell) -> tuple[Any, ...] | None:
@@ -274,15 +255,8 @@ def _mvc_congest(cell: Cell) -> dict[str, Any]:
 
     eps = 0.5 if cell.eps is None else cell.eps
     graph = _cell_graph(cell)
-    collector = _cell_collector(cell)
-    if collector is not None:
-        network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
-        collector.attach(network)
-        result = approx_mvc_square(graph, eps, network=network)
-    else:
-        result = approx_mvc_square(
-            graph, eps, seed=cell.seed, engine=cell.engine
-        )
+    network, collector = _observed_congest(cell, graph)
+    result = approx_mvc_square(graph, eps, network=network)
     sq = square(graph)
     assert_vertex_cover(sq, result.cover)
     payload: dict[str, Any] = {
@@ -329,13 +303,8 @@ def _mds_congest(cell: Cell) -> dict[str, Any]:
     from repro.graphs.validation import assert_dominating_set
 
     graph = _cell_graph(cell)
-    collector = _cell_collector(cell)
-    if collector is not None:
-        network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
-        collector.attach(network)
-        result = approx_mds_square(graph, network=network)
-    else:
-        result = approx_mds_square(graph, seed=cell.seed, engine=cell.engine)
+    network, collector = _observed_congest(cell, graph)
+    result = approx_mds_square(graph, network=network)
     sq = square(graph)
     assert_dominating_set(sq, result.cover)
     payload: dict[str, Any] = {
@@ -412,10 +381,10 @@ def _mpc_mvc(cell: Cell) -> dict[str, Any]:
         alpha=alpha,
         seed=cell.seed,
         check_parity=bool(cell.param("parity", False)),
-        compress=_compress_of(cell),
+        compress=cell.param("compress", 1),
         collector=collector,
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
+        workers=cell.param("mpc_workers"),
+        faults=cell.param("faults"),
     )
     assert_vertex_cover(square(graph), result.cover)
     payload: dict[str, Any] = {
@@ -448,10 +417,10 @@ def _mpc_mds(cell: Cell) -> dict[str, Any]:
         alpha=alpha,
         seed=cell.seed,
         check_parity=bool(cell.param("parity", False)),
-        compress=_compress_of(cell),
+        compress=cell.param("compress", 1),
         collector=collector,
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
+        workers=cell.param("mpc_workers"),
+        faults=cell.param("faults"),
     )
     assert_dominating_set(square(graph), result.cover)
     payload: dict[str, Any] = {
@@ -486,8 +455,8 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
     result = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=_workers_of(cell),
-        faults=_faults_of(cell), collector=collector,
+        graph, alpha=alpha, seed=cell.seed, workers=cell.param("mpc_workers"),
+        faults=cell.param("faults"), collector=collector,
     )
     assert_maximal_matching(graph, result.matching)
     oracle = deterministic_maximal_matching(graph)
@@ -532,8 +501,15 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
         assert_maximal_matching,
         mpc_maximal_matching,
     )
+    from repro.mpc.options import RunOptions
 
     alpha = float(cell.param("alpha", 0.9))
+    options = RunOptions(
+        cell.param("compress", 1),
+        cell.param("mpc_workers"),
+        cell.param("faults"),
+        seed=cell.seed,
+    )
     graph = _cell_graph(cell)
 
     def prepare(network: CongestNetwork) -> None:
@@ -549,13 +525,11 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
         alpha=alpha,
         seed=cell.seed,
         prepare=prepare,
-        compress=_compress_of(cell),
-        workers=_workers_of(cell),
-        faults=_faults_of(cell),
+        options=options,
     )
     matching = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=_workers_of(cell),
-        faults=_faults_of(cell),
+        graph, alpha=alpha, seed=cell.seed, workers=options.workers,
+        faults=options.faults,
     )
     assert_maximal_matching(graph, matching.matching)
     oracle = deterministic_maximal_matching(graph)

@@ -242,8 +242,9 @@ class TestAutoCompressFlag:
         assert "--model mpc" in capsys.readouterr().err
 
     def test_bad_compress_string_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["mvc", "--compress", "fast"])
+        code = main(["mvc", "--model", "mpc", "--compress", "fast"])
+        assert code == 2
+        assert "got 'fast'" in capsys.readouterr().err
 
     def test_sweep_axis_accepts_auto(self):
         from repro.cli import _parse_compress

@@ -102,9 +102,9 @@ class TestAnalysisGateRegistered:
             "ci.yml must define an 'analysis' job"
         )
         assert (
-            "python -m repro.analysis src tests benchmarks --format json"
-            in text
-        ), "the analysis job must scan src, tests and benchmarks as JSON"
+            "python -m repro.analysis src tests benchmarks perfbench "
+            "--format json" in text
+        ), "the analysis job must scan src, tests, benchmarks and perfbench"
         assert "analysis-report.json" in text, (
             "the analysis job must upload its JSON report artifact"
         )

@@ -37,6 +37,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.mpc.compile_congest import MPCCongestNetwork
+from repro.mpc.options import RunOptions
 
 ENGINES = ("v1", "v2")
 
@@ -213,7 +214,10 @@ def test_round_limit_parity(algorithm):
     # window's shuffle, so no shuffle is metered for the refused round.
     expected_shuffles = {1: 17, 4: 5, "auto": 3}
     mpc = [
-        MPCCongestNetwork(graph, compress=compress, workers=workers)
+        MPCCongestNetwork(
+            graph,
+            options=RunOptions(compress=compress, workers=workers),
+        )
         for compress in expected_shuffles
         for workers in (1, 2)
     ]
@@ -225,7 +229,9 @@ def test_round_limit_parity(algorithm):
     assert errors == [errors[0]] * len(errors)
     for net in mpc:
         shuffles = net.runtime.stats.shuffles
-        assert shuffles == expected_shuffles[net.compress], net.workers
+        assert shuffles == expected_shuffles[net.options.compress], (
+            net.options.workers
+        )
 
 
 def test_engine_env_override(monkeypatch):

@@ -31,6 +31,7 @@ from repro.mpc.compile_congest import (
     solve_mds_mpc,
     solve_mvc_mpc,
 )
+from repro.mpc.options import RunOptions
 
 ENGINES = ("v1", "v2")
 
@@ -301,7 +302,10 @@ class TestAutoCompression:
     def test_rejects_unknown_string(self):
         graph = gnp_graph(8, 0.4, seed=1)
         with pytest.raises(ValueError, match="auto"):
-            MPCCongestNetwork(graph, alpha=0.9, seed=1, compress="never")
+            MPCCongestNetwork(
+                graph, alpha=0.9, seed=1,
+                options=RunOptions(compress="never"),
+            )
 
     def test_auto_never_loses_to_fixed_k_mvc(self):
         graph = gnp_graph(16, 0.2, seed=5)
@@ -329,7 +333,10 @@ class TestAutoCompression:
 
     def test_auto_ledger_in_summary(self):
         graph = gnp_graph(16, 0.2, seed=5)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=5, compress="auto")
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=5,
+            options=RunOptions(compress="auto"),
+        )
         approx_mvc_square(graph, 0.5, network=net)
         auto = net.mpc_summary()["auto"]
         assert auto["policy"] == "peak-hold"
@@ -338,7 +345,10 @@ class TestAutoCompression:
 
     def test_fixed_k_summaries_have_no_auto_ledger(self):
         graph = gnp_graph(10, 0.3, seed=2)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=2, compress=2)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=2,
+            options=RunOptions(compress=2),
+        )
         approx_mvc_square(graph, 0.5, network=net)
         assert "auto" not in net.mpc_summary()
 
@@ -349,7 +359,10 @@ class TestWindowPlannerCaches:
 
     def test_deltas_partition_watchers(self):
         graph = gnp_graph(14, 0.25, seed=3)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=3, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=3,
+            options=RunOptions(compress=4),
+        )
         approx_mvc_square(graph, 0.5, network=net)  # populate the caches
         for radius in range(1, 4):
             watchers = net._watchers_at(radius)
@@ -364,7 +377,10 @@ class TestWindowPlannerCaches:
 
     def test_host_is_the_radius_zero_delta(self):
         graph = gnp_graph(10, 0.3, seed=4)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=4, compress=2)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=4,
+            options=RunOptions(compress=2),
+        )
         approx_mvc_square(graph, 0.5, network=net)
         zero = net._delta_watchers_at(0)
         assert [d for (d,) in zero] == list(net._host[: net.n])

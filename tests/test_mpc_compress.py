@@ -1,10 +1,10 @@
 """Round-compressed MPC compilation: parity, ledger shape and fallback.
 
 The contract under test (see ``DESIGN.md`` "Round compression"):
-``MPCCongestNetwork(compress=k)`` may batch up to ``k`` CONGEST rounds
-behind one prefetch shuffle, and that changes **only** the MPC ledger —
-outputs, ``RunStats``, traces and per-round events stay word-for-word
-identical to engine v2 at every ``k``.  The window length adapts to the
+``MPCCongestNetwork(options=RunOptions(compress=k))`` may batch up to
+``k`` CONGEST rounds behind one prefetch shuffle, and that changes
+**only** the MPC ledger — outputs, ``RunStats``, traces and per-round
+events stay word-for-word identical to engine v2 at every ``k``.  The window length adapts to the
 machines' O(S) window budgets and falls back to the classical ``k = 1``
 path (never raises) when the k-hop frontier does not fit.
 """
@@ -27,6 +27,7 @@ from repro.mpc.compile_congest import (
     solve_mds_mpc,
     solve_mvc_mpc,
 )
+from repro.mpc.options import RunOptions
 
 COMPRESSIONS = (1, 2, 4)
 
@@ -61,7 +62,10 @@ class TestCompressedStageParity:
             CongestNetwork(graph, seed=5, engine="v2"), STAGES, _prepare
         )
         mpc = _stage_results(
-            MPCCongestNetwork(graph, alpha=0.9, seed=5, compress=compress),
+            MPCCongestNetwork(
+                graph, alpha=0.9, seed=5,
+                options=RunOptions(compress=compress),
+            ),
             STAGES,
             _prepare,
         )
@@ -79,7 +83,7 @@ class TestCompressedStageParity:
             [lambda v: PhaseOneAlgorithm(v, threshold=2, iterations=3)],
             alpha=0.9,
             seed=2,
-            compress=compress,
+            options=RunOptions(compress=compress),
         )
         assert report["parity"] is True
         assert report["mpc"]["compress"] == compress
@@ -106,7 +110,8 @@ class TestCompressedStageParity:
         totals = set()
         for compress in COMPRESSIONS:
             net = MPCCongestNetwork(
-                graph, alpha=0.9, seed=3, compress=compress
+                graph, alpha=0.9, seed=3,
+                options=RunOptions(compress=compress),
             )
             result = approx_mvc_square(graph, 0.5, network=net)
             totals.add(result.stats.total_words)
@@ -119,7 +124,8 @@ class TestCompressionLedger:
         shuffles = []
         for compress in COMPRESSIONS:
             net = MPCCongestNetwork(
-                graph, alpha=0.9, seed=5, compress=compress
+                graph, alpha=0.9, seed=5,
+                options=RunOptions(compress=compress),
             )
             result = approx_mvc_square(graph, 0.5, network=net)
             stats = net.runtime.stats
@@ -130,7 +136,10 @@ class TestCompressionLedger:
             shuffles.append(stats.shuffles)
         assert shuffles[0] > shuffles[1] > shuffles[2]
         # k = 1 is the classical compilation: one shuffle per round.
-        net_k1 = MPCCongestNetwork(graph, alpha=0.9, seed=5, compress=1)
+        net_k1 = MPCCongestNetwork(
+            graph, alpha=0.9, seed=5,
+            options=RunOptions(compress=1),
+        )
         result = approx_mvc_square(graph, 0.5, network=net_k1)
         assert net_k1.runtime.stats.shuffles == result.stats.rounds
 
@@ -139,7 +148,10 @@ class TestCompressionLedger:
         # frontiers are empty, every window runs at full length, and the
         # (empty) shuffle count drops to ceil(rounds / k) per stage.
         graph = path_graph(12)
-        net = MPCCongestNetwork(graph, alpha=2.0, seed=0, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=2.0, seed=0,
+            options=RunOptions(compress=4),
+        )
         result = net.run(lambda v: BfsTreeAlgorithm(v, v.n - 1))
         stats = net.runtime.stats
         assert net.num_machines == 1
@@ -149,7 +161,10 @@ class TestCompressionLedger:
 
     def test_trace_records_window_lengths(self):
         graph = gnp_graph(16, 0.2, seed=5)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=5, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=5,
+            options=RunOptions(compress=4),
+        )
         result = approx_mvc_square(graph, 0.5, network=net)
         assert all(1 <= r.congest_rounds <= 4 for r in net.runtime.trace)
         assert (
@@ -160,7 +175,10 @@ class TestCompressionLedger:
 
     def test_compress_must_be_positive(self):
         with pytest.raises(ValueError, match="compress"):
-            MPCCongestNetwork(path_graph(6), alpha=1.0, compress=0)
+            MPCCongestNetwork(
+                path_graph(6), alpha=1.0,
+                options=RunOptions(compress=0),
+            )
 
 
 class TestForcedFallback:
@@ -173,7 +191,10 @@ class TestForcedFallback:
         # classical path: exactly one shuffle per CONGEST round, and the
         # run completes instead of raising MemoryBudgetExceeded.
         graph = gnp_graph(20, 0.5, seed=7)
-        net = MPCCongestNetwork(graph, alpha=0.92, seed=7, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=0.92, seed=7,
+            options=RunOptions(compress=4),
+        )
         result = approx_mvc_square(graph, 0.5, network=net)
         stats = net.runtime.stats
         assert stats.shuffles == result.stats.rounds

@@ -25,18 +25,18 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    RecoveryConfig,
 )
 from repro.graphs.generators import build_graph, gnp_graph
 from repro.metrics import MetricsCollector
 from repro.mpc import (
     ForkShardPool,
     MemoryBudgetExceeded,
+    RunOptions,
     WorkerCrashError,
     mpc_maximal_matching,
     solve_mvc_mpc,
 )
-from repro.mpc.parallel import fork_available
+from repro.mpc.parallel import CHECKPOINT_INTERVAL, fork_available
 from repro.sweep.grids import mpc_chaos_grid
 from repro.sweep.runner import run_sweep
 from repro.sweep.tasks import get_task
@@ -184,7 +184,6 @@ class TestCrashRecoveryParity:
         kernel wake set back from the checkpoint, or the self-woken nodes
         of the replayed rounds would never run again."""
         from repro.core.mvc_congest import PhaseOneAlgorithm
-        from repro.faults.recovery import DEFAULT_CHECKPOINT_INTERVAL
         from repro.mpc.compile_congest import MPCCongestNetwork
 
         graph = gnp_graph(16, 0.25, seed=3)
@@ -195,8 +194,8 @@ class TestCrashRecoveryParity:
         def run(workers, faults=None):
             events = []
             net = MPCCongestNetwork(
-                graph, alpha=1.0, seed=3, compress=4, workers=workers,
-                faults=faults, on_round=events.append,
+                graph, alpha=1.0, seed=3, on_round=events.append,
+                options=RunOptions(4, workers, faults, seed=3),
             )
             result = net.run(stage, trace=True)
             outcome = (
@@ -214,9 +213,9 @@ class TestCrashRecoveryParity:
         for record in clean_net.runtime.trace:
             in_window.update(range(first + 1, first + record.congest_rounds))
             first += record.congest_rounds
-        # Checkpoints follow every DEFAULT_CHECKPOINT_INTERVAL-th barrier:
+        # Checkpoints follow every CHECKPOINT_INTERVAL-th barrier:
         # barrier 6j is round 6j - 1.
-        interval = DEFAULT_CHECKPOINT_INTERVAL
+        interval = CHECKPOINT_INTERVAL
         crash_at = next(
             b for b in sorted(in_window)
             if b > interval
@@ -380,11 +379,11 @@ class TestPoolCleanup:
         pool.close()  # idempotent after the implicit teardown
 
     def test_injector_crash_recovers_at_pool_level(self):
-        injector = FaultInjector(FaultPlan.from_spec("crash@1"))
+        injector = FaultInjector(
+            FaultPlan.from_spec("crash@1,max_recoveries=2")
+        )
         with ForkShardPool(
-            [_ProtocolHandler(10), _ProtocolHandler(20)],
-            injector=injector,
-            recovery=RecoveryConfig(max_recoveries=2),
+            [_ProtocolHandler(10), _ProtocolHandler(20)], injector=injector
         ) as pool:
             assert pool.step_all(("add", 1)) == [11, 21]
             # The injected crash fires here; the barrier replays from

@@ -19,6 +19,7 @@ from repro.core.mds_congest import approx_mds_square
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import gnp_graph
 from repro.mpc.compile_congest import MPCCongestNetwork
+from repro.mpc.options import RunOptions
 from repro.mpc.parallel import fork_available
 from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
 
@@ -61,8 +62,8 @@ def test_awake_stream_identical_on_v2_and_mpc(problem):
     for compress, workers in GRID:
         events = []
         net = MPCCongestNetwork(
-            graph, alpha=0.9, seed=4, compress=compress, workers=workers,
-            on_round=events.append,
+            graph, alpha=0.9, seed=4, on_round=events.append,
+            options=RunOptions(compress, workers),
         )
         result = solve(graph, net)
         assert result.cover == ref.cover
@@ -116,7 +117,8 @@ def test_carried_costs_equal_walked_ledger(monkeypatch, compress, workers):
     graph = gnp_graph(16, 0.25, seed=7)
     cut = sorted(graph.edges)[::3]
     net = MPCCongestNetwork(
-        graph, alpha=0.9, seed=7, compress=compress, workers=workers, cut=cut,
+        graph, alpha=0.9, seed=7, cut=cut,
+        options=RunOptions(compress, workers),
     )
     result = approx_mvc_square(graph, 0.5, network=net)
     ref = approx_mvc_square(graph, 0.5, network=CongestNetwork(graph, seed=7, cut=cut))
@@ -151,8 +153,8 @@ def test_mpc_run_ignores_engine_override(monkeypatch, workers):
             monkeypatch.setenv("REPRO_ENGINE", engine)
         events = []
         net = MPCCongestNetwork(
-            graph, alpha=0.9, seed=4, compress=4, workers=workers,
-            on_round=events.append,
+            graph, alpha=0.9, seed=4, on_round=events.append,
+            options=RunOptions(4, workers),
         )
         result = SOLVERS["mvc"](graph, net)
         return (

@@ -69,7 +69,7 @@ class TestLedger:
 
     def test_io_loads_within_budget(self):
         graph = build_graph("gnp", 64, seed=11)
-        result = mpc_maximal_matching(graph, alpha=0.5, seed=11, io_factor=8.0)
+        result = mpc_maximal_matching(graph, alpha=0.5, seed=11)
         io_budget = 8 * result.budget_words
         assert 0 < result.stats.max_in_words <= io_budget
         assert 0 < result.stats.max_out_words <= io_budget

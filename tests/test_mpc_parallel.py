@@ -28,10 +28,10 @@ from repro.mpc import (
     MemoryBudgetExceeded,
     MPCCongestNetwork,
     MPCRuntime,
+    RunOptions,
     WorkerCrashError,
     mpc_maximal_matching,
     plan_shards,
-    resolve_workers,
     solve_mvc_mpc,
 )
 from repro.mpc.parallel import (
@@ -86,24 +86,24 @@ class TestPlanShards:
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
+        assert RunOptions(workers=3).workers == 3
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert resolve_workers(None) == 4
+        assert RunOptions(workers=None).workers == 4
 
     def test_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) == 1
+        assert RunOptions(workers=None).workers == 1
 
     def test_rejects_non_integer_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "many")
         with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            resolve_workers(None)
+            RunOptions(workers=None)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            resolve_workers(0)
+            RunOptions(workers=0)
 
 
 class TestMachineSpec:
@@ -285,7 +285,7 @@ def _native_run(program_cls, workers, m=5, rounds=4, **kwargs):
     programs = [
         program_cls(machine, m, rounds, **kwargs) for machine in machines
     ]
-    result = runtime.run(programs, workers=workers)
+    result = runtime.run(programs, options=RunOptions(workers=workers))
     return result, runtime, programs
 
 
@@ -327,7 +327,9 @@ class TestNativeRuntimeParity:
             from repro.congest.errors import RoundLimitError
 
             with pytest.raises(RoundLimitError) as excinfo:
-                runtime.run(programs, max_rounds=6, workers=workers)
+                runtime.run(
+                    programs, max_rounds=6, options=RunOptions(workers=workers)
+                )
             msgs[workers] = str(excinfo.value)
         assert msgs[1] == msgs[2]
 
@@ -343,7 +345,7 @@ class TestWorkerErrorRegression:
             for mach in machines
         ]
         with pytest.raises(Exception) as excinfo:
-            runtime.run(programs, workers=workers)
+            runtime.run(programs, options=RunOptions(workers=workers))
         return excinfo.value, runtime
 
     def test_same_typed_exception_and_message(self):
@@ -436,7 +438,7 @@ class TestCompiledParity:
         traces = {}
         for workers in (1, 2):
             net = MPCCongestNetwork(
-                graph, alpha=0.9, seed=5, compress=6, workers=workers
+                graph, alpha=0.9, seed=5, options=RunOptions(6, workers)
             )
             result = net.run(lambda v: BfsTreeAlgorithm(v, v.n - 1))
             traces[workers] = (
@@ -476,7 +478,9 @@ class TestCompiledParity:
 class TestPlannerStateLoadCache:
     def test_state_radii_built_bounded_by_window_cap(self):
         graph = gnp_graph(18, 0.2, seed=5)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=5, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=5, options=RunOptions(compress=4)
+        )
         net.run(lambda v: BfsTreeAlgorithm(v, v.n - 1))
         planned = net.planner_stats["windows_planned"]
         built = net.planner_stats["state_radii_built"]
@@ -492,7 +496,9 @@ class TestPlannerStateLoadCache:
 
     def test_cache_does_not_change_the_ledger(self):
         graph = gnp_graph(16, 0.25, seed=7)
-        net = MPCCongestNetwork(graph, alpha=0.9, seed=7, compress=4)
+        net = MPCCongestNetwork(
+            graph, alpha=0.9, seed=7, options=RunOptions(compress=4)
+        )
         first = net.run(lambda v: BfsTreeAlgorithm(v, v.n - 1))
         shuffles_first = net.runtime.stats.rounds
         second = net.run(lambda v: BfsTreeAlgorithm(v, v.n - 1))
@@ -520,14 +526,15 @@ class TestSweepIntegration:
     def test_env_override_reaches_network(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         net = MPCCongestNetwork(gnp_graph(10, 0.3, seed=0), alpha=0.9)
-        assert net.workers == 2
+        assert net.options.workers == 2
 
     def test_explicit_workers_beats_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
         net = MPCCongestNetwork(
-            gnp_graph(10, 0.3, seed=0), alpha=0.9, workers=1
+            gnp_graph(10, 0.3, seed=0), alpha=0.9,
+            options=RunOptions(workers=1),
         )
-        assert net.workers == 1
+        assert net.options.workers == 1
 
 
 class TestCli:
