@@ -37,10 +37,11 @@ from repro.core.mvc_clique import (
     approx_mvc_square_clique_deterministic,
     approx_mvc_square_clique_randomized,
 )
-from repro.core.mvc_congest import approx_mvc_square
+from repro.core.mvc_congest import approx_mvc_square, normalized_epsilon
 from repro.exact.dominating_set import minimum_dominating_set
 from repro.exact.vertex_cover import minimum_vertex_cover
 from repro.graphs.generators import GRAPH_KINDS, build_graph
+from repro.graphs.instance import InputError
 from repro.graphs.power import square
 from repro.graphs.validation import (
     assert_dominating_set,
@@ -54,6 +55,7 @@ from repro.lowerbounds.mds_square_gap import (
     GapConstructionParams,
     build_gap_family,
 )
+from repro.mpc.machine import check_alpha
 from repro.mpc.options import RunOptions, parse_scalar
 from repro.sweep import (
     TABLE_HEADER,
@@ -75,6 +77,18 @@ def _last_error_line(result) -> str:
 
 class _UsageError(Exception):
     """A bad flag value or combination: ``error: ...`` and exit status 2."""
+
+
+def _checked(validate, *args, **kwargs):
+    """``validate(*args, **kwargs)``, its ``ValueError`` a usage error.
+
+    The library's validators are the only copy of each rule, so a bad
+    flag value is reported with the library's own message.
+    """
+    try:
+        return validate(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
@@ -129,15 +143,13 @@ def _run_options(args: argparse.Namespace) -> RunOptions | None:
             if getattr(args, attr, default) != default:
                 raise _UsageError(f"{flag} {what}; it requires --model mpc")
         return None
-    try:
-        return RunOptions(
-            args.compress,
-            args.mpc_workers,
-            getattr(args, "faults", None),
-            seed=getattr(args, "seed", 0),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _checked(
+        RunOptions,
+        args.compress,
+        args.mpc_workers,
+        getattr(args, "faults", None),
+        seed=getattr(args, "seed", 0),
+    )
 
 
 def _print_fault_report(payload: dict) -> None:
@@ -209,14 +221,20 @@ def _write_trace(recorder, path: str) -> None:
 
 
 def _solve_preamble(args: argparse.Namespace, command: str):
-    """Validate ``mvc``/``mds`` flags: ``(run options, collector, tracer)``."""
+    """Validate ``mvc``/``mds`` flags and build the input graph.
+
+    Returns ``(graph, run options, collector, tracer)``.
+    """
     options = _run_options(args)
-    if options is not None and args.engine is not None:
-        raise _UsageError(
-            "--engine selects a CONGEST engine; the mpc model has its own "
-            "runtime (tune --alpha instead)"
-        )
-    return options, _make_collector(args, command), _make_tracer(args)
+    if options is not None:
+        if args.engine is not None:
+            raise _UsageError(
+                "--engine selects a CONGEST engine; the mpc model has its "
+                "own runtime (tune --alpha instead)"
+            )
+        _checked(check_alpha, args.alpha)
+    graph = _checked(build_graph, args.graph, args.n, seed=args.seed)
+    return graph, options, _make_collector(args, command), _make_tracer(args)
 
 
 def _congest_network(args: argparse.Namespace, graph, collector, tracer):
@@ -239,13 +257,13 @@ def _finish_observers(args: argparse.Namespace, collector, tracer) -> None:
 
 
 def _cmd_mvc(args: argparse.Namespace) -> int:
-    options, collector, tracer = _solve_preamble(args, "mvc")
+    graph, options, collector, tracer = _solve_preamble(args, "mvc")
     if args.model == "centralized" and args.engine is not None:
         raise _UsageError(
             "--engine applies only to distributed models "
             "(congest, clique-det, clique-rand)"
         )
-    graph = build_graph(args.graph, args.n, seed=args.seed)
+    _checked(normalized_epsilon, args.eps)
     sq = square(graph)
     if args.model == "congest":
         network = _congest_network(args, graph, collector, tracer)
@@ -287,8 +305,7 @@ def _cmd_mvc(args: argparse.Namespace) -> int:
 
 
 def _cmd_mds(args: argparse.Namespace) -> int:
-    options, collector, tracer = _solve_preamble(args, "mds")
-    graph = build_graph(args.graph, args.n, seed=args.seed)
+    graph, options, collector, tracer = _solve_preamble(args, "mds")
     sq = square(graph)
     if args.model == "mpc":
         from repro.mpc.compile_congest import solve_mds_mpc
@@ -695,6 +712,79 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if sweep.failures else 0
 
 
+def _add_solve_command(sub, name, help, n, models, func):
+    """The ``mvc``/``mds`` subcommand with the flags both share."""
+    cmd = sub.add_parser(name, help=help)
+    cmd.add_argument("--n", type=int, default=n)
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--graph", choices=GRAPH_KINDS, default="gnp")
+    cmd.add_argument(
+        "--model",
+        choices=models,
+        default="congest",
+        help="execution model; mpc compiles the CONGEST rounds onto "
+        "low-space machines (with an engine-v2 parity check)",
+    )
+    cmd.add_argument(
+        "--engine",
+        choices=("v1", "v2"),
+        default=None,
+        help="simulator engine (default: REPRO_ENGINE env or v2)",
+    )
+    cmd.add_argument(
+        "--alpha",
+        type=float,
+        default=0.8,
+        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
+    )
+    cmd.add_argument(
+        "--compress",
+        "-k",
+        type=parse_scalar,
+        default=1,
+        help="mpc model only: batch up to k CONGEST rounds per shuffle "
+        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
+        "window budget); 'auto' lets a peak-hold load estimator choose "
+        "each window's k",
+    )
+    cmd.add_argument(
+        "--mpc-workers",
+        type=parse_scalar,
+        default=None,
+        help="mpc model only: shard the machines over this many forked "
+        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
+        "the shuffle ledger and outputs are identical at any count",
+    )
+    cmd.add_argument(
+        "--faults",
+        default=None,
+        metavar="SPEC",
+        help="mpc model only: comma-separated fault plan (crash@B[:T], "
+        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
+        "run; crashed shard workers recover from checkpointed shuffle "
+        "barriers with byte-identical outputs",
+    )
+    cmd.add_argument(
+        "--metrics",
+        default=None,
+        metavar="PATH",
+        help="write a structured metrics document (per-phase series plus "
+        "the shuffle ledger) to PATH; congest and mpc models only",
+    )
+    cmd.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome trace-event / Perfetto JSON timeline of the "
+        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
+        "PATH; congest and mpc models only — purely observational, the "
+        "run's outputs and ledgers are unchanged",
+    )
+    cmd.add_argument("--exact", action="store_true")
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -702,144 +792,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mvc = sub.add_parser("mvc", help="approximate MVC on G^2")
-    mvc.add_argument("--n", type=int, default=32)
+    mvc = _add_solve_command(
+        sub, "mvc", "approximate MVC on G^2", 32,
+        ("congest", "clique-det", "clique-rand", "centralized", "mpc"),
+        _cmd_mvc,
+    )
     mvc.add_argument("--eps", type=float, default=0.5)
-    mvc.add_argument("--seed", type=int, default=0)
-    mvc.add_argument("--graph", choices=GRAPH_KINDS, default="gnp")
-    mvc.add_argument(
-        "--model",
-        choices=("congest", "clique-det", "clique-rand", "centralized", "mpc"),
-        default="congest",
-        help="execution model; mpc compiles the CONGEST rounds onto "
-        "low-space machines (with an engine-v2 parity check)",
+    _add_solve_command(
+        sub, "mds", "approximate MDS on G^2", 24, ("congest", "mpc"), _cmd_mds
     )
-    mvc.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2)",
-    )
-    mvc.add_argument(
-        "--alpha",
-        type=float,
-        default=0.8,
-        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
-    )
-    mvc.add_argument(
-        "--compress",
-        "-k",
-        type=parse_scalar,
-        default=1,
-        help="mpc model only: batch up to k CONGEST rounds per shuffle "
-        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
-        "window budget); 'auto' lets a peak-hold load estimator choose "
-        "each window's k",
-    )
-    mvc.add_argument(
-        "--mpc-workers",
-        type=parse_scalar,
-        default=None,
-        help="mpc model only: shard the machines over this many forked "
-        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
-        "the shuffle ledger and outputs are identical at any count",
-    )
-    mvc.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="mpc model only: comma-separated fault plan (crash@B[:T], "
-        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
-        "run; crashed shard workers recover from checkpointed shuffle "
-        "barriers with byte-identical outputs",
-    )
-    mvc.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write a structured metrics document (per-phase series plus "
-        "the shuffle ledger) to PATH; congest and mpc models only",
-    )
-    mvc.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
-        "PATH; congest and mpc models only — purely observational, the "
-        "run's outputs and ledgers are unchanged",
-    )
-    mvc.add_argument("--exact", action="store_true")
-    mvc.set_defaults(func=_cmd_mvc)
-
-    mds = sub.add_parser("mds", help="approximate MDS on G^2")
-    mds.add_argument("--n", type=int, default=24)
-    mds.add_argument("--seed", type=int, default=0)
-    mds.add_argument("--graph", choices=GRAPH_KINDS, default="gnp")
-    mds.add_argument(
-        "--model",
-        choices=("congest", "mpc"),
-        default="congest",
-        help="execution model; mpc compiles the CONGEST rounds onto "
-        "low-space machines (with an engine-v2 parity check)",
-    )
-    mds.add_argument(
-        "--engine",
-        choices=("v1", "v2"),
-        default=None,
-        help="simulator engine (default: REPRO_ENGINE env or v2)",
-    )
-    mds.add_argument(
-        "--alpha",
-        type=float,
-        default=0.8,
-        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
-    )
-    mds.add_argument(
-        "--compress",
-        "-k",
-        type=parse_scalar,
-        default=1,
-        help="mpc model only: batch up to k CONGEST rounds per shuffle "
-        "(adaptive; falls back to 1 where the k-hop frontier exceeds the "
-        "window budget); 'auto' lets a peak-hold load estimator choose "
-        "each window's k",
-    )
-    mds.add_argument(
-        "--mpc-workers",
-        type=parse_scalar,
-        default=None,
-        help="mpc model only: shard the machines over this many forked "
-        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
-        "the shuffle ledger and outputs are identical at any count",
-    )
-    mds.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="mpc model only: comma-separated fault plan (crash@B[:T], "
-        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
-        "run; crashed shard workers recover from checkpointed shuffle "
-        "barriers with byte-identical outputs",
-    )
-    mds.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write a structured metrics document (per-phase series plus "
-        "the shuffle ledger) to PATH; congest and mpc models only",
-    )
-    mds.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
-        "PATH; congest and mpc models only — purely observational, the "
-        "run's outputs and ledgers are unchanged",
-    )
-    mds.add_argument("--exact", action="store_true")
-    mds.set_defaults(func=_cmd_mds)
 
     families = ("ckp17", "bcd19", "gap-weighted", "gap-unweighted")
     gallery = sub.add_parser("gallery", help="build a lower-bound family")
@@ -1035,7 +996,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, InputError) as exc:
+        # An input outside the simulator's contract is a bad flag value
+        # too (e.g. a generated graph with no vertices).
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,7 +66,8 @@ update, the strictness check fires (against the batch's first target,
 which is the first message the reference loop would have metered) before
 any statistics are touched, and untrusted targets are validated in
 reference order so the first offending target raises the same
-``ProtocolError`` text.
+``ProtocolError`` text (each rule is written once, in
+``CongestNetwork._check_send``).
 
 ``tests/test_engine_parity.py`` and ``tests/test_batch_outbox.py`` enforce
 the contract differentially, and ``benchmarks/bench_engine_scaling.py`` /
@@ -95,7 +96,7 @@ import os
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
-from repro.congest.errors import CongestionError, ProtocolError, RoundLimitError
+from repro.congest.errors import RoundLimitError
 from repro.congest.message import BatchOutbox, payload_words
 from repro.congest.scheduler import ActivityScheduler, MailboxRing
 
@@ -450,18 +451,14 @@ class RoundKernel:
         # single-slot identity memo skips even the cache lookup for them.
         prev_payload: Any = _UNCACHEABLE
         prev_words = 0
+        can_send = network._can_send
         for target, payload in outbox.items():
-            if target == sender:
-                raise ProtocolError(f"node {sender} addressed itself")
-            if not isinstance(target, int) or not 0 <= target < n:
-                raise ProtocolError(
-                    f"node {sender} addressed invalid target {target!r}"
-                )
-            if not network._can_send(sender, target):
-                raise ProtocolError(
-                    f"node {network.label_of(sender)!r} is not adjacent to "
-                    f"{network.label_of(target)!r} in the communication graph"
-                )
+            if target == sender or not (
+                isinstance(target, int)
+                and 0 <= target < n
+                and can_send(sender, target)
+            ):
+                network._check_send(sender, target)
             if payload is prev_payload:
                 words = prev_words
             else:
@@ -485,12 +482,7 @@ class RoundKernel:
                 prev_payload = payload
                 prev_words = words
             if words > word_limit and strict:
-                raise CongestionError(
-                    f"message {network.label_of(sender)!r} -> "
-                    f"{network.label_of(target)!r} is {words} words but "
-                    f"the per-edge budget is {word_limit} words of "
-                    f"{word_bits} bits"
-                )
+                raise network._oversize(sender, target, words)
             stats.messages += 1
             stats.total_words += words
             if words > stats.max_words_per_edge_round:
@@ -519,9 +511,7 @@ class RoundKernel:
         network = self.network
         targets = outbox.targets
         payload = outbox.payload
-        # A trusted broadcast from a self-loop node must raise the reference
-        # loop's "addressed itself" error, so it takes the validating path.
-        trusted = outbox.trusted and sender not in network._self_loops
+        trusted = outbox.trusted
         if not trusted:
             self._validate_targets(sender, targets[:1])
         word_bits = network.word_bits
@@ -538,12 +528,7 @@ class RoundKernel:
                 cache[key] = cached
             words = cached
         if words > network.word_limit and network.strict:
-            raise CongestionError(
-                f"message {network.label_of(sender)!r} -> "
-                f"{network.label_of(targets[0])!r} is {words} words but the "
-                f"per-edge budget is {network.word_limit} words of "
-                f"{word_bits} bits"
-            )
+            raise network._oversize(sender, targets[0], words)
         if not trusted:
             self._validate_targets(sender, targets[1:])
         stats = self.stats
@@ -604,14 +589,9 @@ class RoundKernel:
                     return
         can_send = network._can_send
         for target in targets:
-            if target == sender:
-                raise ProtocolError(f"node {sender} addressed itself")
-            if not isinstance(target, int) or not 0 <= target < n:
-                raise ProtocolError(
-                    f"node {sender} addressed invalid target {target!r}"
-                )
-            if not can_send(sender, target):
-                raise ProtocolError(
-                    f"node {network.label_of(sender)!r} is not adjacent to "
-                    f"{network.label_of(target)!r} in the communication graph"
-                )
+            if target == sender or not (
+                isinstance(target, int)
+                and 0 <= target < n
+                and can_send(sender, target)
+            ):
+                network._check_send(sender, target)

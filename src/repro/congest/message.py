@@ -27,15 +27,11 @@ object whose cost is target-independent.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator
 
-
-def word_bits_for(n: int) -> int:
-    """Bits per word in an n-node network: ``ceil(log2(n+1))``, at least 1."""
-    if n < 1:
-        raise ValueError("network must have at least one node")
-    return max(1, math.ceil(math.log2(n + 1)))
+# The word size is a property of the validated input; re-exported here
+# beside the payload accounting that counts in it.
+from repro.graphs.instance import word_bits_for  # noqa: F401
 
 
 def payload_words(payload: Any, word_bits: int) -> int:

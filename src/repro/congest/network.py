@@ -39,7 +39,8 @@ from repro.congest.engine import (
     resolve_engine_name,
 )
 from repro.congest.errors import CongestionError, ProtocolError
-from repro.congest.message import BatchOutbox, payload_words, word_bits_for
+from repro.congest.message import BatchOutbox, payload_words
+from repro.graphs.instance import Instance
 
 AlgorithmFactory = Callable[[NodeView], NodeAlgorithm]
 
@@ -178,9 +179,12 @@ class CongestNetwork:
     Parameters
     ----------
     graph:
-        The communication graph ``G``.  Nodes may have arbitrary hashable
-        labels; the network assigns integer identifiers ``0..n-1`` in a
-        deterministic (sorted-by-repr) order.
+        The communication graph ``G``, validated and canonicalized as one
+        :class:`~repro.graphs.instance.Instance` (``self.instance``): it
+        must be non-empty, simple and undirected, but may be
+        disconnected.  Nodes may have arbitrary hashable labels; the
+        network assigns integer identifiers ``0..n-1`` in a deterministic
+        (sorted-by-repr) order.
     word_limit:
         Maximum words per message (a word is ``ceil(log2(n+1))`` bits);
         models the O(log n)-bit bound.
@@ -221,11 +225,11 @@ class CongestNetwork:
         engine: str | None = None,
         on_round: Callable[["RoundEvent"], None] | None = None,
     ) -> None:
-        if graph.number_of_nodes() == 0:
-            raise ValueError("network must have at least one node")
+        instance = Instance(graph)
+        self.instance = instance
         self.graph = graph
-        self.n = graph.number_of_nodes()
-        self.word_bits = word_bits_for(self.n)
+        self.n = instance.n
+        self.word_bits = instance.word_bits
         self.word_limit = word_limit
         self.strict = strict
         self.seed = seed
@@ -240,21 +244,12 @@ class CongestNetwork:
         #: deterministic convergence series.
         self.collector = None
 
-        ordering = sorted(graph.nodes, key=repr)
-        self._label_of = dict(enumerate(ordering))
-        self._id_of = {label: i for i, label in self._label_of.items()}
-        self._adjacency: dict[int, tuple[int, ...]] = {
-            self._id_of[label]: tuple(
-                sorted(self._id_of[nbr] for nbr in graph.neighbors(label))
-            )
-            for label in ordering
-        }
+        self._label_of = instance.labels
+        self._id_of = instance.id_of
+        self._adjacency = instance.adjacency
         # Set form of the adjacency for O(1) membership in _can_send; the
-        # sorted tuples above remain the public NodeView.neighbors order.
-        self._adjacency_sets: dict[int, frozenset[int]] = {
-            node_id: frozenset(neighbors)
-            for node_id, neighbors in self._adjacency.items()
-        }
+        # sorted tuples remain the public NodeView.neighbors order.
+        self._adjacency_sets = tuple(map(frozenset, instance.adjacency))
         self._cut: set[frozenset[int]] = set()
         if cut is not None:
             for u, v in cut:
@@ -266,14 +261,6 @@ class CongestNetwork:
         #: payload value -> word cost (word size is fixed per network, so
         #: keys need not include it).
         self._words_cache: dict[Any, int] = {}
-        #: Nodes whose adjacency contains themselves (graphs with self
-        #: loops); their trusted broadcasts are validated like untrusted
-        #: batches.
-        self._self_loops = frozenset(
-            node_id
-            for node_id, neighbors in self._adjacency_sets.items()
-            if node_id in neighbors
-        )
         #: node id -> numpy array of its neighbors, built lazily for the
         #: vectorized validation of untrusted batches.
         self._nbr_arrays: dict[int, Any] = {}
@@ -303,6 +290,34 @@ class CongestNetwork:
     def _can_send(self, sender: int, target: int) -> bool:
         """Whether ``sender`` may address ``target`` this round."""
         return target in self._adjacency_sets[sender]
+
+    def _check_send(self, sender: int, target: Any) -> None:
+        """Raise the :class:`ProtocolError` of an invalid send, if any.
+
+        The rules in reference order: a send to itself, to an invalid id,
+        then to a node ``sender`` may not address.
+        """
+        if target == sender:
+            raise ProtocolError(f"node {sender} addressed itself")
+        if not isinstance(target, int) or not 0 <= target < self.n:
+            raise ProtocolError(
+                f"node {sender} addressed invalid target {target!r}"
+            )
+        if not self._can_send(sender, target):
+            raise ProtocolError(
+                f"node {self.label_of(sender)!r} is not adjacent to "
+                f"{self.label_of(target)!r} in the communication graph"
+            )
+
+    def _oversize(
+        self, sender: int, target: int, words: int
+    ) -> CongestionError:
+        """The :class:`CongestionError` of a ``words``-word message."""
+        return CongestionError(
+            f"message {self.label_of(sender)!r} -> {self.label_of(target)!r} "
+            f"is {words} words but the per-edge budget is {self.word_limit} "
+            f"words of {self.word_bits} bits"
+        )
 
     def _make_views(self, inputs: Mapping[Any, Any] | None) -> list[NodeView]:
         views = []
@@ -434,25 +449,10 @@ class CongestNetwork:
             return
         sender = alg.node.id
         for target, payload in outbox.items():
-            if target == sender:
-                raise ProtocolError(f"node {sender} addressed itself")
-            if not isinstance(target, int) or not 0 <= target < self.n:
-                raise ProtocolError(
-                    f"node {sender} addressed invalid target {target!r}"
-                )
-            if not self._can_send(sender, target):
-                raise ProtocolError(
-                    f"node {self.label_of(sender)!r} is not adjacent to "
-                    f"{self.label_of(target)!r} in the communication graph"
-                )
+            self._check_send(sender, target)
             words = payload_words(payload, self.word_bits)
             if words > self.word_limit and self.strict:
-                raise CongestionError(
-                    f"message {self.label_of(sender)!r} -> "
-                    f"{self.label_of(target)!r} is {words} words but the "
-                    f"per-edge budget is {self.word_limit} words of "
-                    f"{self.word_bits} bits"
-                )
+                raise self._oversize(sender, target, words)
             stats.messages += 1
             stats.total_words += words
             stats.max_words_per_edge_round = max(

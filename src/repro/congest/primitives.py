@@ -22,8 +22,6 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-import networkx as nx
-
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunResult
 
@@ -296,8 +294,3 @@ def broadcast_tokens(
         by_id=result.by_id,
     )
     return combined, bfs
-
-
-def eccentricity_bound(graph: nx.Graph) -> int:
-    """A crude common-knowledge diameter bound: ``n`` (used for safety caps)."""
-    return graph.number_of_nodes()

@@ -39,7 +39,7 @@ from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunStats
 from repro.congest.primitives import BFS_STATE, BfsTreeAlgorithm
 from repro.core.estimation import EstimationStage, default_samples
-from repro.core.results import DistributedCoverResult
+from repro.core.results import DistributedCoverResult, square_solver_network
 
 _TAG_RHO = 50
 _TAG_RANK = 51
@@ -357,16 +357,10 @@ def approx_mds_square(
     Returns a dominating set of ``G^2`` (always feasible); w.h.p. the set is
     an O(log Delta)-approximation computed in polylog rounds.  ``engine``
     picks the runtime for a freshly built network; incompatible with
-    ``network``.
+    ``network``.  ``graph`` must be connected, simple and undirected;
+    other inputs raise the typed errors of :mod:`repro.graphs.instance`.
     """
-    if graph.number_of_nodes() == 0:
-        raise ValueError("graph must be non-empty")
-    if not nx.is_connected(graph):
-        raise ValueError("CONGEST algorithms require a connected graph")
-    if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+    network = square_solver_network(graph, network, seed, engine)
     n = network.n
     if samples is None:
         samples = default_samples(n)

@@ -25,7 +25,7 @@ import networkx as nx
 
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.clique import CongestedCliqueNetwork
-from repro.congest.network import RunStats
+from repro.congest.network import RunResult
 from repro.core.mvc_congest import (
     LocalSolver,
     PhaseOneAlgorithm,
@@ -35,7 +35,7 @@ from repro.core.mvc_congest import (
     red_edges_from_tokens,
     residual_graph_from_tokens,
 )
-from repro.core.results import DistributedCoverResult
+from repro.core.results import DistributedCoverResult, square_solver_network
 
 _TAG_TOKEN = 30
 _TAG_DONE = 31
@@ -237,8 +237,14 @@ class RandomizedVotingPhaseOne(NodeAlgorithm):
 def _phase_two_clique(
     network: CongestedCliqueNetwork,
     local_solver: LocalSolver,
-) -> tuple[set[int], RunStats, dict[str, Any]]:
-    """Shared Phase II: direct upcast to the leader, solve, scatter verdicts."""
+    phase_one: RunResult,
+    **detail: Any,
+) -> DistributedCoverResult:
+    """Shared Phase II: direct upcast to the leader, solve, scatter verdicts.
+
+    The cover is Phase I's ``S`` plus the leader's residual solution;
+    ``detail`` extends the result's Phase II detail.
+    """
     leader = network.n - 1
     gather = network.run(lambda view: DirectUpcastAlgorithm(view, leader))
     tokens = gather.by_id[leader]
@@ -250,12 +256,17 @@ def _phase_two_clique(
             view, leader, r_star if view.id == leader else None
         )
     )
-    detail = {
-        "residual_vertices": set(residual.nodes),
-        "leader_solution": set(r_star),
-        "upcast_rounds": gather.stats.rounds,
-    }
-    return r_star, gather.stats + scatter.stats, detail
+    s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}
+    return DistributedCoverResult(
+        cover={network.label_of(v) for v in (s_vertices | r_star)},
+        stats=phase_one.stats + (gather.stats + scatter.stats),
+        detail={
+            "residual_vertices": set(residual.nodes),
+            "leader_solution": set(r_star),
+            "upcast_rounds": gather.stats.rounds,
+            **detail,
+        },
+    )
 
 
 def approx_mvc_square_clique_deterministic(
@@ -266,13 +277,14 @@ def approx_mvc_square_clique_deterministic(
     seed: int = 0,
     engine: str | None = None,
 ) -> DistributedCoverResult:
-    """Corollary 10: deterministic (1+eps)-approximation in O(eps n + 1/eps)."""
-    if not nx.is_connected(graph):
-        raise ValueError("the input graph G must be connected")
-    if network is None:
-        network = CongestedCliqueNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+    """Corollary 10: deterministic (1+eps)-approximation in O(eps n + 1/eps).
+
+    ``graph`` must be connected, simple and undirected; other inputs raise
+    the typed errors of :mod:`repro.graphs.instance`.
+    """
+    network = square_solver_network(
+        graph, network, seed, engine, CongestedCliqueNetwork
+    )
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:
@@ -286,17 +298,10 @@ def approx_mvc_square_clique_deterministic(
     phase_one = network.run(
         lambda view: PhaseOneAlgorithm(view, threshold=l, iterations=iterations)
     )
-    r_star, stats2, detail = _phase_two_clique(network, local_solver)
-    total = phase_one.stats + stats2
-
-    s_vertices = {
-        network.id_of(label)
-        for label, out in phase_one.outputs.items()
-        if out["in_S"]
-    }
-    cover = {network.label_of(v) for v in (s_vertices | r_star)}
-    detail.update({"mode": "clique-deterministic", "iterations": iterations})
-    return DistributedCoverResult(cover=cover, stats=total, detail=detail)
+    return _phase_two_clique(
+        network, local_solver, phase_one,
+        mode="clique-deterministic", iterations=iterations,
+    )
 
 
 def approx_mvc_square_clique_randomized(
@@ -313,13 +318,12 @@ def approx_mvc_square_clique_randomized(
     The voting phase budget is ``phase_budget_factor * log2(n) + 8``; if
     candidates survive (probability vanishing in n), the budget doubles and
     Phase I reruns — preserving both correctness and the w.h.p. round bound.
+    ``graph`` must be connected, simple and undirected; other inputs raise
+    the typed errors of :mod:`repro.graphs.instance`.
     """
-    if not nx.is_connected(graph):
-        raise ValueError("the input graph G must be connected")
-    if network is None:
-        network = CongestedCliqueNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+    network = square_solver_network(
+        graph, network, seed, engine, CongestedCliqueNetwork
+    )
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:
@@ -348,21 +352,8 @@ def approx_mvc_square_clique_randomized(
         if attempts > 8:
             raise RuntimeError("voting phase failed to converge")
 
-    r_star, stats2, detail = _phase_two_clique(network, local_solver)
-    total = phase_one.stats + stats2
-
-    s_vertices = {
-        network.id_of(label)
-        for label, out in phase_one.outputs.items()
-        if out["in_S"]
-    }
-    cover = {network.label_of(v) for v in (s_vertices | r_star)}
-    detail.update(
-        {
-            "mode": "clique-randomized",
-            "phases": phases,
-            "attempts": attempts,
-            "threshold": threshold,
-        }
+    return _phase_two_clique(
+        network, local_solver, phase_one,
+        mode="clique-randomized", phases=phases, attempts=attempts,
+        threshold=threshold,
     )
-    return DistributedCoverResult(cover=cover, stats=total, detail=detail)

@@ -40,7 +40,7 @@ from repro.congest.primitives import (
     BroadcastAlgorithm,
     ConvergecastAlgorithm,
 )
-from repro.core.results import DistributedCoverResult
+from repro.core.results import DistributedCoverResult, square_solver_network
 from repro.exact.vertex_cover import minimum_vertex_cover
 
 _TAG_STATUS = 10
@@ -252,7 +252,8 @@ def approx_mvc_square(
     ----------
     graph:
         Connected communication network ``G``; the returned set covers
-        ``G^2``.
+        ``G^2``.  Other inputs raise the typed errors of
+        :mod:`repro.graphs.instance`.
     epsilon:
         Approximation slack; the cover is at most ``(1+eps) * OPT(G^2)``.
     network:
@@ -266,14 +267,7 @@ def approx_mvc_square(
         Execution engine for a freshly built network (``"v1"``/``"v2"``);
         incompatible with passing ``network``.
     """
-    if graph.number_of_nodes() == 0:
-        raise ValueError("graph must be non-empty")
-    if not nx.is_connected(graph):
-        raise ValueError("CONGEST algorithms require a connected graph")
-    if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+    network = square_solver_network(graph, network, seed, engine)
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:
@@ -312,11 +306,7 @@ def approx_mvc_square(
     spread = network.run(lambda view: BroadcastAlgorithm(view), label="broadcast")
     total = total + spread.stats
 
-    s_vertices = {
-        network.id_of(label)
-        for label, out in phase_one.outputs.items()
-        if out["in_S"]
-    }
+    s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}
     cover_ids = s_vertices | r_star
     cover = {network.label_of(v) for v in cover_ids}
 

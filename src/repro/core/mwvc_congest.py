@@ -22,7 +22,6 @@ counts stay ``O(log(n)/eps)``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from typing import Any
 
@@ -35,7 +34,11 @@ from repro.congest.primitives import (
     BroadcastAlgorithm,
     ConvergecastAlgorithm,
 )
-from repro.core.results import DistributedCoverResult
+from repro.core.mvc_congest import (
+    normalized_epsilon,
+    residual_graph_from_tokens,
+)
+from repro.core.results import DistributedCoverResult, square_solver_network
 from repro.graphs.validation import WEIGHT
 from repro.exact.vertex_cover import minimum_weighted_vertex_cover
 
@@ -199,15 +202,11 @@ def approx_mwvc_square(
     Weights default to the ``weight`` node attribute (missing = 1) and must
     be nonnegative integers (O(log n)-bit in the model).  ``engine`` picks
     the runtime for a freshly built network; incompatible with ``network``.
+    ``graph`` must be connected, simple and undirected; other inputs raise
+    the typed errors of :mod:`repro.graphs.instance`.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not nx.is_connected(graph):
-        raise ValueError("CONGEST algorithms require a connected graph")
-    if network is None:
-        network = CongestNetwork(graph, seed=seed, engine=engine)
-    elif engine is not None:
-        raise ValueError("pass either network= or engine=, not both")
+    normalized_epsilon(epsilon)  # rejects epsilon <= 0
+    network = square_solver_network(graph, network, seed, engine)
     table = _weights_table(graph, weights)
     inputs = dict(table)
 
@@ -230,23 +229,8 @@ def approx_mwvc_square(
     total = total + gather.stats
     tokens = gather.by_id[leader]
 
-    members = {u for _, u, _ in tokens}
-    residual = nx.Graph()
-    residual.add_nodes_from(members)
-    token_weights: dict[int, int] = {}
-    adjacency: dict[int, set[int]] = {}
-    for v, u, w in tokens:
-        token_weights[u] = w
-        if v != u:
-            adjacency.setdefault(v, set()).add(u)
-            adjacency.setdefault(u, set()).add(v)
-    for v, partners in adjacency.items():
-        in_u = [p for p in partners if p in members]
-        if v in members:
-            residual.add_edges_from((v, p) for p in in_u)
-        for i, a in enumerate(in_u):
-            for b in in_u[i + 1:]:
-                residual.add_edge(a, b)
+    residual = residual_graph_from_tokens((v, u) for v, u, _ in tokens)
+    token_weights = {u: w for _, u, w in tokens}
 
     r_star = minimum_weighted_vertex_cover(
         residual, weights={v: token_weights[v] for v in residual.nodes}
@@ -256,11 +240,7 @@ def approx_mwvc_square(
     spread = network.run(lambda view: BroadcastAlgorithm(view))
     total = total + spread.stats
 
-    s_vertices = {
-        network.id_of(label)
-        for label, out in phase_one.outputs.items()
-        if out["in_S"]
-    }
+    s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}
     cover_ids = s_vertices | set(r_star)
     cover = {network.label_of(v) for v in cover_ids}
     return DistributedCoverResult(

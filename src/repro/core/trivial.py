@@ -14,6 +14,8 @@ import math
 
 import networkx as nx
 
+from repro.graphs.instance import Instance
+
 
 def trivial_power_cover(graph: nx.Graph) -> set:
     """The all-vertices cover (feasible for every power of ``G``)."""
@@ -33,8 +35,7 @@ def trivial_ratio_bound(r: int) -> float:
 def independent_set_upper_bound(graph: nx.Graph, r: int) -> float:
     """Lemma 6's bound: any independent set of ``G^r`` has < ``n/alpha``
     vertices, ``alpha = floor(r/2) + 1`` (requires connected ``G``)."""
-    if not nx.is_connected(graph):
-        raise ValueError("Lemma 6 requires a connected graph")
+    Instance(graph).require_connected()
     alpha = r // 2 + 1
     return graph.number_of_nodes() / alpha
 

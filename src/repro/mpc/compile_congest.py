@@ -120,9 +120,12 @@ class MPCCongestNetwork(CongestNetwork):
     engine v2's loop whatever ``REPRO_ENGINE`` says, so results match the
     CONGEST engines exactly; only the MPC ledger is added, by this class's
     window step (:meth:`open_window` / :meth:`close_window`).
-    Construction partitions vertices and their adjacency lists across
-    machines and charges each machine's storage — a too-small ``alpha``
-    fails here, before any round runs.
+    Construction validates the graph as an
+    :class:`~repro.graphs.instance.Instance` (an empty or non-simple graph
+    raises its typed error before anything is partitioned), then
+    partitions vertices and their adjacency lists across machines and
+    charges each machine's storage — a too-small ``alpha`` fails here,
+    before any round runs.
 
     ``options`` (:class:`~repro.mpc.options.RunOptions`; by default
     ``RunOptions()``: no compression, ``REPRO_MPC_WORKERS`` shard workers,
@@ -166,17 +169,15 @@ class MPCCongestNetwork(CongestNetwork):
             self._max_compress = options.compress
         self.alpha = alpha
         self.budget_words = memory_budget(self.n, alpha)
-        self.assignment = partition_vertices(graph, self.budget_words, seed=seed)
+        self.assignment = partition_vertices(
+            self.instance, self.budget_words, seed=seed
+        )
         self._host = self.assignment.machine_of
         self.machines = [
-            Machine(mid, self.budget_words)
-            for mid in range(self.assignment.num_machines)
+            Machine(mid, self.budget_words) for mid in range(self.num_machines)
         ]
-        for node_id, mid in enumerate(self._host):
-            self.machines[mid].charge(
-                1 + len(self._adjacency[node_id]),
-                what=f"vertex {self.label_of(node_id)!r} and its adjacency",
-            )
+        for machine, load in zip(self.machines, self.assignment.loads):
+            machine.charge(load, what="its vertices and their adjacency")
         self.runtime = MPCRuntime(self.machines, self.word_bits)
         self.runtime.fault_injector = options.fault_injector()
         # Frontier tables for round compression, built lazily on the first
@@ -1039,6 +1040,8 @@ def solve_mvc_mpc(
     MPC run.  Returns ``(DistributedCoverResult, mpc_payload)`` where the
     payload is the machine-side ledger (plus the parity report when
     requested, and the fault report under a fault plan).
+    ``graph`` must be connected, simple and undirected; other inputs raise
+    the typed errors of :mod:`repro.graphs.instance`.
     """
     from repro.core.mvc_congest import approx_mvc_square
 
@@ -1066,7 +1069,7 @@ def solve_mds_mpc(
 ):
     """Theorem 28 (O(log Delta)-MDS of G^2) compiled onto the MPC backend.
 
-    Takes and returns what :func:`solve_mvc_mpc` does, with the
+    Takes, returns and rejects what :func:`solve_mvc_mpc` does, with the
     estimator's ``samples`` in place of ``epsilon``.
     """
     from repro.core.mds_congest import approx_mds_square

@@ -40,6 +40,13 @@ class MemoryBudgetExceeded(RuntimeError):
     """
 
 
+def check_alpha(alpha: float) -> float:
+    """Return ``alpha`` if it is a memory exponent in ``(0, 2]``."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must be in (0, 2], got {alpha!r}")
+    return alpha
+
+
 def memory_budget(n: int, alpha: float) -> int:
     """Per-machine memory ``S = ceil(n^alpha)`` words, at least one.
 
@@ -56,9 +63,7 @@ def memory_budget(n: int, alpha: float) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha!r}")
-    raw = n ** alpha
+    raw = n ** check_alpha(alpha)
     nearest = round(raw)
     if nearest >= 1 and abs(raw - nearest) <= 4 * math.ulp(raw):
         return max(1, nearest)

@@ -40,14 +40,11 @@ from typing import Any
 
 import networkx as nx
 
-from repro.congest.message import payload_words, word_bits_for
+from repro.congest.message import payload_words
+from repro.graphs.instance import Instance
 from repro.mpc.machine import Machine, MachineProgram, memory_budget
 from repro.mpc.options import RunOptions
-from repro.mpc.partition import (
-    EDGE_WORDS,
-    canonical_ids,
-    partition_edges,
-)
+from repro.mpc.partition import EDGE_WORDS, partition_edges
 from repro.mpc.runtime import ENVELOPE_WORDS, MPCRunStats, MPCRuntime
 
 #: Message tags (small ints: one word in any network of >= 7 nodes).
@@ -297,8 +294,11 @@ def mpc_maximal_matching(
     ``seed``).  Deterministic for a fixed ``(graph, alpha, seed)`` —
     including the shuffle ledger at any ``workers`` (the process-parallel
     shard count, resolved from ``REPRO_MPC_WORKERS`` when omitted).
-    Raises :class:`~repro.mpc.machine.MemoryBudgetExceeded` when
-    ``alpha`` is too small for the edge partition or the phase traffic.
+    ``graph`` is validated as an :class:`~repro.graphs.instance.Instance`
+    (empty and non-simple graphs raise its typed errors); it may be
+    disconnected.  Raises :class:`~repro.mpc.machine.MemoryBudgetExceeded`
+    when ``alpha`` is too small for the edge partition or the phase
+    traffic.
     ``faults`` attaches the fault-injection plane with checkpointed crash
     recovery; the ledger and matching are unchanged by recovered faults.
     ``collector`` (a :class:`~repro.metrics.MetricsCollector`) observes
@@ -307,13 +307,10 @@ def mpc_maximal_matching(
     shuffle and worker-barrier timeline.
     """
     options = RunOptions(workers=workers, faults=faults, seed=seed)
-    if graph.number_of_nodes() == 0:
-        raise ValueError("graph must be non-empty")
-    n = graph.number_of_nodes()
+    instance = Instance(graph)
+    n, word_bits, label_of = instance.n, instance.word_bits, instance.labels
     budget = memory_budget(n, alpha)
-    word_bits = word_bits_for(n)
-    label_of, _ = canonical_ids(graph)
-    edges, assignment = partition_edges(graph, budget, seed=seed)
+    edges, assignment = partition_edges(instance, budget, seed=seed)
     tree_workers = assignment.num_machines
     machines = [Machine(mid, budget) for mid in range(tree_workers + 1)]
     io_budget = machines[_COORDINATOR].io_budget_words

@@ -1,8 +1,10 @@
 """Deterministic seeded partitioning of graph inputs across MPC machines.
 
 The partitioner answers one question: which machine holds which share of
-the input, under a per-machine budget of ``S`` words?  Two properties are
-non-negotiable because the sweep runner's parity contract rests on them:
+the input (a validated :class:`~repro.graphs.instance.Instance`, in its
+canonical ids) under a per-machine budget of ``S`` words?  Two properties
+are non-negotiable because the sweep runner's parity contract rests on
+them:
 
 * **determinism across processes** — assignments derive from SHA-256
   hashes via :func:`repro.sweep.spec.derive_seed` (never the builtin
@@ -24,25 +26,10 @@ import hashlib
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
-import networkx as nx
-
+from repro.graphs.instance import Instance
 from repro.mpc.machine import MemoryBudgetExceeded
 from repro.sweep.spec import derive_seed
-
-
-def canonical_ids(graph: nx.Graph) -> tuple[dict[int, Any], dict[Any, int]]:
-    """``(label_of, id_of)`` under the simulator's sorted-by-repr order.
-
-    The same ordering :class:`~repro.congest.network.CongestNetwork`
-    assigns, so MPC node identifiers agree with CONGEST identifiers on the
-    same graph.
-    """
-    ordering = sorted(graph.nodes, key=repr)
-    label_of = dict(enumerate(ordering))
-    id_of = {label: i for i, label in label_of.items()}
-    return label_of, id_of
 
 
 @dataclass(frozen=True)
@@ -130,7 +117,7 @@ def balanced_assignment(
 
 
 def partition_vertices(
-    graph: nx.Graph, budget_words: int, seed: int = 0
+    instance: Instance, budget_words: int, seed: int = 0
 ) -> Assignment:
     """Partition vertices (with their adjacency lists) across machines.
 
@@ -138,22 +125,8 @@ def partition_vertices(
     ``1 + deg(i)`` words (the id plus one word per incident edge
     endpoint), which is exactly what hosting the vertex costs.
     """
-    label_of, id_of = canonical_ids(graph)
-    weights = [
-        1 + graph.degree(label_of[i]) for i in range(graph.number_of_nodes())
-    ]
+    weights = [1 + len(neighbors) for neighbors in instance.adjacency]
     return balanced_assignment(weights, budget_words, seed=seed, what="vertex")
-
-
-def canonical_edges(graph: nx.Graph) -> tuple[tuple[int, int], ...]:
-    """Edges as sorted ``(u, v)`` id pairs in ascending order."""
-    _, id_of = canonical_ids(graph)
-    return tuple(
-        sorted(
-            tuple(sorted((id_of[u], id_of[v])))
-            for u, v in graph.edges
-        )
-    )
 
 
 #: Words one edge occupies on its host machine: the two endpoint ids.
@@ -161,16 +134,22 @@ EDGE_WORDS = 2
 
 
 def partition_edges(
-    graph: nx.Graph, budget_words: int, seed: int = 0
+    instance: Instance, budget_words: int, seed: int = 0
 ) -> tuple[tuple[tuple[int, int], ...], Assignment]:
     """Partition edges across machines; returns ``(edges, assignment)``.
 
-    Item ``i`` is ``edges[i]`` (canonical order); every edge weighs
+    Item ``i`` is ``edges[i]``, the canonical edge order: ``(u, v)`` id
+    pairs with ``u < v``, ascending.  Every edge weighs
     :data:`EDGE_WORDS` words.  With uniform weights the greedy reduces to
     a hash-shuffled round-robin, so the seed decides which machine sees
     which edges.
     """
-    edges = canonical_edges(graph)
+    edges = tuple(
+        (u, v)
+        for u, neighbors in enumerate(instance.adjacency)
+        for v in neighbors
+        if u < v
+    )
     assignment = balanced_assignment(
         [EDGE_WORDS] * len(edges), budget_words, seed=seed, what="edge"
     )

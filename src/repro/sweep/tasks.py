@@ -246,83 +246,94 @@ def _cell_graph(cell: Cell):
 # -- cover / dominating-set solvers ---------------------------------------
 
 
+def _solution_payload(
+    cell: Cell,
+    graph: Any,
+    problem: str,
+    result: Any,
+    collector: Any = None,
+    mpc: dict[str, Any] | None = None,
+    **extra: Any,
+) -> dict[str, Any]:
+    """Verify a solver's ``G^2`` solution and build the cell's payload.
+
+    ``problem`` is ``"mvc"`` (a vertex cover) or ``"mds"`` (a dominating
+    set).  An ``exact`` cell param adds the exact optimum and the ratio; a
+    collector adds its metrics document.  An MPC ledger rides under
+    ``mpc`` with its fault report moved top-level (matching
+    mpc-matching), keeping ``mpc`` the parity-compared ledger.
+    """
+    from repro.exact.dominating_set import minimum_dominating_set
+    from repro.exact.vertex_cover import minimum_vertex_cover
+    from repro.graphs.power import square
+    from repro.graphs.validation import (
+        assert_dominating_set,
+        assert_vertex_cover,
+    )
+
+    check, optimum = {
+        "mvc": (assert_vertex_cover, minimum_vertex_cover),
+        "mds": (assert_dominating_set, minimum_dominating_set),
+    }[problem]
+    sq = square(graph)
+    check(sq, result.cover)
+    payload: dict[str, Any] = {
+        "cover_size": len(result.cover),
+        **extra,
+        "stats": stats_to_json(result.stats),
+        "signature": signature_of(result.cover),
+    }
+    if mpc is not None:
+        payload["mpc"] = mpc
+        if "faults" in mpc:
+            payload["faults"] = mpc.pop("faults")
+    if collector is not None:
+        payload["metrics"] = collector.to_json()
+    if cell.param("exact"):
+        opt = len(optimum(sq))
+        payload["opt"] = opt
+        payload["ratio"] = len(result.cover) / opt
+    return payload
+
+
 @register_task("mvc-congest", graph_cache=True)
 def _mvc_congest(cell: Cell) -> dict[str, Any]:
     """Algorithm 1 ((1+eps)-MVC of G^2) on the CONGEST simulator."""
     from repro.core.mvc_congest import approx_mvc_square
-    from repro.graphs.power import square
-    from repro.graphs.validation import assert_vertex_cover
 
     eps = 0.5 if cell.eps is None else cell.eps
     graph = _cell_graph(cell)
     network, collector = _observed_congest(cell, graph)
     result = approx_mvc_square(graph, eps, network=network)
-    sq = square(graph)
-    assert_vertex_cover(sq, result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    if cell.param("exact"):
-        from repro.exact.vertex_cover import minimum_vertex_cover
-
-        opt = len(minimum_vertex_cover(sq))
-        payload["opt"] = opt
-        payload["ratio"] = len(result.cover) / opt
-    return payload
+    return _solution_payload(cell, graph, "mvc", result, collector)
 
 
 @register_task("mvc-clique-det", graph_cache=True)
 def _mvc_clique_det(cell: Cell) -> dict[str, Any]:
     """Deterministic congested-clique MVC (Theorem 24)."""
     from repro.core.mvc_clique import approx_mvc_square_clique_deterministic
-    from repro.graphs.power import square
-    from repro.graphs.validation import assert_vertex_cover
 
     eps = 0.5 if cell.eps is None else cell.eps
     graph = _cell_graph(cell)
     result = approx_mvc_square_clique_deterministic(
         graph, eps, seed=cell.seed, engine=cell.engine
     )
-    assert_vertex_cover(square(graph), result.cover)
-    return {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
+    return _solution_payload(cell, graph, "mvc", result)
 
 
 @register_task("mds-congest", graph_cache=True)
 def _mds_congest(cell: Cell) -> dict[str, Any]:
     """Theorem 28 (O(log Delta)-MDS of G^2) on the CONGEST simulator."""
     from repro.core.mds_congest import approx_mds_square
-    from repro.graphs.power import square
-    from repro.graphs.validation import assert_dominating_set
 
     graph = _cell_graph(cell)
     network, collector = _observed_congest(cell, graph)
     result = approx_mds_square(graph, network=network)
-    sq = square(graph)
-    assert_dominating_set(sq, result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "phases": result.detail["phases"],
-        "max_degree": max(d for _, d in graph.degree),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-    }
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    if cell.param("exact"):
-        from repro.exact.dominating_set import minimum_dominating_set
-
-        opt = len(minimum_dominating_set(sq))
-        payload["opt"] = opt
-        payload["ratio"] = len(result.cover) / opt
-    return payload
+    return _solution_payload(
+        cell, graph, "mds", result, collector,
+        phases=result.detail["phases"],
+        max_degree=max(d for _, d in graph.degree),
+    )
 
 
 @register_task("mds-estimator", graph_cache=True)
@@ -367,8 +378,6 @@ def _mpc_mvc(cell: Cell) -> dict[str, Any]:
     the same cell coordinates — at every ``compress`` — which is what
     ``bench_mpc.py`` checks.
     """
-    from repro.graphs.power import square
-    from repro.graphs.validation import assert_vertex_cover
     from repro.mpc.compile_congest import solve_mvc_mpc
 
     eps = 0.5 if cell.eps is None else cell.eps
@@ -386,27 +395,12 @@ def _mpc_mvc(cell: Cell) -> dict[str, Any]:
         workers=cell.param("mpc_workers"),
         faults=cell.param("faults"),
     )
-    assert_vertex_cover(square(graph), result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-        "mpc": mpc,
-    }
-    # The fault/recovery report rides top-level (matching mpc-matching),
-    # keeping "mpc" the parity-compared ledger.
-    if "faults" in mpc:
-        payload["faults"] = mpc.pop("faults")
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    return payload
+    return _solution_payload(cell, graph, "mvc", result, collector, mpc)
 
 
 @register_task("mpc-mds", graph_cache=True)
 def _mpc_mds(cell: Cell) -> dict[str, Any]:
     """Theorem 28 MDS compiled onto the MPC backend (see ``mpc-mvc``)."""
-    from repro.graphs.power import square
-    from repro.graphs.validation import assert_dominating_set
     from repro.mpc.compile_congest import solve_mds_mpc
 
     alpha = float(cell.param("alpha", 0.8))
@@ -422,19 +416,10 @@ def _mpc_mds(cell: Cell) -> dict[str, Any]:
         workers=cell.param("mpc_workers"),
         faults=cell.param("faults"),
     )
-    assert_dominating_set(square(graph), result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        "phases": result.detail["phases"],
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
-        "mpc": mpc,
-    }
-    if "faults" in mpc:
-        payload["faults"] = mpc.pop("faults")
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    return payload
+    return _solution_payload(
+        cell, graph, "mds", result, collector, mpc,
+        phases=result.detail["phases"],
+    )
 
 
 @register_task("mpc-matching", graph_cache=True)

@@ -7,11 +7,13 @@ from its expanded ``{target: payload}`` dictionary on every engine
 same messages.  These tests pin that contract from every angle the
 engines distinguish internally — trusted broadcasts, untrusted
 ``send_many`` targets, oversize payloads, invalid targets, duplicate
-targets, self-loop graphs, custom metering subclasses and the
-numpy-vectorized validation path.
+targets, self-loop graphs (rejected before any round), custom metering
+subclasses and the numpy-vectorized validation path.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -23,6 +25,8 @@ from repro.congest.message import BatchOutbox, payload_words
 from repro.congest.network import CongestNetwork
 from repro.congest.scheduler import MailboxRing
 from repro.graphs.generators import gnp_graph, path_graph, star_graph
+from repro.graphs.instance import NotSimpleGraphError
+from repro.mpc.compile_congest import MPCCongestNetwork
 
 ENGINES = ("v1", "v2")
 
@@ -230,11 +234,20 @@ class TestErrorParity:
             assert result.stats.max_words_per_edge_round > 4
 
 
-def test_self_loop_graph_broadcast_raises_everywhere():
+def test_self_loop_graph_rejected_at_construction_everywhere():
+    """A self-loop never reaches a round: every backend refuses the graph.
+
+    Trusted broadcasts can therefore skip the self-target check; untrusted
+    sends to self still raise "addressed itself" (``_SelfTarget`` above).
+    """
     graph = path_graph(4)
     graph.add_edge(1, 1)
-    message = raise_everywhere(graph, _BatchPing, ProtocolError)
-    assert "addressed itself" in message
+    builds = [partial(CongestNetwork, graph, engine=e) for e in ENGINES]
+    builds.append(partial(MPCCongestNetwork, graph, alpha=1.0))
+    for build in builds:
+        with pytest.raises(NotSimpleGraphError) as excinfo:
+            build()
+        assert str(excinfo.value) == NotSimpleGraphError.message
 
 
 class _DuplicateTargets(NodeAlgorithm):

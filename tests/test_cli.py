@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.mvc_congest import approx_mvc_square
+from repro.graphs.generators import build_graph
+from repro.mpc.compile_congest import solve_mvc_mpc
 
 
 class TestParser:
@@ -42,6 +46,47 @@ class TestMvcCommand:
         code = main(["mvc", "--n", "12", "--graph", kind])
         assert code == 0
         assert "cover=" in capsys.readouterr().out
+
+
+def _library_message(call) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+class TestBadValues:
+    """A bad value exits 2 with the message the Python entry point raises."""
+
+    @pytest.mark.parametrize(
+        "argv, library_call",
+        [
+            (["mvc", "--n", "0"], lambda: build_graph("gnp", 0)),
+            (["mds", "--n", "0"], lambda: build_graph("gnp", 0)),
+            (
+                ["mvc", "--eps", "0"],
+                lambda: approx_mvc_square(nx.path_graph(3), 0.0),
+            ),
+            (
+                ["mvc", "--model", "mpc", "--alpha", "0"],
+                lambda: solve_mvc_mpc(nx.path_graph(3), 0.5, alpha=0.0),
+            ),
+            (
+                ["mvc", "--model", "mpc", "--alpha", "3"],
+                lambda: solve_mvc_mpc(nx.path_graph(3), 0.5, alpha=3.0),
+            ),
+            (
+                ["mvc", "--graph", "path", "--n", "0"],
+                lambda: approx_mvc_square(nx.Graph(), 0.5),
+            ),
+        ],
+        ids=["mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path"],
+    )
+    def test_exits_2_with_library_message(self, argv, library_call, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {_library_message(library_call)}\n"
+        assert captured.out == ""
 
 
 class TestMdsCommand:

@@ -50,7 +50,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def _word_bits(n: int = 16) -> int:
-    from repro.congest.network import word_bits_for
+    from repro.congest.message import word_bits_for
 
     return word_bits_for(n)
 

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from repro.graphs.generators import build_graph
+from repro.graphs.instance import Instance
 from repro.mpc.partition import partition_edges, partition_vertices
 from repro.sweep import run_sweep
 from repro.sweep.grids import mpc_smoke_grid, named_grid
@@ -22,9 +23,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _digests(n: int = 20, seed: int = 5) -> tuple[str, str]:
-    graph = build_graph("gnp", n, seed=seed)
-    vertices = partition_vertices(graph, budget_words=12, seed=seed)
-    _, edges = partition_edges(graph, budget_words=12, seed=seed)
+    instance = Instance(build_graph("gnp", n, seed=seed))
+    vertices = partition_vertices(instance, budget_words=12, seed=seed)
+    _, edges = partition_edges(instance, budget_words=12, seed=seed)
     return vertices.digest(), edges.digest()
 
 
@@ -53,9 +54,9 @@ class TestCrossProcessDeterminism:
         assert _digests() == _digests()
 
     def test_different_seeds_reshape_the_partition(self):
-        graph = build_graph("gnp", 24, seed=2)
-        a = partition_vertices(graph, budget_words=16, seed=1)
-        b = partition_vertices(graph, budget_words=16, seed=2)
+        instance = Instance(build_graph("gnp", 24, seed=2))
+        a = partition_vertices(instance, budget_words=16, seed=1)
+        b = partition_vertices(instance, budget_words=16, seed=2)
         # Equal-weight vertices are hash-shuffled per seed; identical
         # assignments for every seed would mean the seed is ignored.
         assert a.digest() != b.digest()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.congest.errors import RoundLimitError
 from repro.graphs.generators import build_graph, path_graph, star_graph
+from repro.graphs.instance import Instance
 from repro.mpc.machine import (
     Machine,
     MachineProgram,
@@ -16,7 +17,6 @@ from repro.mpc.machine import (
 )
 from repro.mpc.partition import (
     balanced_assignment,
-    canonical_ids,
     partition_edges,
     partition_vertices,
 )
@@ -118,8 +118,9 @@ class TestGraphPartitions:
     def test_vertex_weights_are_adjacency_sizes(self):
         graph = star_graph(8)  # one hub of degree 7
         budget = 10
-        assignment = partition_vertices(graph, budget, seed=0)
-        _, id_of = canonical_ids(graph)
+        instance = Instance(graph)
+        assignment = partition_vertices(instance, budget, seed=0)
+        id_of = instance.id_of
         hub = max(id_of.values(), key=lambda i: len(list(graph.edges)))
         assert max(assignment.loads) <= budget
         # hub weighs 1 + 7 = 8 words; leaves 1 + 1 = 2.
@@ -127,11 +128,15 @@ class TestGraphPartitions:
 
     def test_high_degree_vertex_fails_small_budget(self):
         with pytest.raises(MemoryBudgetExceeded):
-            partition_vertices(star_graph(20), budget_words=5, seed=0)
+            partition_vertices(
+                Instance(star_graph(20)), budget_words=5, seed=0
+            )
 
     def test_edges_cover_every_edge_once(self):
         graph = build_graph("gnp", 24, seed=3)
-        edges, assignment = partition_edges(graph, budget_words=8, seed=3)
+        edges, assignment = partition_edges(
+            Instance(graph), budget_words=8, seed=3
+        )
         assert len(edges) == graph.number_of_edges()
         assert len(assignment.machine_of) == len(edges)
         assert max(assignment.loads) <= 8
