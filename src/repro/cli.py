@@ -473,15 +473,11 @@ def _alpha(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"{text!r} is not a number") from None
-    if value <= 0:
-        raise ValueError(
-            f"values must be positive memory exponents, got {text}"
-        )
-    return value
+    return check_alpha(value)
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    """``--alphas``: positive floats (memory exponents), deduped, ordered."""
+    """``--alphas``: memory exponents ``check_alpha`` accepts, deduped."""
     return _parse_axis(text, "--alphas", _alpha)
 
 
@@ -907,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated memory exponents for --model mpc "
         "(one grid expansion per alpha; duplicates dropped, values must "
-        "be positive; default 0.8)",
+        "be in (0, 2]; default 0.8)",
     )
     sweep.add_argument(
         "--compress",

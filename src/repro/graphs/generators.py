@@ -176,8 +176,10 @@ def build_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> nx.
     spec names a kind from :data:`GRAPH_KINDS` and this function turns it
     into a concrete connected graph.  ``p`` overrides the edge probability
     for ``gnp`` (default ``min(0.3, 5/n)``, the sparse regime used across
-    the benchmarks).
+    the benchmarks).  Every kind rejects ``n < 1``.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if kind == "gnp":
         if p is None:
             p = min(0.3, 5.0 / max(n, 2))

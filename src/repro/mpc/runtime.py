@@ -3,20 +3,19 @@
 :class:`MPCRuntime` is the machine-level analogue of the CONGEST engines:
 it executes :class:`~repro.mpc.machine.MachineProgram` instances in
 synchronous rounds, where each round's messages cross one global
-**shuffle**.  The shuffle is the metered object: per round it accounts
-every message's words (one envelope word plus the payload's
-:func:`~repro.congest.message.payload_words` cost), tracks each machine's
-sent and received load, folds the maxima into
-:class:`MPCRunStats` (the ``RunStats``-style aggregate, including the
-``__add__``-with-matching-word-size contract), and enforces the model's
-O(S) per-round I/O bound against every machine's
-``io_budget_words`` — a violation raises
-:class:`~repro.mpc.machine.MemoryBudgetExceeded` naming the machine.
+**shuffle**.  The shuffle is the metered object: per round it takes each
+machine's sent and received words, enforces the model's O(S) per-round
+I/O bound against every machine's ``io_budget_words`` — a violation
+raises :class:`~repro.mpc.machine.MemoryBudgetExceeded` naming the
+machine — and folds the round into :class:`MPCRunStats` (the
+``RunStats``-style aggregate, including the
+``__add__``-with-matching-word-size contract).
 
-The CONGEST round-compiler (:mod:`repro.mpc.compile_congest`) drives the
-shuffle directly — one CONGEST round per shuffle — while native MPC
-workloads (:mod:`repro.mpc.matching`) run whole programs through
-:meth:`MPCRuntime.run`.
+Native MPC workloads (:mod:`repro.mpc.matching`) run whole programs
+through :meth:`MPCRuntime.run`, whose :meth:`~MPCRuntime.route` costs and
+delivers every message; the CONGEST round-compiler
+(:mod:`repro.mpc.compile_congest`) hands its planner's sums to
+:meth:`~MPCRuntime.shuffle` directly.
 """
 
 from __future__ import annotations
@@ -186,29 +185,26 @@ class MPCRuntime:
 
     def shuffle(
         self,
-        outboxes: Sequence[Iterable[tuple[Any, ...]] | None],
+        in_words: Sequence[int],
+        out_words: Sequence[int],
+        messages: int,
         active: int | None = None,
         congest_rounds: int = 1,
-        costed: bool = False,
-    ) -> list[list[tuple[int, Any]]]:
-        """Execute one metered shuffle round.
+    ) -> None:
+        """Meter one shuffle round from its per-machine loads.
 
-        ``outboxes[mid]`` holds machine ``mid``'s ``(dest, payload)``
-        messages (or ``None``).  Returns ``inboxes`` where
-        ``inboxes[mid]`` lists ``(sender_mid, payload)`` pairs ordered by
-        sender machine, then send order — deterministic regardless of how
-        callers built their outboxes.  Word accounting and the per-machine
-        I/O budget check happen here; budget violations raise
-        :class:`MemoryBudgetExceeded` before any message is delivered.
-
-        With ``costed`` every message is a ``(dest, payload, words)``
-        triple whose ``words`` is its full cost, envelope included, as
-        the caller already metered it (the CONGEST compiler carries the
-        round kernel's counts); otherwise each payload is walked here.
-
-        ``congest_rounds`` records how many CONGEST rounds this shuffle
-        carries in the ledger (1 classically; the compressed compiler
-        passes the window length ``k`` for its prefetch shuffle).
+        ``in_words[mid]`` / ``out_words[mid]`` are the words machine
+        ``mid`` receives / sends and ``messages`` counts the messages
+        crossing machines, as the caller summed them (:meth:`route`, or
+        the CONGEST compiler's window planner).  In order: the fault
+        injector's memory-pressure hook fires; each machine's send, then
+        receive, load is checked against its ``io_budget_words`` in
+        machine order (a violation raises :class:`MemoryBudgetExceeded`
+        and leaves the ledger untouched); the stats fold the round; its
+        :class:`ShuffleRecord` lands on the trace and goes to
+        ``on_shuffle``; the tracer records the span.  ``congest_rounds``
+        is the CONGEST rounds the shuffle carries (1 classically, the
+        window length ``k`` for a compressed window's prefetch shuffle).
         """
         if congest_rounds < 1:
             raise ValueError("congest_rounds must be positive")
@@ -216,53 +212,19 @@ class MPCRuntime:
             self.fault_injector.before_shuffle(self)
         tracer = self.tracer
         shuffle_start = tracer.now_ns() if tracer is not None else 0
-        m = self.num_machines
-        if len(outboxes) != m:
-            raise ValueError(
-                f"expected {m} outboxes, got {len(outboxes)}"
-            )
-        word_bits = self.word_bits
-        in_words = [0] * m
-        out_words = [0] * m
-        inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(m)]
-        messages = 0
-        words_total = 0
-        for sender, outbox in enumerate(outboxes):
-            if not outbox:
-                continue
-            sent = 0
-            for message in outbox:
-                if costed:
-                    dest, payload, words = message
-                else:
-                    dest, payload = message
-                    words = ENVELOPE_WORDS + payload_words(payload, word_bits)
-                if not isinstance(dest, int) or not 0 <= dest < m:
-                    raise ValueError(
-                        f"machine {sender} addressed invalid machine "
-                        f"{dest!r} (have {m} machines)"
-                    )
-                sent += words
-                in_words[dest] += words
-                messages += 1
-                inboxes[dest].append((sender, payload))
-            out_words[sender] += sent
-            words_total += sent
         for mid, machine in enumerate(self.machines):
-            if out_words[mid] > machine.io_budget_words:
-                raise MemoryBudgetExceeded(
-                    f"machine {mid} sent {out_words[mid]} words in round "
-                    f"{self.stats.rounds + 1} but the per-round I/O budget "
-                    f"is {machine.io_budget_words} words (O(S) with "
-                    f"S={machine.budget_words})"
-                )
-            if in_words[mid] > machine.io_budget_words:
-                raise MemoryBudgetExceeded(
-                    f"machine {mid} received {in_words[mid]} words in round "
-                    f"{self.stats.rounds + 1} but the per-round I/O budget "
-                    f"is {machine.io_budget_words} words (O(S) with "
-                    f"S={machine.budget_words})"
-                )
+            budget = machine.io_budget_words
+            for verb, words in (
+                ("sent", out_words[mid]), ("received", in_words[mid])
+            ):
+                if words > budget:
+                    raise MemoryBudgetExceeded(
+                        f"machine {mid} {verb} {words} words in round "
+                        f"{self.stats.rounds + 1} but the per-round I/O "
+                        f"budget is {budget} words (O(S) with "
+                        f"S={machine.budget_words})"
+                    )
+        words_total = sum(out_words)
         max_in = max(in_words)
         max_out = max(out_words)
         stats = self.stats
@@ -278,7 +240,7 @@ class MPCRuntime:
             words=words_total,
             max_in_words=max_in,
             max_out_words=max_out,
-            active_machines=m if active is None else active,
+            active_machines=self.num_machines if active is None else active,
             congest_rounds=congest_rounds,
         )
         self.trace.append(record)
@@ -296,6 +258,41 @@ class MPCRuntime:
                 congest_rounds=congest_rounds,
                 active=record.active_machines,
             )
+
+    def route(
+        self,
+        outboxes: Sequence[Iterable[tuple[int, Any]] | None],
+        active: int | None = None,
+    ) -> list[list[tuple[int, Any]]]:
+        """Deliver native programs' messages through one :meth:`shuffle`.
+
+        ``outboxes[mid]`` holds machine ``mid``'s ``(dest, payload)``
+        messages (or ``None``); each costs ``ENVELOPE_WORDS`` plus its
+        payload's :func:`~repro.congest.message.payload_words`.  Returns
+        ``inboxes``: ``inboxes[mid]`` lists ``(sender_mid, payload)``
+        pairs by sender machine, then send order, and nothing is
+        delivered when the shuffle raises.
+        """
+        m = self.num_machines
+        if len(outboxes) != m:
+            raise ValueError(f"expected {m} outboxes, got {len(outboxes)}")
+        word_bits = self.word_bits
+        in_words = [0] * m
+        out_words = [0] * m
+        inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(m)]
+        for sender, outbox in enumerate(outboxes):
+            for dest, payload in outbox or ():
+                if not isinstance(dest, int) or not 0 <= dest < m:
+                    raise ValueError(
+                        f"machine {sender} addressed invalid machine "
+                        f"{dest!r} (have {m} machines)"
+                    )
+                words = ENVELOPE_WORDS + payload_words(payload, word_bits)
+                out_words[sender] += words
+                in_words[dest] += words
+                inboxes[dest].append((sender, payload))
+        messages = sum(map(len, inboxes))
+        self.shuffle(in_words, out_words, messages, active=active)
         return inboxes
 
     def absorb_early_finish(self, unexecuted_rounds: int) -> None:
@@ -368,7 +365,7 @@ class MPCRuntime:
                     f"({alive} machines alive)"
                 )
             live = sum(1 for prog in programs if not prog.done)
-            inboxes = self.shuffle(outboxes, active=live)
+            inboxes = self.route(outboxes, active=live)
             outboxes = [None] * self.num_machines
             for mid, prog in enumerate(programs):
                 if prog.done:
@@ -378,7 +375,7 @@ class MPCRuntime:
         # straight from on_start) must still cross one metered shuffle —
         # the loop above only shuffles while someone is live.
         if any(outboxes):
-            self.shuffle(outboxes, active=0)
+            self.route(outboxes, active=0)
         return self._finish_run(programs, trace_start)
 
     def _run_parallel(
@@ -390,8 +387,8 @@ class MPCRuntime:
         """The machine-parallel twin of :meth:`run`'s serial loop.
 
         Programs execute on forked shard workers; the parent keeps the
-        done-set, shuffles every round's outboxes through its own metered
-        :meth:`shuffle` (so budget violations on the shuffle raise here,
+        done-set, routes every round's outboxes through its own metered
+        :meth:`route` (so budget violations on the shuffle raise here,
         identically to serial), and re-raises worker-side typed errors —
         smallest machine id first, the order the serial loop fails in.
         After the run the workers' final program objects are mirrored back
@@ -429,7 +426,7 @@ class MPCRuntime:
                         f"({m - len(done)} machines alive)"
                     )
                 live = m - len(done)
-                inboxes = self.shuffle(outboxes, active=live)
+                inboxes = self.route(outboxes, active=live)
                 outboxes = [None] * m
                 tasks = [
                     (
@@ -444,7 +441,7 @@ class MPCRuntime:
                 ]
                 absorb(pool.step(tasks))
             if any(outboxes):
-                self.shuffle(outboxes, active=0)
+                self.route(outboxes, active=0)
             for frag in pool.step_all(("finalize", None)):
                 for mid, worker_prog in frag["programs"]:
                     prog = programs[mid]

@@ -76,7 +76,7 @@ class TestBadValues:
             ),
             (
                 ["mvc", "--graph", "path", "--n", "0"],
-                lambda: approx_mvc_square(nx.Graph(), 0.5),
+                lambda: build_graph("path", 0),
             ),
         ],
         ids=["mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path"],
@@ -207,8 +207,9 @@ class TestAlphasParsing:
     def test_nonpositive_alpha_rejected(self):
         from repro.cli import _parse_alphas
 
-        for bad in ("0", "-0.5", "0.8,0"):
-            with pytest.raises(SystemExit, match="positive"):
+        message = r"alpha must be in \(0, 2\]"
+        for bad in ("0", "-0.5", "0.8,0", "3"):
+            with pytest.raises(SystemExit, match=message):
                 _parse_alphas(bad)
 
     def test_non_numeric_alpha_rejected(self):

@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.graphs.generators import (
+    GRAPH_KINDS,
+    build_graph,
     caterpillar,
     cluster_graph,
     cycle_graph,
@@ -20,6 +22,13 @@ from repro.graphs.generators import (
     workload_suite,
 )
 from repro.graphs.validation import WEIGHT
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+def test_build_graph_rejects_nonpositive_n(kind, n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        build_graph(kind, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])

@@ -365,7 +365,14 @@ class TestWindowPlannerCaches:
         )
         approx_mvc_square(graph, 0.5, network=net)  # populate the caches
         for radius in range(1, 4):
-            watchers = net._watchers_at(radius)
+            # Cumulative watchers: every machine within ``radius`` hops.
+            watchers = [
+                [
+                    mid for mid, dist in enumerate(net._hop_dist)
+                    if dist.get(node, radius + 1) <= radius
+                ]
+                for node in range(net.n)
+            ]
             for node in range(net.n):
                 union: list[int] = []
                 for r in range(radius + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.network import CongestNetwork
 from repro.core.estimation import EstimationStage
 from repro.core.mds_congest import GlobalOrAlgorithm, WinnerAlgorithm
@@ -29,6 +30,8 @@ from repro.mpc.compile_congest import (
     solve_with_parity,
 )
 from repro.mpc.machine import MemoryBudgetExceeded
+from repro.mpc.options import RunOptions
+from repro.mpc.parallel import fork_available
 from repro.sweep import Cell, GridSpec, run_sweep
 
 
@@ -165,6 +168,71 @@ class TestMachineLedger:
         graph = gnp_graph(24, 0.2, seed=2)
         with pytest.raises(MemoryBudgetExceeded):
             MPCCongestNetwork(graph, alpha=0.3, seed=2)
+
+
+class _Ping(NodeAlgorithm):
+    """One-word broadcast, then halt: one cheap shuffle per run."""
+
+    def on_start(self):
+        return self.broadcast(1)
+
+    def on_round(self, inbox):
+        self.finish()
+
+
+class _Burst(NodeAlgorithm):
+    """The hub (or every leaf) of a star broadcasts eight words at start."""
+
+    def __init__(self, node, hub_sends):
+        super().__init__(node)
+        self.hub_sends = hub_sends
+
+    def on_start(self):
+        if (self.node.degree > 1) == self.hub_sends:
+            return self.broadcast(tuple(range(8)))
+        return None
+
+    def on_round(self, inbox):
+        self.finish()
+
+
+class TestShuffleBudgetText:
+    """A shuffle over the I/O budget names the machine, words and round.
+
+    Star on 20 nodes at ``alpha = 1``: ``S = 20``, so the hub (20 words
+    hosted) fills machine 0 alone and the 19 leaves share two more
+    machines; the I/O budget is ``8 S = 160`` words.  Two cheap runs
+    first put two shuffles on the ledger, then 19 eight-word envelopes
+    (3 head words + 8 payload words each, 209 words) leave or reach the
+    hub's machine in shuffle 3.  At ``compress=4`` the planner cannot fit
+    even ``k = 2`` and falls back to the classical shuffle, which raises
+    the same text.
+    """
+
+    @pytest.mark.parametrize(
+        "workers", (1, 2) if fork_available() else (1,)
+    )
+    @pytest.mark.parametrize("compress", (1, 4))
+    @pytest.mark.parametrize(
+        "hub_sends, verb", ((True, "sent"), (False, "received"))
+    )
+    def test_violation_text_pinned(self, compress, workers, hub_sends, verb):
+        net = MPCCongestNetwork(
+            build_graph("star", 20), alpha=1.0, seed=0,
+            options=RunOptions(compress, workers),
+        )
+        assert net.assignment.loads == (20, 20, 18)
+        net.run(_Ping)
+        net.run(_Ping)
+        with pytest.raises(MemoryBudgetExceeded) as info:
+            net.run(lambda v: _Burst(v, hub_sends))
+        assert str(info.value) == (
+            f"machine 0 {verb} 209 words in round 3 but the per-round I/O "
+            f"budget is 160 words (O(S) with S=20)"
+        )
+        assert net.runtime.stats.rounds == 2
+        assert len(net.runtime.trace) == 2
+        assert all(r.congest_rounds == 1 for r in net.runtime.trace)
 
 
 class TestSweepCapture:

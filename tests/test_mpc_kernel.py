@@ -3,10 +3,11 @@
 Engine v2 and the compiled MPC backend (serial and shard-parallel) run
 every CONGEST round on the same :class:`~repro.congest.engine.RoundKernel`,
 and the compiler carries each batch's metered word count into the window
-planner and the shuffle instead of walking payloads again.  These tests
-pin both halves: the per-round ``awake`` stream is the same on every
-backend, and the carried costs reproduce, word for word, the ledger that
-walking every shuffled envelope with ``payload_words`` gives.
+planner, which sums every shuffle's loads without walking payloads
+again.  These tests pin both halves: the per-round ``awake`` stream is
+the same on every backend, and the carried costs reproduce, word for
+word, the ledger that routing every shipped envelope through a reference
+runtime — each payload walked with ``payload_words`` — gives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.graphs.generators import gnp_graph
 from repro.mpc.compile_congest import MPCCongestNetwork
 from repro.mpc.options import RunOptions
 from repro.mpc.parallel import fork_available
-from repro.mpc.runtime import ENVELOPE_WORDS, MPCRuntime
+from repro.mpc.runtime import MPCRuntime
 
 GRID_WORKERS = (1, 2) if fork_available() else (1,)
 
@@ -70,48 +71,88 @@ def test_awake_stream_identical_on_v2_and_mpc(problem):
         assert _stream(events) == expected, (compress, workers)
 
 
+class _WindowRuntime(MPCRuntime):
+    """A reference runtime whose routed shuffle carries a window length."""
+
+    window = 1
+
+    def shuffle(self, in_words, out_words, messages, active=None,
+                congest_rounds=1):
+        super().shuffle(
+            in_words, out_words, messages, active=active,
+            congest_rounds=self.window,
+        )
+
+
+def _watchers(net, radius):
+    """Per node: every machine within ``radius`` hops, its host included."""
+    if radius == 0:
+        return [(host,) for host in net._host]
+    return [
+        tuple(
+            mid for mid, dist in enumerate(net._hop_dist)
+            if dist.get(u, radius + 1) <= radius
+        )
+        for u in range(net.n)
+    ]
+
+
+def _walked_outboxes(net, sends, window):
+    """The envelopes a ``window``-round shuffle ships, as plain messages.
+
+    Each foreign machine within ``window - 1`` hops of a node gets its
+    state (id plus adjacency), and a copy of every pending message
+    addressed to it; messages between co-hosted nodes stay local.
+    """
+    host = net._host
+    watchers = _watchers(net, window - 1)
+    outboxes = [[] for _ in range(net.num_machines)]
+    for u in range(net.n):
+        for mid in watchers[u]:
+            if mid != host[u]:
+                outboxes[host[u]].append((mid, (u,) + net._adjacency[u]))
+    for sender, targets, payload, _words in sends:
+        for target in targets:
+            for mid in watchers[target]:
+                if mid != host[sender]:
+                    outboxes[host[sender]].append(
+                        (mid, (sender, target, payload))
+                    )
+    return outboxes
+
+
 @pytest.mark.parametrize("compress, workers", GRID)
 def test_carried_costs_equal_walked_ledger(monkeypatch, compress, workers):
     """Every shuffle the compiler issues, re-metered by walking payloads."""
-    walked: dict[int, MPCRuntime] = {}
+    walked: dict[int, _WindowRuntime] = {}
     entries = 0
-    real_shuffle = MPCRuntime.shuffle
+    real_open = MPCCongestNetwork.open_window
     real_absorb = MPCRuntime.absorb_early_finish
 
     def reference_for(runtime):
         if id(runtime) not in walked:
             # The shuffle only reads machine budgets, so sharing them is safe.
-            walked[id(runtime)] = MPCRuntime(runtime.machines, runtime.word_bits)
+            walked[id(runtime)] = _WindowRuntime(
+                runtime.machines, runtime.word_bits
+            )
         return walked[id(runtime)]
 
-    def checked_shuffle(self, outboxes, active=None, congest_rounds=1,
-                        costed=False):
+    def checked_open(self, sends, done):
         nonlocal entries
-        assert costed, "the compiler must hand the shuffle carried costs"
-        plain = []
-        for outbox in outboxes:
-            box = []
-            for dest, payload, words in outbox or ():
-                assert words == ENVELOPE_WORDS + payload_words(
-                    payload, self.word_bits
-                )
-                box.append((dest, payload))
-                entries += 1
-            plain.append(box)
-        real_shuffle(
-            reference_for(self), plain, active=active,
-            congest_rounds=congest_rounds,
-        )
-        return real_shuffle(
-            self, outboxes, active=active, congest_rounds=congest_rounds,
-            costed=costed,
-        )
+        window = real_open(self, sends, done)
+        outboxes = _walked_outboxes(self, sends, window)
+        entries += sum(map(len, outboxes))
+        reference = reference_for(self.runtime)
+        reference.window = window
+        live = {self._host[nid] for nid in range(self.n) if nid not in done}
+        reference.route(outboxes, active=len(live))
+        return window
 
     def mirrored_absorb(self, unexecuted_rounds):
         real_absorb(reference_for(self), unexecuted_rounds)
         return real_absorb(self, unexecuted_rounds)
 
-    monkeypatch.setattr(MPCRuntime, "shuffle", checked_shuffle)
+    monkeypatch.setattr(MPCCongestNetwork, "open_window", checked_open)
     monkeypatch.setattr(MPCRuntime, "absorb_early_finish", mirrored_absorb)
 
     graph = gnp_graph(16, 0.25, seed=7)

@@ -163,7 +163,7 @@ class TestRuntime:
     def test_shuffle_word_accounting(self):
         machines = [Machine(i, 100) for i in range(3)]
         runtime = MPCRuntime(machines, word_bits=5)
-        inboxes = runtime.shuffle(
+        inboxes = runtime.route(
             [[(1, 7)], [(2, (1, 2, 3))], None]
         )
         # message 0->1: envelope + one small int = 2 words;
@@ -181,26 +181,44 @@ class TestRuntime:
         machines = [Machine(0, 100), Machine(1, 2, io_factor=1.0)]
         runtime = MPCRuntime(machines, word_bits=5)
         with pytest.raises(MemoryBudgetExceeded, match="received"):
-            runtime.shuffle([[(1, (1, 2, 3, 4))], None])
+            runtime.route([[(1, (1, 2, 3, 4))], None])
 
     def test_shuffle_send_budget_enforced(self):
         machines = [Machine(i, 2, io_factor=1.0) for i in range(3)]
         runtime = MPCRuntime(machines, word_bits=5)
         with pytest.raises(MemoryBudgetExceeded, match="sent"):
-            runtime.shuffle([[(1, 1), (2, 1)], None, None])
+            runtime.route([[(1, 1), (2, 1)], None, None])
 
     def test_budget_violation_delivers_nothing(self):
         machines = [Machine(i, 2, io_factor=1.0) for i in range(2)]
         runtime = MPCRuntime(machines, word_bits=5)
         with pytest.raises(MemoryBudgetExceeded):
-            runtime.shuffle([[(1, (1, 2, 3, 4))], None])
+            runtime.route([[(1, (1, 2, 3, 4))], None])
         assert runtime.stats.messages == 0
         assert runtime.stats.rounds == 0
 
     def test_invalid_destination_rejected(self):
         runtime = MPCRuntime([Machine(0, 10)], word_bits=4)
         with pytest.raises(ValueError, match="invalid machine"):
-            runtime.shuffle([[(3, 1)]])
+            runtime.route([[(3, 1)]])
+
+    def test_shuffle_meters_given_loads(self):
+        machines = [Machine(i, 100) for i in range(3)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        runtime.shuffle([0, 6, 4], [10, 0, 0], 3, active=2, congest_rounds=2)
+        assert runtime.stats.to_json() == {
+            "rounds": 1, "shuffles": 1, "congest_rounds": 2, "messages": 3,
+            "total_words": 10, "max_in_words": 6, "max_out_words": 10,
+            "word_bits": 5,
+        }
+        assert runtime.trace[0].active_machines == 2
+
+    def test_shuffle_checks_send_before_receive(self):
+        machines = [Machine(i, 2, io_factor=1.0) for i in range(2)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        with pytest.raises(MemoryBudgetExceeded, match="machine 0 sent 3"):
+            runtime.shuffle([3, 3], [3, 3], 2)
+        assert not runtime.trace
 
     def test_program_run_collects_outputs(self):
         machines = [Machine(i, 100) for i in range(3)]
