@@ -137,7 +137,7 @@ class NodeAlgorithm:
         results and metering, but costs O(1) to build and, on the activity
         engine, O(1) to meter.
         """
-        return BatchOutbox(self.node.neighbors, payload, trusted=True)
+        return BatchOutbox(self.node.neighbors, payload, True)
 
     def send_many(self, targets: Iterable[int], payload: Any) -> BatchOutbox:
         """Outbox sending ``payload`` to each of ``targets`` (batched form).
@@ -147,5 +147,4 @@ class NodeAlgorithm:
         order).  Duplicate targets are metered per occurrence, like two
         same-edge messages in one round.
         """
-        targets = tuple(targets)
-        return BatchOutbox(targets, payload, trusted=False)
+        return BatchOutbox(tuple(targets), payload, False)

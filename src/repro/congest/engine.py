@@ -12,11 +12,14 @@
   (:meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake`) are invoked,
   inbox buffers are reused via :class:`~repro.congest.scheduler.MailboxRing`,
   metering caches :func:`~repro.congest.message.payload_words` per payload
-  shape on the network, and a :class:`~repro.congest.message.BatchOutbox`
+  value on the network, and a :class:`~repro.congest.message.BatchOutbox`
   is metered with one word-cost computation, one strictness check and an
-  O(1) statistics update (untrusted targets validated with numpy when
-  available).  A recording kernel also returns each round's sends already
-  metered, as ``(sender, targets, payload, words)`` batches.
+  O(1) statistics update.  Trusted broadcasts are metered and delivered
+  inline in the kernel's invocation loop; ``MailboxRing.post_batch`` only
+  serves untrusted ``send_many`` batches (targets validated with numpy when
+  available) and shard delivery.  A recording kernel also returns each
+  round's sends already metered, as ``(sender, targets, payload, words)``
+  batches.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -92,8 +95,9 @@ Only ``"v1"`` and ``"v2"`` are accepted; the MPC backend ignores both.
 
 from __future__ import annotations
 
+import math
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.congest.errors import RoundLimitError
@@ -119,10 +123,10 @@ DEFAULT_ENGINE = "v2"
 #: The selectable engines: the reference loop and the activity-scheduled one.
 ENGINES = ("v1", "v2")
 
-#: Sentinel for payloads whose word cost cannot be cached by value.
-_UNCACHEABLE = object()
+#: Payload types whose word cost :func:`_word_cost` caches by value.
+_CACHEABLE = frozenset((type(None), int, str, bool))
 
-#: Safety valve: drop the payload-shape cache if a pathological workload
+#: Safety valve: drop the word-cost cache if a pathological workload
 #: keeps minting distinct payload values.
 _CACHE_LIMIT = 1 << 16
 
@@ -285,22 +289,25 @@ def drive(
                 window.close_window(length, length - remaining)
 
 
-def _payload_cache_key(payload: Any) -> Any:
-    """Value key for the word-cost cache, or :data:`_UNCACHEABLE`.
+def _word_cost(cache: dict[Any, int], payload: Any, word_bits: int) -> int:
+    """``payload_words`` through the network's value-keyed cost cache.
 
     Value-keyed caching is only sound when equal values imply equal costs.
     Floats break that (``1 == 1.0`` but an int costs one word, a float
-    two), so only ``None``/``int``/``bool``/``str`` scalars and flat tuples
-    of those are cached; everything else is recomputed.
+    two), so only scalars of the exact types in :data:`_CACHEABLE` and
+    flat tuples of them are cached; everything else is recomputed.
     """
-    if payload is None or isinstance(payload, (int, str)):
-        return payload
-    if type(payload) is tuple:
-        for item in payload:
-            if item is not None and not isinstance(item, (int, str)):
-                return _UNCACHEABLE
-        return payload
-    return _UNCACHEABLE
+    kind = type(payload)
+    if kind in _CACHEABLE or (
+        kind is tuple and all(map(_CACHEABLE.__contains__, map(type, payload)))
+    ):
+        words = cache.get(payload)
+        if words is None:
+            if len(cache) >= _CACHE_LIMIT:
+                cache.clear()
+            words = cache[payload] = payload_words(payload, word_bits)
+        return words
+    return payload_words(payload, word_bits)
 
 
 #: Untrusted batches at least this long are validated with numpy (when
@@ -343,7 +350,7 @@ class RoundKernel:
         self.stats = stats
         self.node_ids = range(network.n) if node_ids is None else node_ids
         self.ring = MailboxRing(network.n)
-        self.scheduler = ActivityScheduler(len(self.node_ids))
+        self.scheduler = ActivityScheduler()
         self._post = node_ids is None
         self._owned = None if node_ids is None else frozenset(node_ids)
         self._record = record
@@ -356,64 +363,93 @@ class RoundKernel:
 
     def start(self) -> None:
         """Round 0: every node's ``on_start``, in ascending id order."""
-        self._begin()
-        algorithms = self.algorithms
-        scheduler = self.scheduler
-        finished = self.finished
-        collect = self._collect
-        node_id = None
-        try:
-            for node_id in self.node_ids:
-                alg = algorithms[node_id]
-                outbox = alg.on_start()
-                if outbox:
-                    collect(node_id, outbox)
-                if alg.done:
-                    scheduler.node_finished()
-                    finished.append(node_id)
-                elif alg.wants_wake():
-                    scheduler.request_wake(node_id)
-        except BaseException:
-            self.failed_node = node_id
-            raise
+        self._invoke(self.node_ids, None)
 
     def step(self) -> int:
         """Execute one round; return how many nodes it invoked."""
-        self._begin()
+        traffic = self.ring.flip()
+        return self._invoke(self.scheduler.runnable(traffic), self.ring.front)
+
+    def _invoke(
+        self, node_ids: Iterable[int], inboxes: list[dict[int, Any]] | None
+    ) -> int:
+        """Run ``on_start`` (no ``inboxes``) or ``on_round`` per node.
+
+        A trusted broadcast, the bulk of all solver traffic, is metered and
+        delivered inline: one cached word cost, the strictness check
+        against its first target, one statistics update, one buffer write
+        per neighbor.  Its targets are the sender's adjacency, so none
+        needs validating.  Other outboxes go through :meth:`_collect`.
+        """
+        self.finished = finished = []
+        sends = self.sends = [] if self._record else None
         algorithms = self.algorithms
-        scheduler = self.scheduler
-        finished = self.finished
+        stats = self.stats
+        network = self.network
+        word_bits = network.word_bits
+        limit = network.word_limit if network.strict else math.inf
+        cut = network._cut
+        cache = network._words_cache
+        cache_get = cache.get
+        cacheable = _CACHEABLE.__contains__
         ring = self.ring
-        inbox = ring.inbox
+        back = ring.back if self._post else None
+        dirty_update = ring.back_dirty.update
+        wake = self.scheduler.wake.add
         collect = self._collect
         awake = 0
         node_id = None
-        runnable = scheduler.runnable(ring.flip())
         try:
-            for node_id in runnable:
+            for node_id in node_ids:
                 alg = algorithms[node_id]
-                if alg.done:
+                if inboxes is None:
+                    outbox = alg.on_start()
+                elif alg.done:
                     # Late traffic addressed to a finished node: metered at
                     # send time (as in v1), never delivered.
                     continue
-                awake += 1
-                outbox = alg.on_round(inbox(node_id))
-                if outbox:
+                else:
+                    awake += 1
+                    outbox = alg.on_round(inboxes[node_id])
+                if type(outbox) is BatchOutbox and outbox.trusted:
+                    targets = outbox.targets
+                    if targets:
+                        payload = outbox.payload
+                        # _word_cost, with its cache hit inlined.
+                        kind = type(payload)
+                        if kind in _CACHEABLE or kind is tuple and all(
+                            map(cacheable, map(type, payload))
+                        ):
+                            words = cache_get(payload)
+                        else:
+                            words = None
+                        if words is None:
+                            words = _word_cost(cache, payload, word_bits)
+                        if words > limit:
+                            raise network._oversize(node_id, targets[0], words)
+                        count = len(targets)
+                        stats.messages += count
+                        stats.total_words += count * words
+                        if words > stats.max_words_per_edge_round:
+                            stats.max_words_per_edge_round = words
+                        if cut:
+                            self._meter_cut(node_id, targets, words)
+                        if back is not None:
+                            for target in targets:
+                                back[target][node_id] = payload
+                            dirty_update(targets)
+                        if sends is not None:
+                            sends.append((node_id, targets, payload, words))
+                elif outbox:
                     collect(node_id, outbox)
                 if alg.done:
-                    scheduler.node_finished()
                     finished.append(node_id)
                 elif alg.wants_wake():
-                    scheduler.request_wake(node_id)
+                    wake(node_id)
         except BaseException:
             self.failed_node = node_id
             raise
         return awake
-
-    def _begin(self) -> None:
-        self.finished = []
-        if self._record:
-            self.sends = []
 
     def deliver(self, batches: list[SentBatch]) -> None:
         """Queue a round's sends for this kernel's nodes (shard kernels).
@@ -428,6 +464,14 @@ class RoundKernel:
             if mine:
                 post_batch(sender, mine, payload)
 
+    def _meter_cut(
+        self, sender: int, targets: tuple[int, ...], words: int
+    ) -> None:
+        cut = self.network._cut
+        for target in targets:
+            if frozenset((sender, target)) in cut:
+                self.stats.cut_words += words
+
     def _collect(
         self, sender: int, outbox: Mapping[int, Any] | BatchOutbox
     ) -> None:
@@ -440,8 +484,7 @@ class RoundKernel:
         stats = self.stats
         n = network.n
         word_bits = network.word_bits
-        word_limit = network.word_limit
-        strict = network.strict
+        limit = network.word_limit if network.strict else math.inf
         cut = network._cut
         cache = network._words_cache
         ring = self.ring
@@ -449,7 +492,9 @@ class RoundKernel:
         sends = self.sends
         # Broadcasts reuse one payload object for every neighbor; a
         # single-slot identity memo skips even the cache lookup for them.
-        prev_payload: Any = _UNCACHEABLE
+        # The memo holds the payload alive, so its identity cannot be
+        # recycled within the loop.
+        prev_payload: Any = object()
         prev_words = 0
         can_send = network._can_send
         for target, payload in outbox.items():
@@ -459,29 +504,11 @@ class RoundKernel:
                 and can_send(sender, target)
             ):
                 network._check_send(sender, target)
-            if payload is prev_payload:
-                words = prev_words
-            else:
-                key = _payload_cache_key(payload)
-                if key is _UNCACHEABLE:
-                    words = payload_words(payload, word_bits)
-                else:
-                    cached = cache.get(key)
-                    if cached is None:
-                        if len(cache) >= _CACHE_LIMIT:
-                            cache.clear()
-                            # The identity memo must not outlive the value
-                            # cache: dropping one but not the other would
-                            # let a pathological workload pair a recycled
-                            # payload identity with a stale cost.
-                            prev_payload = _UNCACHEABLE
-                            prev_words = 0
-                        cached = payload_words(payload, word_bits)
-                        cache[key] = cached
-                    words = cached
+            if payload is not prev_payload:
                 prev_payload = payload
-                prev_words = words
-            if words > word_limit and strict:
+                prev_words = _word_cost(cache, payload, word_bits)
+            words = prev_words
+            if words > limit:
                 raise network._oversize(sender, target, words)
             stats.messages += 1
             stats.total_words += words
@@ -494,10 +521,10 @@ class RoundKernel:
             if sends is not None:
                 sends.append((sender, (target,), payload, words))
 
-    # -- batched outbox fast path ------------------------------------------
+    # -- untrusted batches -------------------------------------------------
 
     def _collect_batch(self, sender: int, outbox: BatchOutbox) -> None:
-        """Meter and deliver a uniform-payload batch in O(1) + delivery.
+        """Meter and deliver an untrusted (``send_many``) batch.
 
         Must be indistinguishable from running the per-message loop over
         ``outbox.items()`` — including which exception fires first.  The
@@ -511,41 +538,23 @@ class RoundKernel:
         network = self.network
         targets = outbox.targets
         payload = outbox.payload
-        trusted = outbox.trusted
-        if not trusted:
-            self._validate_targets(sender, targets[:1])
-        word_bits = network.word_bits
-        cache = network._words_cache
-        key = _payload_cache_key(payload)
-        if key is _UNCACHEABLE:
-            words = payload_words(payload, word_bits)
-        else:
-            cached = cache.get(key)
-            if cached is None:
-                if len(cache) >= _CACHE_LIMIT:
-                    cache.clear()
-                cached = payload_words(payload, word_bits)
-                cache[key] = cached
-            words = cached
+        self._validate_targets(sender, targets[:1])
+        words = _word_cost(network._words_cache, payload, network.word_bits)
         if words > network.word_limit and network.strict:
             raise network._oversize(sender, targets[0], words)
-        if not trusted:
-            self._validate_targets(sender, targets[1:])
+        self._validate_targets(sender, targets[1:])
         stats = self.stats
         count = len(targets)
         stats.messages += count
         stats.total_words += count * words
         if words > stats.max_words_per_edge_round:
             stats.max_words_per_edge_round = words
-        cut = network._cut
-        if cut:
-            for target in targets:
-                if frozenset((sender, target)) in cut:
-                    stats.cut_words += words
+        if network._cut:
+            self._meter_cut(sender, targets, words)
         if self._post:
             self.ring.post_batch(sender, targets, payload)
         if self._record:
-            if not outbox.trusted and len(set(targets)) != count:
+            if len(set(targets)) != count:
                 # Duplicates are metered per occurrence but delivered once.
                 targets = tuple(dict.fromkeys(targets))
             self.sends.append((sender, targets, payload, words))

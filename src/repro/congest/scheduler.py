@@ -11,15 +11,13 @@ exploit that sparsity:
   promotes them to *front* for delivery in round ``r + 1`` and recycles the
   previous front dictionaries in place (only the ones that actually held
   traffic are cleared).  No dictionaries are allocated after construction.
-* :class:`ActivityScheduler` — the live-node counter and self-wake set.
-  Quiescence is detected by decrementing ``live`` when a node finishes
-  instead of scanning every algorithm every round, and the runnable set of
-  a round is exactly ``self-wakes | nodes-with-pending-traffic``.
+* :class:`ActivityScheduler` — the self-wake set.  The runnable set of a
+  round is exactly ``self-wakes | nodes-with-pending-traffic``.
 
 The self-wake protocol these structures implement (stated in full in
 :mod:`repro.congest.engine`): a node runs in round ``r`` iff it has traffic
-promoted by :meth:`MailboxRing.flip` or it called
-:meth:`ActivityScheduler.request_wake` after its previous invocation.  The
+promoted by :meth:`MailboxRing.flip` or the engine added it to
+:attr:`ActivityScheduler.wake` after its previous invocation.  The
 wake set is consumed by :meth:`ActivityScheduler.runnable` each round, so a
 wake is good for exactly one round; the engine re-queries
 :meth:`~repro.congest.algorithm.NodeAlgorithm.wants_wake` after every
@@ -47,22 +45,26 @@ from typing import Any
 
 
 class MailboxRing:
-    """Double-buffered per-node inbox dictionaries, reused across rounds."""
+    """Double-buffered per-node inbox dictionaries, reused across rounds.
 
-    __slots__ = ("_front", "_back", "_front_dirty", "_back_dirty")
+    ``front[v]`` is the inbox delivered to ``v`` this round; sends for the
+    next round accumulate in ``back`` (marking ``back_dirty``).
+    """
+
+    __slots__ = ("front", "back", "_front_dirty", "back_dirty")
 
     def __init__(self, n: int) -> None:
-        self._front: list[dict[int, Any]] = [{} for _ in range(n)]
-        self._back: list[dict[int, Any]] = [{} for _ in range(n)]
+        self.front: list[dict[int, Any]] = [{} for _ in range(n)]
+        self.back: list[dict[int, Any]] = [{} for _ in range(n)]
         #: Nodes whose front (being consumed) / back (accumulating) buffer
         #: holds traffic.  Only dirty buffers are ever cleared.
         self._front_dirty: set[int] = set()
-        self._back_dirty: set[int] = set()
+        self.back_dirty: set[int] = set()
 
     def post(self, sender: int, target: int, payload: Any) -> None:
         """Queue ``payload`` for delivery to ``target`` next round."""
-        self._back[target][sender] = payload
-        self._back_dirty.add(target)
+        self.back[target][sender] = payload
+        self.back_dirty.add(target)
 
     def post_batch(
         self, sender: int, targets: Iterable[int], payload: Any
@@ -70,14 +72,15 @@ class MailboxRing:
         """Queue one ``payload`` for every target in ``targets``.
 
         Equivalent to calling :meth:`post` once per target, but with the
-        buffer list and dirty set bound once for the whole batch — the
-        delivery half of the engine's batched-outbox fast path.  Duplicate
-        targets overwrite, exactly as repeated :meth:`post` calls would.
+        buffer list and dirty set bound once for the whole batch.  The
+        engine delivers untrusted batches and shard traffic through it;
+        trusted broadcasts write :attr:`back` inline.  Duplicate targets
+        overwrite, exactly as repeated :meth:`post` calls would.
         """
-        back = self._back
+        back = self.back
         for target in targets:
             back[target][sender] = payload
-        self._back_dirty.update(targets)
+        self.back_dirty.update(targets)
 
     def flip(self) -> Set[int]:
         """Start a new round: promote queued traffic to deliverable.
@@ -87,55 +90,35 @@ class MailboxRing:
         """
         # repro: allow[DET003] clearing every dirty buffer commutes; order never observed
         for node_id in self._front_dirty:
-            self._front[node_id].clear()
+            self.front[node_id].clear()
         self._front_dirty.clear()
-        self._front, self._back = self._back, self._front
-        self._front_dirty, self._back_dirty = (
-            self._back_dirty,
+        self.front, self.back = self.back, self.front
+        self._front_dirty, self.back_dirty = (
+            self.back_dirty,
             self._front_dirty,
         )
         return self._front_dirty
 
-    def inbox(self, node_id: int) -> dict[int, Any]:
-        """The inbox delivered to ``node_id`` this round (possibly empty)."""
-        return self._front[node_id]
-
-    def has_pending(self) -> bool:
-        """Whether any traffic is queued for delivery next round."""
-        return bool(self._back_dirty)
-
 
 class ActivityScheduler:
-    """Tracks which nodes are alive and which must run next round.
+    """Tracks which nodes must run next round.
 
-    A node runs in a round iff it has pending inbox traffic or it asked to
-    be woken (:meth:`request_wake`).  ``live`` counts unfinished nodes; the
-    engine's quiescence test is ``live == 0`` — O(1) instead of the
-    reference engine's every-round scan over all algorithms.
+    A node runs in a round iff it has pending inbox traffic or its id is
+    in ``wake`` (the engine adds it when the node asks to be woken).
     """
 
-    __slots__ = ("live", "_wake")
+    __slots__ = ("wake",)
 
-    def __init__(self, n: int) -> None:
-        self.live = n
-        self._wake: set[int] = set()
+    def __init__(self) -> None:
+        self.wake: set[int] = set()
 
-    def request_wake(self, node_id: int) -> None:
-        """Ensure ``node_id`` is invoked next round even without traffic."""
-        self._wake.add(node_id)
+    def snapshot(self) -> tuple[int, ...]:
+        """The sorted wake set — the state a checkpoint must keep."""
+        return tuple(sorted(self.wake))
 
-    def node_finished(self) -> None:
-        """Record that one node called ``finish``."""
-        self.live -= 1
-
-    def snapshot(self) -> tuple[int, tuple[int, ...]]:
-        """``(live, sorted wake set)`` — the state a checkpoint must keep."""
-        return self.live, tuple(sorted(self._wake))
-
-    def restore(self, snapshot: tuple[int, tuple[int, ...]]) -> None:
+    def restore(self, snapshot: tuple[int, ...]) -> None:
         """Reset to a :meth:`snapshot`."""
-        self.live, wake = snapshot
-        self._wake = set(wake)
+        self.wake = set(snapshot)
 
     def runnable(self, traffic: Iterable[int]) -> list[int]:
         """Consume the wake set; return this round's nodes in id order.
@@ -147,9 +130,9 @@ class ActivityScheduler:
         rounds, an empty wake set is the common case; it skips the union
         allocation entirely.
         """
-        if self._wake:
-            ids = sorted(self._wake.union(traffic))
-            self._wake.clear()
+        if self.wake:
+            ids = sorted(self.wake.union(traffic))
+            self.wake.clear()
         else:
             ids = sorted(traffic)
         return ids

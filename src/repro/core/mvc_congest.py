@@ -144,17 +144,18 @@ class PhaseOneAlgorithm(NodeAlgorithm):
             return None
         if self.step == 1:
             # Candidate announcements arrived; relay the 1-hop max.
-            heard = [sender for sender in inbox]
-            self.local_max = max(
-                heard + ([self.node.id] if self.is_candidate else [-1])
-            )
+            local_max = max(inbox, default=-1)
+            if self.is_candidate and self.node.id > local_max:
+                local_max = self.node.id
+            self.local_max = local_max
             self.step = 2
-            return self.broadcast((_TAG_RELAY, self.local_max))
+            return self.broadcast((_TAG_RELAY, local_max))
         if self.step == 2:
             # 2-hop maxima arrived; winners announce.
-            two_hop_max = max(
-                [msg[1] for msg in inbox.values()] + [self.local_max]
-            )
+            two_hop_max = self.local_max
+            for msg in inbox.values():
+                if msg[1] > two_hop_max:
+                    two_hop_max = msg[1]
             self.step = 3
             if self.is_candidate and self.node.id >= two_hop_max:
                 self.in_C = False  # the winner leaves the candidate set

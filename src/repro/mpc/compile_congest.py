@@ -646,7 +646,7 @@ class _CompiledShard:
 
     ``("checkpoint", None)`` snapshots each algorithm's mutable state —
     its ``__dict__`` (minus the node view), the node's state dict and
-    RNG state — plus the kernel's live count and wake set, and
+    RNG state — plus the kernel's wake set, and
     ``("restore", blob)`` applies one in place.  Between barriers the
     kernel holds no queued traffic (each round's sends arrive with the
     next task), so nothing else needs saving.  The state dict is restored

@@ -13,6 +13,7 @@ subclasses and the numpy-vectorized validation path.
 
 from __future__ import annotations
 
+from enum import IntEnum
 from functools import partial
 
 import networkx as nx
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.algorithm import NodeAlgorithm
+from repro.congest.engine import RoundKernel
 from repro.congest.errors import CongestionError, ProtocolError
 from repro.congest.message import BatchOutbox, payload_words
 from repro.congest.network import CongestNetwork
@@ -341,10 +343,9 @@ class TestMailboxRingBatch:
         for target in targets:
             a.post(0, target, "m")
         b.post_batch(0, targets, "m")
-        assert a.has_pending() and b.has_pending()
+        assert a.back_dirty and b.back_dirty
         assert a.flip() == b.flip()
-        for node in range(5):
-            assert a.inbox(node) == b.inbox(node)
+        assert a.front == b.front
 
 
 # -- property tests: batch metering == per-message metering ----------------
@@ -353,24 +354,29 @@ scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**20), max_value=2**20),
+    st.floats(),
     st.text(max_size=6),
 )
-payloads = st.one_of(scalars, st.tuples(scalars, scalars, scalars))
+flat_tuples = st.tuples(scalars, scalars, scalars)
+payloads = st.one_of(scalars, flat_tuples, st.tuples(scalars, flat_tuples))
 
 
 class TestBatchMeteringProperty:
+    @pytest.mark.parametrize("cut", [None, [(0, 1)]], ids=["no-cut", "cut"])
     @given(payload=payloads, data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_post_batch_meters_word_for_word(self, payload, data):
+    def test_batches_meter_word_for_word(self, cut, payload, data):
         """Batched and per-message metering agree on arbitrary payloads.
 
-        One hub sends ``payload`` to a drawn subset of its neighbors; the
-        resulting RunStats (messages, words, max-per-edge, cut) must be
-        identical whether the outbox is a dict (per-message loop on every
-        engine) or a batch (fast path on v2), on all three engines.
+        One hub sends ``payload`` either to a drawn subset of its
+        neighbors (untrusted ``send_many``) or to all of them (trusted
+        ``broadcast``); the resulting RunStats (messages, words,
+        max-per-edge, cut) must be identical to the dictionary outbox
+        over the same targets, on both engines (v1, v2).
         """
         graph = star_graph(9)
-        targets = tuple(
+        neighbors = tuple(range(1, 9))
+        subset = tuple(
             data.draw(
                 st.lists(
                     st.integers(min_value=1, max_value=8),
@@ -380,15 +386,19 @@ class TestBatchMeteringProperty:
                 )
             )
         )
+        forms = {
+            "send_many": (lambda alg: alg.send_many(subset, payload), subset),
+            "dict": (lambda alg: {t: payload for t in subset}, subset),
+            "broadcast": (lambda alg: alg.broadcast(payload), neighbors),
+            "dict-all": (
+                lambda alg: {t: payload for t in neighbors}, neighbors
+            ),
+        }
 
-        def factory_for(form):
+        def factory_for(send):
             class Hub(NodeAlgorithm):
                 def on_start(self):
-                    if self.node.id != 0:
-                        return None
-                    if form == "batch":
-                        return self.send_many(targets, payload)
-                    return {t: payload for t in targets}
+                    return send(self) if self.node.id == 0 else None
 
                 def on_round(self, inbox):
                     self.finish(sorted(inbox))
@@ -396,20 +406,68 @@ class TestBatchMeteringProperty:
 
             return Hub
 
-        expected_words = len(targets) * payload_words(payload, 4)
-        all_stats = []
-        for form in ("batch", "dict"):
+        stats = {}
+        for form, (send, targets) in forms.items():
             results = run_everywhere(
-                graph,
-                factory_for(form),
-                strict=False,
-                cut=[(0, 1)],
+                graph, factory_for(send), strict=False, cut=cut
             )
             assert_all_equal(results)
-            all_stats.append(results["v2"].stats)
-        batch_stats, dict_stats = all_stats
-        assert batch_stats == dict_stats
-        assert batch_stats.total_words == expected_words
+            stats[form] = results["v2"].stats
+            assert stats[form].total_words == len(targets) * payload_words(
+                payload, 4
+            ), form
+        assert stats["send_many"] == stats["dict"]
+        assert stats["broadcast"] == stats["dict-all"]
+
+    def test_equal_payloads_of_other_types_never_share_a_cost(self):
+        """``(1,) == (1.0,) == (True,) == (member,)``, but their costs are
+        per type: the value-keyed cost cache must not alias them within
+        one run.  Per-round words must equal the reference loop's."""
+
+        class Tag(IntEnum):
+            ONE = 1
+
+        sequence = ((1,), (1.0,), (True,), (Tag.ONE,))
+
+        class HubSequence(NodeAlgorithm):
+            def on_start(self):
+                self.rounds = 0
+                return self.broadcast(sequence[0]) if self.node.id == 0 else None
+
+            def on_round(self, inbox):
+                self.rounds += 1
+                if self.rounds == len(sequence):
+                    self.finish(None)
+                    return None
+                if self.node.id == 0:
+                    return self.broadcast(sequence[self.rounds])
+                return None
+
+        results = run_everywhere(star_graph(9), HubSequence)
+        assert_all_equal(results)
+        words = [record.words for record in results["v2"].trace]
+        assert words == [8, 16, 8, 8, 0]
+
+
+def test_v2_broadcasts_bypass_the_batch_helpers(monkeypatch):
+    """Engine v2 meters and delivers trusted broadcasts inline.
+
+    A broadcast-only protocol must finish without ever reaching the
+    untrusted-batch collector or the ring's batch poster, and still match
+    the reference loop.
+    """
+    graph = gnp_graph(15, 0.3, seed=2)
+    reference = CongestNetwork(graph, engine="v1").run(_BatchPing, trace=True)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("trusted broadcast left the inline path")
+
+    monkeypatch.setattr(MailboxRing, "post_batch", boom)
+    monkeypatch.setattr(RoundKernel, "_collect_batch", boom)
+    result = CongestNetwork(graph, engine="v2").run(_BatchPing, trace=True)
+    assert result.stats == reference.stats
+    assert result.trace == reference.trace
+    assert result.outputs == reference.outputs
 
 
 def test_v2_dict_engine_is_rejected():
