@@ -747,8 +747,8 @@ def _add_solve_command(sub, name, help, n, models, func):
         "--mpc-workers",
         type=parse_scalar,
         default=None,
-        help="mpc model only: shard the machines over this many forked "
-        "worker processes (default: REPRO_MPC_WORKERS env or 1 = serial); "
+        help="mpc model only: shard the machines over this many processes, "
+        "the caller plus forks (default: REPRO_MPC_WORKERS env or 1); "
         "the shuffle ledger and outputs are identical at any count",
     )
     cmd.add_argument(
@@ -843,8 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=parse_scalar,
         default=None,
         help="mpc model only: shard each parity cell's machines over this "
-        "many forked worker processes (orthogonal to --jobs, which fans "
-        "out whole cells)",
+        "many processes, the caller plus forks (orthogonal to --jobs, "
+        "which fans out whole cells)",
     )
     verify.add_argument(
         "--jobs",

@@ -97,7 +97,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.congest.errors import RoundLimitError
@@ -250,11 +250,13 @@ def drive(
 
     ``rounds`` is a :class:`RoundKernel` or the MPC backend's shard pool —
     anything with ``start``/``step``/``sends``/``finished``.  Without a
-    ``window`` this is engine v2.  The MPC backend passes itself: before
-    each window, after the round-limit check, ``window.open_window(sends,
-    done)`` meters the last round's sends through a shuffle or a prefetch
-    and returns how many rounds the window replays; once they ran (or
-    every node finished), ``window.close_window(length, executed)`` ends it.
+    ``window`` this is engine v2.  The MPC backend passes itself: each
+    window's first round hands ``rounds.step`` the window step, run before
+    the round (a shard pool overlaps it with its workers' round):
+    ``window.open_window(sends, done)`` meters the last round's sends
+    through a shuffle or a prefetch and returns how many rounds the window
+    replays; once they ran (or every node finished),
+    ``window.close_window(length, executed)`` ends it.
     """
     done: set[int] = set()
     rounds.start()
@@ -263,20 +265,23 @@ def drive(
         hook, 0, stats.messages, stats.total_words, n, stats.cut_words,
         label, timeline, n - len(done),
     )
-    remaining = 0
+    length = remaining = 0
+
+    def opener() -> None:
+        nonlocal length, remaining
+        length = remaining = window.open_window(rounds.sends, done)
+
     while len(done) < n:
         if stats.rounds >= max_rounds:
             raise RoundLimitError(
                 f"no termination within {max_rounds} rounds "
                 f"({n - len(done)} nodes alive)"
             )
-        if window is not None and not remaining:
-            length = remaining = window.open_window(rounds.sends, done)
         stats.rounds += 1
         before_messages = stats.messages
         before_words = stats.total_words
         before_cut = stats.cut_words
-        awake = rounds.step()
+        awake = rounds.step(None if remaining or window is None else opener)
         done.update(rounds.finished)
         emit_round_event(
             hook, stats.rounds, stats.messages - before_messages,
@@ -352,7 +357,12 @@ class RoundKernel:
         self.ring = MailboxRing(network.n)
         self.scheduler = ActivityScheduler()
         self._post = node_ids is None
-        self._owned = None if node_ids is None else frozenset(node_ids)
+        self._owned = owned = frozenset(node_ids or ())
+        #: Per sender, the neighbors this kernel owns (shard kernels).
+        self._owned_targets = [
+            tuple(target for target in neighbors if target in owned)
+            for neighbors in (network._adjacency if owned else ())
+        ]
         self._record = record
         #: This round's metered sends (recording kernels only).
         self.sends: list[SentBatch] | None = [] if self._record else None
@@ -365,8 +375,10 @@ class RoundKernel:
         """Round 0: every node's ``on_start``, in ascending id order."""
         self._invoke(self.node_ids, None)
 
-    def step(self) -> int:
-        """Execute one round; return how many nodes it invoked."""
+    def step(self, overlap: Callable[[], Any] | None = None) -> int:
+        """Run ``overlap``, then one round; return its invocation count."""
+        if overlap is not None:
+            overlap()
         traffic = self.ring.flip()
         return self._invoke(self.scheduler.runnable(traffic), self.ring.front)
 
@@ -455,12 +467,19 @@ class RoundKernel:
         """Queue a round's sends for this kernel's nodes (shard kernels).
 
         ``batches`` must be in sender order — the order the whole-network
-        kernel posts in — so every inbox sees ascending sender ids.
+        kernel posts in — so every inbox sees ascending sender ids.  A
+        broadcast (targets equal to the sender's adjacency) takes its
+        owned targets from the kernel's per-sender table.
         """
         owned = self._owned
+        owned_targets = self._owned_targets
+        adjacency = self.network._adjacency
         post_batch = self.ring.post_batch
         for sender, targets, payload, _words in batches:
-            mine = [target for target in targets if target in owned]
+            if targets == adjacency[sender]:
+                mine = owned_targets[sender]
+            else:
+                mine = [target for target in targets if target in owned]
             if mine:
                 post_batch(sender, mine, payload)
 

@@ -4,9 +4,11 @@ Two hook points, both no-ops when no injector is attached so the
 fault-free hot path is untouched:
 
 - :meth:`FaultInjector.before_step` runs at the top of
-  :meth:`repro.mpc.parallel.ForkShardPool.step` — it sleeps scheduled
-  straggler delays and SIGKILLs scheduled crash victims, exercising the
-  pool's checkpointed respawn-and-replay recovery.
+  :meth:`repro.mpc.parallel.ForkShardPool.step`, before the barrier's
+  tasks go out or its window step runs — it sleeps scheduled straggler
+  delays and SIGKILLs scheduled crash victims (always forked workers: the
+  caller's shard 0 cannot crash), exercising the pool's checkpointed
+  respawn-and-replay recovery.
 - :meth:`FaultInjector.before_shuffle` runs at the top of
   :meth:`repro.mpc.runtime.MPCRuntime.shuffle` — it raises scheduled
   :class:`~repro.mpc.machine.MemoryBudgetExceeded` pressure exactly
@@ -68,14 +70,13 @@ class FaultInjector:
             self.injected["straggle"] += 1
             self.fired.append(("straggle", step_index, None))
             self._mark(pool.tracer, "straggle", step_index, None)
+        # The caller runs shard 0 in-process; victims are forked shards.
+        forked = max(pool.shards - 1, 1)
         for event in self._pop("crash", step_index):
-            victim = event.target
-            if victim is None:
-                victim = self.plan.choose(
-                    "crash-victim", event.at, pool.shards
-                )
+            if event.target is None:
+                victim = 1 + self.plan.choose("crash-victim", event.at, forked)
             else:
-                victim %= pool.shards
+                victim = 1 + event.target % forked
             if pool.kill_worker(victim):
                 self.injected["crash"] += 1
                 self.fired.append(("crash", step_index, victim))

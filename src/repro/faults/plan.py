@@ -11,8 +11,8 @@ payloads without breaking the merged-results digest.
 
 Spec grammar (comma-separated tokens)::
 
-    crash@B         kill a seeded-chosen shard worker before barrier B
-    crash@B:T       kill shard worker T before barrier B
+    crash@B         kill a seeded-chosen forked worker before barrier B
+    crash@B:T       kill forked worker T (mod their count) before barrier B
     straggle@B:D    sleep D seconds before barrier B (straggler delay)
     straggle@B      same with the default 0.01 s delay
     mem@B           raise MemoryBudgetExceeded at shuffle B, seeded machine
@@ -45,8 +45,8 @@ class FaultEvent:
     """One scheduled fault.
 
     ``at`` is a 0-based barrier index (``crash``/``straggle``: pool step
-    index; ``mem``: metered shuffle index).  ``target`` is a shard index
-    (``crash``) or machine id (``mem``); ``None`` means "choose one with
+    index; ``mem``: metered shuffle index).  ``target`` is a forked-worker
+    index (``crash``) or machine id (``mem``); ``None`` means "choose one with
     the plan's seed at fire time".  ``delay`` is seconds, ``straggle``
     only.
     """

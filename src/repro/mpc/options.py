@@ -44,8 +44,8 @@ class RunOptions:
 
     * ``compress`` — the round-compression window: an integer >= 1, or
       ``"auto"`` to let a peak-hold estimator pick each window.
-    * ``workers`` — fork shard workers for the machines' local
-      computation: an integer >= 1.  ``None`` resolves the
+    * ``workers`` — shards for the machines' local computation, the
+      caller plus ``workers - 1`` forked workers: an integer >= 1.  ``None`` resolves the
       ``REPRO_MPC_WORKERS`` environment variable, then 1.
     * ``faults`` — a fault spec string, parsed here once with ``seed``
       (the run seed), or a :class:`~repro.faults.plan.FaultPlan`, which

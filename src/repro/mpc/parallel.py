@@ -3,10 +3,11 @@
 The simulator historically ran every machine of an instance machine-major
 in a single interpreter: a 16-machine simulation got zero hardware
 parallelism (the sweep pool only parallelizes *across* cells).  This
-module supplies the missing layer — a pool of **shard workers**, each
-owning a fixed subset of the instance's machines, executing their local
-per-round computation concurrently while every metered shuffle stays a
-barrier in the parent process.
+module supplies the missing layer — a pool of **shards**, each owning a
+fixed subset of the instance's machines, executing their local per-round
+computation concurrently (shard 0 in the caller's process, each other
+shard in a forked worker) while every metered shuffle stays a barrier in
+the parent process, overlapped with the workers' round where it can.
 
 The plumbing deliberately mirrors the sweep runner's fork/pickle-once
 discipline (:mod:`repro.sweep.runner`): the immutable instance state —
@@ -207,42 +208,43 @@ def _shard_main(conn, handler: Callable[[Any], Any]) -> None:
 
 
 class ForkShardPool:
-    """A pool of persistent fork-inherited shard workers.
+    """Shards run concurrently: shard 0 by the caller, the rest forked.
 
     ``handlers[i]`` is a callable (typically a closure over the instance's
-    immutable state plus shard ``i``'s mutable units) that each worker
-    executes for every task it receives.  The pool is a context manager;
-    exiting it shuts the workers down.  One :meth:`step` is one barrier:
-    all workers receive a task, all results are collected before the
-    caller proceeds — the process-level analogue of the model's
-    synchronous round.
+    immutable state plus shard ``i``'s mutable units) executed for every
+    task shard ``i`` receives.  The caller's process runs ``handlers[0]``;
+    every later handler gets one persistent fork-inherited worker.  The
+    pool is a context manager; exiting it shuts the workers down.  One
+    :meth:`step` is one barrier: the workers receive their tasks, the
+    caller runs an optional ``overlap`` step and shard 0 meanwhile, and
+    every result is collected before the caller proceeds — the
+    process-level analogue of the model's synchronous round.
 
     **Crash recovery.**  A pool with a fault ``injector``
     (:class:`~repro.faults.inject.FaultInjector`) recovers from worker
-    crashes: every :data:`CHECKPOINT_INTERVAL`-th successful barrier is
-    followed by a ``("checkpoint", None)`` broadcast whose per-shard
-    state blobs the parent retains (pipe pickling makes them deep copies
-    for free); the barrier tasks in between are recorded for replay.  A
-    :class:`WorkerCrashError` then tears down every child, respawns
-    fresh forks — valid restore bases because the parent's handler
-    objects stay at pre-run state throughout a parallel run — replays
-    ``("restore", blob)`` plus the recorded barriers (local computation
-    is deterministic, so the replay reproduces the pre-crash state
-    exactly) and retries the interrupted barrier.  Workers re-execute at
-    most :data:`CHECKPOINT_INTERVAL` barriers of local computation, and
-    since every metered shuffle happens parent-side *between* barriers,
-    no shuffle is ever replayed: the ledger of a recovered run is
-    byte-identical to a fault-free one.  After the plan's
-    ``max_recoveries`` crashes the pool restores checkpoint-plus-replay
-    onto the parent-side handlers and degrades to in-process serial
-    execution, surfacing a
+    crashes.  Only forked shards can crash, so only they are checkpointed
+    and replayed: every :data:`CHECKPOINT_INTERVAL`-th successful barrier
+    is followed by a ``("checkpoint", None)`` broadcast to the workers,
+    whose per-shard state blobs the parent retains (pipe pickling makes
+    them deep copies for free); the workers' barrier tasks in between are
+    recorded for replay.  A :class:`WorkerCrashError` then tears down
+    every child, respawns fresh forks, replays ``("restore", blob)`` plus
+    the recorded barriers (local computation is deterministic, so the
+    replay reproduces the pre-crash state exactly) and retries the
+    workers' half of the interrupted barrier.  Workers re-execute at most
+    :data:`CHECKPOINT_INTERVAL` barriers of local computation, and since
+    every metered shuffle happens parent-side, no shuffle is ever
+    replayed: the ledger of a recovered run is byte-identical to a
+    fault-free one.  After the plan's ``max_recoveries`` crashes the pool
+    restores checkpoint-plus-replay onto the parent-side handlers and
+    degrades to in-process serial execution, surfacing a
     :class:`~repro.faults.recovery.DegradedExecutionWarning`.
 
     **Fault injection.**  The ``injector`` gets a
     ``before_step(pool, step_index)`` callback at the top of every
-    external :meth:`step`.  Without one the pool neither injects nor
-    checkpoints, so the fault-free hot path is unchanged, and a worker
-    crash tears the pool down and propagates.
+    external :meth:`step`, before any task is sent.  Without one the pool
+    neither injects nor checkpoints, and a worker crash tears the pool
+    down and propagates.
     """
 
     def __init__(
@@ -261,20 +263,21 @@ class ForkShardPool:
         self._handlers = list(handlers)
         self._injector = injector
         #: Optional :class:`repro.trace.TraceRecorder`: barrier windows on
-        #: the main track, worker-stamped compute intervals on per-shard
-        #: tracks (tid ``shard+1``), fork/checkpoint/restore/replay/degrade
-        #: markers, and the injector's fault markers.  Observation only.
+        #: the main track, compute intervals on per-shard tracks (tid
+        #: ``shard+1``), fork/checkpoint/restore/replay/degrade markers,
+        #: and the injector's fault markers.  Observation only.
         self.tracer = tracer
         self._conns: list[Any] = []
         self._procs: list[Any] = []
         self._checkpoints: list[Any] | None = None
-        #: Barrier tasks since the last checkpoint (replayed on crash).
+        #: Workers' barrier tasks since the last checkpoint (for replay).
         self._history: list[list[Any]] = []
         self._steps_since_checkpoint = 0
         self._step_index = 0
         self._recoveries = 0
         self._degraded = False
-        self._broken = False
+        if tracer is not None:
+            tracer.name_thread(1, "shard-0")
         try:
             self._spawn()
         except BaseException:
@@ -288,6 +291,7 @@ class ForkShardPool:
         self.close()
 
     def __len__(self) -> int:
+        """Live forked workers (shard 0 runs in the caller's process)."""
         return len(self._procs)
 
     @property
@@ -308,11 +312,11 @@ class ForkShardPool:
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context("fork")
         tracer = self.tracer
-        for index, handler in enumerate(self._handlers):
+        for index in range(1, len(self._handlers)):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_main,
-                args=(child_conn, handler),
+                args=(child_conn, self._handlers[index]),
                 daemon=True,
             )
             proc.start()
@@ -346,79 +350,84 @@ class ForkShardPool:
         self._procs = []
 
     def kill_worker(self, index: int) -> bool:
-        """SIGKILL one live shard worker (fault injection entry point)."""
-        if self._degraded or not (0 <= index < len(self._procs)):
+        """SIGKILL shard ``index``'s worker (fault injection entry point).
+
+        Shard 0 runs in the caller's process, so it has no worker to kill.
+        """
+        if self._degraded or not (1 <= index <= len(self._procs)):
             return False
-        proc = self._procs[index]
+        proc = self._procs[index - 1]
         if proc.pid is None or not proc.is_alive():
             return False
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=5)
         return True
 
-    def _barrier(
-        self, tasks: Sequence[Any], trace_label: str | None = None
-    ) -> list[Any]:
-        """Raw barrier: send one task per shard, collect one result each."""
-        tracer = self.tracer
-        barrier_start = tracer.now_ns() if tracer is not None else 0
-        for index, (conn, task) in enumerate(zip(self._conns, tasks)):
+    def _send(self, tasks: Sequence[Any]) -> None:
+        """Hand worker ``i`` (shard ``i + 1``) its task ``tasks[i]``."""
+        for index, (conn, task) in enumerate(zip(self._conns, tasks), 1):
             try:
                 conn.send(task)
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerCrashError(
                     f"MPC shard worker {index} died before the barrier"
                 ) from exc
+
+    def _recv(self) -> tuple[list[Any], list[Any]]:
+        """Each worker's result and compute stamps, in shard order."""
         results: list[Any] = []
-        stamps: list[tuple[int, int] | None] = [None] * len(self._conns)
+        stamps: list[Any] = []
         failure: tuple[str, str, str] | None = None
-        for index, conn in enumerate(self._conns):
+        for index, conn in enumerate(self._conns, 1):
             try:
                 message = conn.recv()
             except (EOFError, OSError) as exc:
                 raise WorkerCrashError(
                     f"MPC shard worker {index} died mid-round"
                 ) from exc
-            status, value = message[0], message[1]
-            if status == "fail":
+            if message[0] == "fail":
                 # Keep draining the remaining pipes so the pool stays
                 # usable for shutdown, then raise the first failure.
-                if failure is None:
-                    failure = value
+                failure = failure or message[1]
                 continue
-            results.append(value)
-            stamps[index] = message[2] if len(message) > 2 else None
+            results.append(message[1])
+            stamps.append(message[2])
         if failure is not None:
             raise rebuild_exception(*failure)
-        if tracer is not None:
-            barrier_end = tracer.now_ns()
-            label = trace_label or _task_kind(tasks) or "barrier"
-            tracer.complete(
-                "barrier",
-                barrier_start,
-                barrier_end,
-                cat="pool",
-                kind=label,
-                step=self._step_index,
-            )
-            for index, stamp in enumerate(stamps):
-                if stamp is None:
-                    continue
+        return results, stamps
+
+    def _trace_barrier(
+        self, start: int, label: str, stamps: Sequence[Any]
+    ) -> None:
+        """A barrier window, plus shard ``i``'s ``stamps[i]`` on tid i+1."""
+        tracer = self.tracer
+        end = tracer.now_ns()
+        tracer.complete(
+            "barrier", start, end, cat="pool", kind=label,
+            step=self._step_index,
+        )
+        for index, stamp in enumerate(stamps):
+            if stamp is not None:
                 # Worker stamps share the parent's monotonic domain under
                 # fork; the clamp into the barrier window guards skew.
                 tracer.complete(
-                    label,
-                    stamp[0],
-                    stamp[1],
-                    tid=index + 1,
-                    cat="worker",
-                    clamp=(barrier_start, barrier_end),
+                    label, stamp[0], stamp[1], tid=index + 1, cat="worker",
+                    clamp=(start, end),
                 )
+
+    def _barrier(self, tasks: Sequence[Any], label: str) -> list[Any]:
+        """Workers-only barrier (checkpoint, restore, replay)."""
+        start = self.tracer.now_ns() if self.tracer is not None else 0
+        self._send(tasks)
+        results, stamps = self._recv()
+        if self.tracer is not None:
+            self._trace_barrier(start, label, [None, *stamps])
         return results
 
     def _checkpoint(self) -> None:
-        blobs = self._barrier([("checkpoint", None)] * len(self._conns))
-        self._checkpoints = blobs
+        self._checkpoints = self._barrier(
+            [("checkpoint", None)] * len(self._conns), "checkpoint"
+        )
         self._history = []
         self._steps_since_checkpoint = 0
 
@@ -439,7 +448,7 @@ class ForkShardPool:
     def _respawn(self) -> None:
         """Fresh forks replayed to the last completed barrier's state.
 
-        Parent-side handler objects are never mutated during a parallel
+        The parent never runs a forked shard's handler during a parallel
         run (workers advance copy-on-write copies; the parent mirrors
         state back only at finalize), so a fresh fork *is* the pre-run
         state — ``restore`` with the last checkpoint blob brings it to
@@ -453,10 +462,10 @@ class ForkShardPool:
         self._spawn()
         if self._checkpoints is not None:
             self._barrier(
-                [("restore", blob) for blob in self._checkpoints]
+                [("restore", blob) for blob in self._checkpoints], "restore"
             )
         for tasks in self._history:
-            self._barrier(tasks, trace_label="replay")
+            self._barrier(tasks, "replay")
         if tracer is not None:
             tracer.complete(
                 "recovery.respawn",
@@ -475,11 +484,12 @@ class ForkShardPool:
                 "recovery.degrade", cat="recovery",
                 recoveries=self._recoveries - 1,
             )
+        forked = self._handlers[1:]
         if self._checkpoints is not None:
-            for handler, blob in zip(self._handlers, self._checkpoints):
+            for handler, blob in zip(forked, self._checkpoints):
                 handler(("restore", blob))
         for tasks in self._history:
-            for handler, task in zip(self._handlers, tasks):
+            for handler, task in zip(forked, tasks):
                 handler(task)
         self._history = []
         self._injector.note_degraded()
@@ -488,17 +498,51 @@ class ForkShardPool:
             f"({self._recoveries - 1} recoveries); degrading to in-process "
             f"serial execution (results and ledger are unaffected)",
             _degraded_warning_class(),
-            stacklevel=4,
+            stacklevel=6,
         )
 
-    def step(self, tasks: Sequence[Any]) -> list[Any]:
-        """Send one task per shard, collect one result per shard.
+    def _crashed(self) -> None:
+        """A worker died: tear every child down, then recover or give up.
 
-        With an injector this is the crash-safe barrier: worker
-        crashes trigger respawn-and-replay from the last checkpoint (or
-        in-process degradation once the budget is spent); without it a
-        :class:`WorkerCrashError` tears down every child before
-        propagating, so no zombie workers outlive the failure.
+        Called while handling the :class:`WorkerCrashError`.  With an
+        injector the pool respawns at its next send (or degrades once its
+        budget is spent); without one the error propagates, and no zombie
+        workers outlive the failure.
+        """
+        if self.tracer is not None:
+            self.tracer.instant(
+                "worker.crash-detected", cat="recovery",
+                step=self._step_index,
+            )
+        self._teardown_procs()
+        if self._injector is None:
+            raise
+        self._recoveries += 1
+        self._injector.note_recovery()
+        if self._recoveries > self._injector.plan.max_recoveries:
+            self._degrade()
+
+    def _post(self, tasks: Sequence[Any]) -> bool:
+        """Send the workers their tasks; False if a crash intervened."""
+        try:
+            if not self._procs:
+                self._respawn()
+            self._send(tasks)
+            return True
+        except WorkerCrashError:
+            self._crashed()
+            return False
+
+    def step(
+        self, tasks: Sequence[Any], overlap: Callable[[], Any] | None = None
+    ) -> list[Any]:
+        """One barrier: one task per shard, one result per shard.
+
+        In order: the injector's hook, the workers get their tasks,
+        ``overlap()`` runs (the compiled backend's window step), then
+        shard 0, then the workers' results are collected — their half of
+        the barrier is retried after a crash.  If ``overlap`` or shard 0
+        raises, the workers are torn down before the error propagates.
         """
         if len(tasks) != len(self._handlers):
             raise ValueError(
@@ -507,36 +551,44 @@ class ForkShardPool:
         if self._injector is not None and not self._degraded:
             self._injector.before_step(self, self._step_index)
         self._step_index += 1
-        while True:
+        tracer = self.tracer
+        start = tracer.now_ns() if tracer is not None else 0
+        forked = tasks[1:]
+        posted = bool(forked) and not self._degraded and self._post(forked)
+        try:
+            if overlap is not None:
+                overlap()
+            first = tracer.now_ns() if tracer is not None else 0
+            results = [self._handlers[0](tasks[0])]
+            stamps = [(first, tracer.now_ns()) if tracer is not None else None]
+        except BaseException:
+            self._teardown_procs()
+            raise
+        while forked:
             if self._degraded:
-                return [
+                results += [
                     handler(task)
-                    for handler, task in zip(self._handlers, tasks)
+                    for handler, task in zip(self._handlers[1:], forked)
                 ]
+                break
+            if not (posted or self._post(forked)):
+                continue
             try:
-                if not self._procs:
-                    self._respawn()
-                results = self._barrier(tasks)
+                gathered, worker_stamps = self._recv()
                 # Finalize is the last barrier of a run — nothing left
                 # to recover to, so skip the checkpoint bookkeeping.
                 if self._injector is not None and not _is_finalize(tasks):
-                    self._after_barrier(tasks)
-                return results
+                    self._after_barrier(forked)
             except WorkerCrashError:
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "worker.crash-detected", cat="recovery",
-                        step=self._step_index,
-                    )
-                self._teardown_procs()
-                if self._injector is None:
-                    self._broken = True
-                    self.close()
-                    raise
-                self._recoveries += 1
-                self._injector.note_recovery()
-                if self._recoveries > self._injector.plan.max_recoveries:
-                    self._degrade()
+                self._crashed()
+                posted = False
+                continue
+            results += gathered
+            stamps += worker_stamps
+            break
+        if tracer is not None:
+            self._trace_barrier(start, _task_kind(tasks) or "barrier", stamps)
+        return results
 
     def step_all(self, task: Any) -> list[Any]:
         """Broadcast one task to every shard (e.g. ``("start", None)``)."""
@@ -544,26 +596,14 @@ class ForkShardPool:
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""
-        if not self._broken:
-            for conn in self._conns:
-                try:
-                    conn.send(_STOP)
-                except (BrokenPipeError, OSError):
-                    pass
-        for proc in self._procs:
-            if self._broken and proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5)
         for conn in self._conns:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - already gone
+                conn.send(_STOP)
+            except (BrokenPipeError, OSError):
                 pass
-        self._conns = []
-        self._procs = []
+        for proc in self._procs:
+            proc.join(timeout=5)
+        self._teardown_procs()
 
 
 def _is_finalize(tasks: Sequence[Any]) -> bool:

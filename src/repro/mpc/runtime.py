@@ -337,8 +337,8 @@ class MPCRuntime:
 
         ``options`` (:class:`~repro.mpc.options.RunOptions`, default
         ``RunOptions()``) supplies the shard-worker count.  With more than
-        one, the per-machine local computation runs on a pool of forked
-        shard workers (:mod:`repro.mpc.parallel`), with every shuffle
+        one, the per-machine local computation runs on a shard pool (the
+        caller plus forked workers, :mod:`repro.mpc.parallel`), every shuffle
         still a parent-side barrier — the shuffle ledger, stats, outputs
         and raised errors are identical to the serial path at any worker
         count.
@@ -386,7 +386,7 @@ class MPCRuntime:
     ) -> MPCRunResult:
         """The machine-parallel twin of :meth:`run`'s serial loop.
 
-        Programs execute on forked shard workers; the parent keeps the
+        Programs execute on the shard pool's shards; the parent keeps the
         done-set, routes every round's outboxes through its own metered
         :meth:`route` (so budget violations on the shuffle raise here,
         identically to serial), and re-raises worker-side typed errors —

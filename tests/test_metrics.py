@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
 
 from repro.congest.algorithm import NodeAlgorithm
@@ -354,43 +355,62 @@ class TestAutoCompression:
 
 
 class TestWindowPlannerCaches:
-    """Satellite: the incremental planner's per-radius frontier deltas
-    must tile the cumulative watcher sets exactly."""
+    """Satellite: the planner's per-radius frontier tables must list
+    exactly the machines a breadth-first search finds watching each node."""
 
-    def test_deltas_partition_watchers(self):
+    def test_watched_sets_equal_bfs_watchers(self):
         graph = gnp_graph(14, 0.25, seed=3)
         net = MPCCongestNetwork(
             graph, alpha=0.9, seed=3,
             options=RunOptions(compress=4),
         )
         approx_mvc_square(graph, 0.5, network=net)  # populate the caches
+        ids = nx.Graph()
+        ids.add_nodes_from(range(net.n))
+        ids.add_edges_from(
+            (u, v) for u in range(net.n) for v in net._adjacency[u]
+        )
+        previous = None
         for radius in range(1, 4):
-            # Cumulative watchers: every machine within ``radius`` hops.
+            # Watchers by BFS: every machine hosting a node within
+            # ``radius`` hops of ``node``.
             watchers = [
-                [
-                    mid for mid, dist in enumerate(net._hop_dist)
-                    if dist.get(node, radius + 1) <= radius
-                ]
+                {
+                    net._host[v]
+                    for v in nx.single_source_shortest_path_length(
+                        ids, node, cutoff=radius
+                    )
+                }
                 for node in range(net.n)
             ]
-            for node in range(net.n):
-                union: list[int] = []
-                for r in range(radius + 1):
-                    delta = net._delta_watchers_at(r)[node]
-                    # Disjoint: a machine enters the frontier exactly once.
-                    assert not set(delta) & set(union)
-                    union.extend(delta)
-                assert sorted(union) == sorted(watchers[node])
+            frontier = net._frontier_at(radius)
+            for mid, nodes in enumerate(frontier.watched):
+                # Each watched node is listed once: a machine enters a
+                # node's frontier exactly once.
+                assert len(set(nodes)) == len(nodes)
+                assert set(nodes) == {
+                    node for node in range(net.n) if mid in watchers[node]
+                }
+                if previous is not None:
+                    assert set(previous.watched[mid]) <= set(nodes)
+            assert frontier.fan == [len(w) - 1 for w in watchers]
+            previous = frontier
 
-    def test_host_is_the_radius_zero_delta(self):
+    def test_host_is_the_radius_zero_set(self):
         graph = gnp_graph(10, 0.3, seed=4)
         net = MPCCongestNetwork(
             graph, alpha=0.9, seed=4,
             options=RunOptions(compress=2),
         )
         approx_mvc_square(graph, 0.5, network=net)
-        zero = net._delta_watchers_at(0)
-        assert [d for (d,) in zero] == list(net._host[: net.n])
+        zero = net._frontier_at(0)
+        hosted = [None] * net.n
+        for mid, nodes in enumerate(zero.watched):
+            for node in nodes:
+                assert hosted[node] is None
+                hosted[node] = mid
+        assert hosted == list(net._host[: net.n])
+        assert zero.fan == [0] * net.n
 
 
 class TestConvergenceSeries:

@@ -10,9 +10,12 @@ but is captured per cell by the sweep runner.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.congest.algorithm import NodeAlgorithm
+from repro.congest.errors import RoundLimitError
 from repro.congest.network import CongestNetwork
 from repro.core.estimation import EstimationStage
 from repro.core.mds_congest import GlobalOrAlgorithm, WinnerAlgorithm
@@ -196,6 +199,11 @@ class _Burst(NodeAlgorithm):
         self.finish()
 
 
+def _children() -> set[int]:
+    """Pids of this process's live child processes (reaping the dead)."""
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
 class TestShuffleBudgetText:
     """A shuffle over the I/O budget names the machine, words and round.
 
@@ -217,6 +225,7 @@ class TestShuffleBudgetText:
         "hub_sends, verb", ((True, "sent"), (False, "received"))
     )
     def test_violation_text_pinned(self, compress, workers, hub_sends, verb):
+        before = _children()
         net = MPCCongestNetwork(
             build_graph("star", 20), alpha=1.0, seed=0,
             options=RunOptions(compress, workers),
@@ -233,6 +242,35 @@ class TestShuffleBudgetText:
         assert net.runtime.stats.rounds == 2
         assert len(net.runtime.trace) == 2
         assert all(r.congest_rounds == 1 for r in net.runtime.trace)
+        if workers > 1:
+            # The shuffle raised in the window step the pool overlaps
+            # with its forked shard's round; that worker did not survive.
+            frames = [(entry.name, str(entry.path)) for entry in
+                      info.traceback]
+            assert any(
+                name == "step" and path.endswith("parallel.py")
+                for name, path in frames
+            )
+            assert any(name == "open_window" for name, _path in frames)
+        assert _children() <= before
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_two_workers_fork_one_child_and_leave_none(self):
+        before = _children()
+        seen = []
+        net = MPCCongestNetwork(
+            build_graph("star", 20), alpha=1.0, seed=0,
+            options=RunOptions(4, 2),
+            on_round=lambda _event: seen.append(_children() - before),
+        )
+        assert len(net._node_shards(2)) == 2
+        net.run(_Ping)
+        # Two shards: the caller runs shard 0, one forked worker the other.
+        assert seen and all(len(forked) == 1 for forked in seen)
+        assert _children() <= before
+        with pytest.raises(RoundLimitError):
+            net.run(lambda v: _Burst(v, False), max_rounds=0)
+        assert _children() <= before
 
 
 class TestSweepCapture:

@@ -242,6 +242,23 @@ class TestCrashRecoveryParity:
         (fired,) = report["fired"]
         assert fired[0] == "crash" and fired[1] == 2
 
+    def test_crash_aimed_at_shard_zero_hits_the_forked_worker(self):
+        # At two workers the caller runs shard 0 and one forked worker
+        # runs shard 1; every crash, targeted or not, lands on the latter.
+        graph = gnp_graph(14, 0.3, seed=2)
+        clean = _outcome(graph, 0.9, 2, 1, workers=2)
+        for spec in ("crash@0:0", "crash@2:0", "crash@2"):
+            _result, payload = solve_mvc_mpc(
+                graph, 0.5, alpha=0.9, seed=2, workers=2, faults=spec
+            )
+            report = payload["faults"]
+            assert report["injected"]["crash"] == 1
+            assert report["skipped"] == 0
+            assert report["recoveries"] == 1
+            (fired,) = report["fired"]
+            assert fired[0] == "crash" and fired[2] == 1
+            assert _outcome(graph, 0.9, 2, 1, workers=2, faults=spec) == clean
+
     def test_fault_free_payload_has_no_faults_key(self):
         graph = gnp_graph(12, 0.3, seed=1)
         _result, payload = solve_mvc_mpc(
@@ -364,12 +381,16 @@ class TestDegradation:
 @needs_fork
 class TestPoolCleanup:
     def test_crash_without_recovery_leaves_no_zombies(self):
-        pool = ForkShardPool([lambda t: t, lambda t: t * 2])
+        pool = ForkShardPool(
+            [lambda t: t, lambda t: t * 2, lambda t: t * 3]
+        )
         procs = list(pool._procs)
-        assert all(p.is_alive() for p in procs)
-        assert pool.kill_worker(0)
+        assert len(procs) == 2 and all(p.is_alive() for p in procs)
+        # Shard 0 runs in the caller's process: there is nothing to kill.
+        assert not pool.kill_worker(0)
+        assert pool.kill_worker(1)
         with pytest.raises(WorkerCrashError):
-            pool.step([1, 1])
+            pool.step([1, 1, 1])
         # Every child — including the survivor — is terminated and
         # joined; nothing is left for active_children() to reap.
         assert pool._procs == [] and pool._conns == []
