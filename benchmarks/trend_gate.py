@@ -19,8 +19,6 @@ Gated trajectories:
   oracle; the memory-budget probe captured a real budget violation.
 - ``BENCH_mpc_scaling.json`` — shard-parallel execution is byte-identical
   across worker counts (every run's per-worker ledger digests agree).
-- ``BENCH_mpc_faults.json`` — crash recovery reconverges to the exact
-  serial/parallel digests and recovery overhead stays under the stored gate.
 - ``BENCH_solver_engines.json`` — engine-parity payloads agree and round
   counts grow with n per task.
 - ``BENCH_sweep.json`` — the sweep is byte-identical across job counts.
@@ -159,52 +157,6 @@ def gate_mpc_scaling(doc: dict[str, Any]) -> Failures:
     return failures
 
 
-def gate_mpc_faults(doc: dict[str, Any]) -> Failures:
-    failures: Failures = []
-    if doc.get("byte_identical") is not True:
-        failures.append("top-level byte_identical is not true")
-    if doc.get("crashes_recovered_everywhere") is not True:
-        failures.append("crashes_recovered_everywhere is not true")
-    overhead_gate = doc.get("overhead_gate")
-    if not _is_finite_number(overhead_gate):
-        failures.append("overhead_gate is not a finite number")
-        overhead_gate = math.inf
-    runs = doc.get("runs", [])
-    if not runs:
-        failures.append("no fault runs recorded")
-    worst = 0.0
-    for run in runs:
-        scenario = run.get("scenario", "?")
-        digests = run.get("digests", {})
-        if len({digests.get(k) for k in ("serial", "parallel", "recovered")}) != 1:
-            failures.append(
-                f"run {scenario}: serial/parallel/recovered digests diverge — "
-                "crash recovery changed the ledger"
-            )
-        if run.get("recoveries", 0) < run.get("crashes_injected", 0):
-            failures.append(
-                f"run {scenario}: {run.get('crashes_injected')} crashes injected but only "
-                f"{run.get('recoveries')} recoveries recorded"
-            )
-        overhead = run.get("recovery_overhead")
-        if not _is_finite_number(overhead):
-            failures.append(f"run {scenario}: recovery_overhead is not a finite number")
-            continue
-        worst = max(worst, overhead)
-        if overhead > overhead_gate:
-            failures.append(
-                f"run {scenario}: recovery overhead {overhead:.2f}x exceeds the "
-                f"{overhead_gate}x gate"
-            )
-    stored_worst = doc.get("worst_recovery_overhead")
-    if runs and _is_finite_number(stored_worst) and abs(stored_worst - worst) > 1e-9:
-        failures.append(
-            f"worst_recovery_overhead {stored_worst:.4f} does not match the run "
-            f"maximum {worst:.4f} — artifact was partially edited"
-        )
-    return failures
-
-
 def gate_solver_engines(doc: dict[str, Any]) -> Failures:
     failures: Failures = []
     if doc.get("payload_parity") is not True:
@@ -250,14 +202,13 @@ def gate_sweep(doc: dict[str, Any]) -> Failures:
 GATES: dict[str, Callable[[dict[str, Any]], Failures]] = {
     "BENCH_mpc.json": gate_mpc,
     "BENCH_mpc_scaling.json": gate_mpc_scaling,
-    "BENCH_mpc_faults.json": gate_mpc_faults,
     "BENCH_solver_engines.json": gate_solver_engines,
     "BENCH_sweep.json": gate_sweep,
 }
 
-# Artifacts whose absence fails the gate: the core mpc/scaling/faults
+# Artifacts whose absence fails the gate: the core mpc/scaling
 # trajectories must always be committed.
-REQUIRED = ("BENCH_mpc.json", "BENCH_mpc_scaling.json", "BENCH_mpc_faults.json")
+REQUIRED = ("BENCH_mpc.json", "BENCH_mpc_scaling.json")
 
 
 def run_gates(bench_dir: Path) -> tuple[dict[str, Failures], list[str]]:

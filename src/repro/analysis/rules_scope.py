@@ -154,12 +154,17 @@ def _timing_names_in_value(value: ast.expr) -> set[str]:
     return found
 
 
+#: The contract's own names for the whole timing-scoped field list.
+_FIELD_LIST_NAMES = frozenset({"TIMING_SCOPED_FIELDS", "TIMING_SCOPED_FIELD_SET"})
+
+
 def _has_sanitizer(fn: ast.AST) -> bool:
     """Whether ``fn`` contains a deterministic-branch timing-key strip.
 
     The recognized shape is an ``if`` whose test mentions
     ``not include_timing`` and whose test-or-body references at least one
-    timing-scoped field name as a string constant — e.g.::
+    timing-scoped field name as a string constant, or the contract's
+    whole field list by name — e.g.::
 
         if not include_timing and payload is not None and "faults" in payload:
             payload = {k: v for k, v in payload.items() if k != "faults"}
@@ -170,9 +175,11 @@ def _has_sanitizer(fn: ast.AST) -> bool:
         if _guard_polarity(node.test) is not False:
             continue
         mentioned = string_constants_in(node.test)
+        names = names_in(node.test)
         for stmt in node.body:
             mentioned |= string_constants_in(stmt)
-        if mentioned & TIMING_SCOPED_FIELD_SET:
+            names |= names_in(stmt)
+        if mentioned & TIMING_SCOPED_FIELD_SET or names & _FIELD_LIST_NAMES:
             return True
     return False
 

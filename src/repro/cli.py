@@ -47,8 +47,8 @@ from repro.graphs.validation import (
     assert_dominating_set,
     assert_vertex_cover,
 )
-from repro.lowerbounds.bcd19 import build_bcd19_mds
-from repro.lowerbounds.ckp17 import build_ckp17_mvc
+from repro.lowerbounds.bcd19 import bcd19_threshold, build_bcd19_mds
+from repro.lowerbounds.ckp17 import build_ckp17_mvc, ckp17_threshold
 from repro.lowerbounds.disjointness import disj, random_instance
 from repro.lowerbounds.framework import implied_round_lower_bound
 from repro.lowerbounds.mds_square_gap import (
@@ -66,6 +66,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.grids import NAMED_GRIDS
+from repro.sweep.runner import check_count
 from repro.sweep.tasks import task_names
 
 
@@ -92,7 +93,7 @@ def _checked(validate, *args, **kwargs):
 
 
 def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
-    """The MPC ledger line, then the fault report of a faulted run."""
+    """The MPC ledger line of a ``--model mpc`` run."""
     shuffle = payload["shuffle"]
     line = (
         f"mpc: machines={payload['machines']} S={payload['budget_words']} "
@@ -119,7 +120,6 @@ def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
         )
         line += f"  auto[{choices or 'no windows'} skips={auto['skips']}]"
     print(line)
-    _print_fault_report(payload)
 
 
 #: The mpc-only run flags: ``(flag, attribute, default, what it does)``.
@@ -129,7 +129,7 @@ _MPC_FLAGS = (
     ("--mpc-workers", "mpc_workers", None,
      "shards MPC machines over worker processes"),
     ("--faults", "faults", None,
-     "injects crashes into the MPC shard pool and shuffle plane"),
+     "injects memory-pressure faults into the MPC shuffles"),
 )
 
 
@@ -150,22 +150,6 @@ def _run_options(args: argparse.Namespace) -> RunOptions | None:
         getattr(args, "faults", None),
         seed=getattr(args, "seed", 0),
     )
-
-
-def _print_fault_report(payload: dict) -> None:
-    """One-line fault/recovery summary after the MPC ledger, if any."""
-    report = payload.get("faults")
-    if not report:
-        return
-    injected = report["injected"]
-    line = (
-        f"faults: crash={injected['crash']} straggle={injected['straggle']} "
-        f"mem={injected['mem']} recoveries={report['recoveries']} "
-        f"pending={report['pending']}"
-    )
-    if report["degraded"]:
-        line += "  DEGRADED to in-process serial execution"
-    print(line)
 
 
 def _make_collector(args: argparse.Namespace, command: str):
@@ -331,7 +315,19 @@ def _cmd_mds(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The families whose size ``k`` must be a power of two, with the
+#: threshold function that checks it.
+_FAMILY_K_CHECKS = {"ckp17": ckp17_threshold, "bcd19": bcd19_threshold}
+
+
+def _check_family_k(args: argparse.Namespace) -> None:
+    check = _FAMILY_K_CHECKS.get(args.family)
+    if check is not None:
+        _checked(check, args.k)
+
+
 def _cmd_gallery(args: argparse.Namespace) -> int:
+    _check_family_k(args)
     x, y = random_instance(args.k, seed=args.seed)
     if args.family == "ckp17":
         fam = build_ckp17_mvc(x, y, args.k)
@@ -413,9 +409,12 @@ def _cmd_verify_mpc(args: argparse.Namespace, options: RunOptions) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _checked(check_count, "samples", args.samples, 1)
+    _checked(check_count, "jobs", args.jobs, 1)
     options = _run_options(args)
     if options is not None:
         return _cmd_verify_mpc(args, options)
+    _check_family_k(args)
     tracer = _make_tracer(args)
     grid = _verify_grid(args.family, args.k, args.samples)
     sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
@@ -512,7 +511,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
         if args.faults:
             raise SystemExit(
                 "--faults applies to ad-hoc --task grids; named grids fix "
-                "their fault plans per cell (see the mpc-chaos grid)"
+                "their cells"
             )
         return named_grid(args.grid)
     if args.task is None:
@@ -611,6 +610,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _checked(check_count, "jobs", args.jobs, 1)
+    _checked(check_count, "retries", args.retries, 0)
     tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
@@ -755,10 +756,9 @@ def _add_solve_command(sub, name, help, n, models, func):
         "--faults",
         default=None,
         metavar="SPEC",
-        help="mpc model only: comma-separated fault plan (crash@B[:T], "
-        "straggle@B[:D], mem@B[:M], max_recoveries=N) injected into the "
-        "run; crashed shard workers recover from checkpointed shuffle "
-        "barriers with byte-identical outputs",
+        help="mpc model only: comma-separated fault plan (mem@B[:M]): "
+        "shuffle B raises the memory-budget error a real over-budget "
+        "shuffle would, blaming machine M (default: seeded)",
     )
     cmd.add_argument(
         "--metrics",
@@ -772,7 +772,7 @@ def _add_solve_command(sub, name, help, n, models, func):
         default=None,
         metavar="PATH",
         help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers, recovery) to "
+        "run (stage spans, shuffles, shard-worker barriers) to "
         "PATH; congest and mpc models only — purely observational, the "
         "run's outputs and ledgers are unchanged",
     )
@@ -927,9 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="ad-hoc --model mpc grids only: fault plan applied to every "
-        "cell (crash@B[:T], straggle@B[:D], mem@B[:M], max_recoveries=N); "
-        "payloads and the deterministic digest are identical to a "
-        "fault-free sweep",
+        "cell (mem@B[:M]); a cell whose run reaches shuffle B fails "
+        "with the injected memory-budget error",
     )
     sweep.add_argument(
         "--metrics",

@@ -112,14 +112,6 @@ class ActivityScheduler:
     def __init__(self) -> None:
         self.wake: set[int] = set()
 
-    def snapshot(self) -> tuple[int, ...]:
-        """The sorted wake set — the state a checkpoint must keep."""
-        return tuple(sorted(self.wake))
-
-    def restore(self, snapshot: tuple[int, ...]) -> None:
-        """Reset to a :meth:`snapshot`."""
-        self.wake = set(snapshot)
-
     def runnable(self, traffic: Iterable[int]) -> list[int]:
         """Consume the wake set; return this round's nodes in id order.
 

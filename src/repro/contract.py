@@ -1,13 +1,13 @@
 """The determinism contract's shared vocabulary.
 
 Every parity guarantee in this repository — engine v1/v2 payload parity,
-byte-identical shuffle ledgers at any worker count, crash-recovered runs
-matching fault-free runs, stable ``deterministic_sha256`` digests — rests
-on one split: a *deterministic section* (a pure function of the workload
-cell) versus a *timing/variant section* (whatever legitimately depends on
-the machine, the scheduler or the execution layout).  This module is the
-single definition of which field names belong to the timing side, so the
-three independent enforcement points stay in agreement:
+byte-identical shuffle ledgers at any worker count, stable
+``deterministic_sha256`` digests — rests on one split: a *deterministic
+section* (a pure function of the workload cell) versus a *timing/variant
+section* (whatever legitimately depends on the machine, the scheduler or
+the execution layout).  This module is the single definition of which
+field names belong to the timing side, so the three independent
+enforcement points stay in agreement:
 
 * :mod:`repro.analysis` — the static analyzer's SCOPE rules flag these
   names flowing into a deterministic payload builder;

@@ -49,7 +49,7 @@ def random_geometric(n: int, radius: float | None = None, seed: int = 0) -> nx.G
     """Connected random geometric graph (the radio-network motivation).
 
     With the default radius ``~sqrt(2 ln n / n)`` the graph is connected with
-    high probability; stragglers are connected explicitly.
+    high probability; stray components are connected explicitly.
     """
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / max(n, 1))

@@ -82,7 +82,6 @@ class MetricsCollector:
         self.shuffle_records: list[Any] = []
         self.engine: str | None = None
         self.mpc: dict[str, Any] | None = None
-        self.faults: dict[str, Any] | None = None
         #: Named deterministic convergence series — recorded by solver
         #: drivers from model-level state (cover growth, |DS|/|U| per
         #: phase, matched edges), never from engine scheduling, so they
@@ -154,16 +153,6 @@ class MetricsCollector:
         on the same collector stay idempotent.
         """
         self.convergence[name] = [int(v) for v in values]
-
-    def record_faults(self, report: dict[str, Any]) -> None:
-        """Store the fault-injection/recovery report for the variant.
-
-        Fault plans live in the variant section for the same reason as
-        worker count: the recovery contract makes the deterministic
-        section byte-identical with and without injected faults, and
-        this report is the record of what was survived to prove it.
-        """
-        self.faults = report
 
     # -- aggregation -------------------------------------------------------
 
@@ -246,8 +235,6 @@ class MetricsCollector:
             }
         if self.mpc is not None:
             payload["mpc"] = self.mpc
-        if self.faults is not None:
-            payload["faults"] = self.faults
         return payload
 
     def to_json(self) -> dict[str, Any]:

@@ -143,8 +143,7 @@ class MPCCongestNetwork(CongestNetwork):
     ``RunOptions()``: no compression, ``REPRO_MPC_WORKERS`` shard workers,
     no faults) sets the compression window, the shard-worker count and
     the fault plan.  A fault plan gets one injector for the network's
-    lifetime, which also turns on checkpointed crash recovery in the
-    shard pools.
+    lifetime.
     """
 
     engine_name = "mpc"
@@ -229,16 +228,6 @@ class MPCCongestNetwork(CongestNetwork):
             auto["cap"] = self._max_compress
             summary["auto"] = auto
         return summary
-
-    def fault_report(self) -> dict[str, Any] | None:
-        """Injected-fault/recovery summary, or ``None`` when fault-free.
-
-        Deliberately *not* part of :meth:`mpc_summary`: the summary is
-        the parity-compared ledger, and the whole point of the recovery
-        contract is that it is byte-identical with and without faults.
-        """
-        injector = self.runtime.fault_injector
-        return None if injector is None else injector.report()
 
     # -- compiled execution -------------------------------------------------
 
@@ -564,10 +553,8 @@ class _ShardedRounds:
         self._stats = stats
         self._pool = _parallel.ForkShardPool(
             [_CompiledShard(net, algorithms, shard) for shard in node_shards],
-            injector=net.runtime.fault_injector,
             tracer=net.tracer,
         )
-        self._outputs: dict[int, Any] = {}
         self.sends: list[SentBatch] = []
         self.finished: list[int] = []
 
@@ -579,12 +566,6 @@ class _ShardedRounds:
             if exc_type is None:
                 for frag in self._pool.step_all(("finalize", None)):
                     self._net.node_state.update(frag["state"])
-                # The parent's copies of the forked shards' algorithms
-                # stay at pre-run state while the pool may still respawn
-                # workers from them; finish them only now, so the run's
-                # result can be read off them (shard 0's already are).
-                for nid, output in self._outputs.items():
-                    self._algorithms[nid].finish(output)
         finally:
             self._pool.close()
 
@@ -611,8 +592,11 @@ class _ShardedRounds:
             stats.cut_words += cut
             awake += frag["awake"]
             for nid, output in frag["finished"]:
+                # The parent's copies of the forked shards' algorithms
+                # learn their outputs here (shard 0's already have them),
+                # so the run's result can be read off them.
                 self.finished.append(nid)
-                self._outputs[nid] = output
+                self._algorithms[nid].finish(output)
         sends.sort(key=itemgetter(0))
         self.sends = sends
         return awake
@@ -630,16 +614,6 @@ class _CompiledShard:
     newly finished ``(node id, output)`` pairs.  ``("finalize", None)`` ships the shard's
     node state dicts back so the parent network looks post-run to drivers
     that read ``network.node_state`` directly.
-
-    ``("checkpoint", None)`` snapshots each algorithm's mutable state —
-    its ``__dict__`` (minus the node view), the node's state dict and
-    RNG state — plus the kernel's wake set, and
-    ``("restore", blob)`` applies one in place.  Between barriers the
-    kernel holds no queued traffic (each round's sends arrive with the
-    next task), so nothing else needs saving.  The state dict is restored
-    in place (clear + update) because ``alg.node.state`` aliases
-    ``network.node_state[nid]``; replacing the dict object would silently
-    detach the two views.
     """
 
     def __init__(
@@ -655,44 +629,9 @@ class _CompiledShard:
             node_ids=node_ids, record=True,
         )
 
-    def _checkpoint(self) -> tuple[list[Any], Any]:
-        return (
-            [
-                (
-                    alg.node.id,
-                    {k: v for k, v in alg.__dict__.items() if k != "node"},
-                    dict(self._net.node_state[alg.node.id]),
-                    alg.node.rng.getstate(),
-                )
-                for alg in self._algs
-            ],
-            self._kernel.scheduler.snapshot(),
-        )
-
-    def _restore(self, blob: tuple[Sequence[Any], Any]) -> None:
-        alg_blobs, schedule = blob
-        for (nid, attrs, state, rng_state), alg in zip(alg_blobs, self._algs):
-            if nid != alg.node.id:  # pragma: no cover - plumbing bug guard
-                raise RuntimeError(
-                    f"checkpoint blob for node {nid} applied to {alg.node.id}"
-                )
-            node_state = self._net.node_state[nid]
-            node_state.clear()
-            node_state.update(state)
-            alg.node.rng.setstate(rng_state)
-            for key in [k for k in alg.__dict__ if k != "node"]:
-                del alg.__dict__[key]
-            alg.__dict__.update(attrs)
-        self._kernel.scheduler.restore(schedule)
-
     def __call__(self, task: Any) -> Any:
         kind, payload = task
         net = self._net
-        if kind == "checkpoint":
-            return self._checkpoint()
-        if kind == "restore":
-            self._restore(payload)
-            return {"restored": len(self._algs), "error": None}
         if kind == "finalize":
             return {
                 "state": {
@@ -911,12 +850,6 @@ def _solve_on_mpc(
     # jobs for the sweep).
     payload = net.mpc_summary()
     payload.update(report)
-    # The fault/recovery report rides outside mpc_summary(): it is
-    # deterministic given (plan, seed) — safe in sweep payload digests —
-    # but must never enter the parity-compared ledger itself.
-    fault_report = net.fault_report()
-    if fault_report is not None:
-        payload["faults"] = fault_report
     if collector is not None:
         collector.record_mpc(
             {
@@ -924,8 +857,6 @@ def _solve_on_mpc(
                 "workers": options.shard_workers(net.num_machines),
             }
         )
-        if fault_report is not None:
-            collector.record_faults(fault_report)
     return result, payload
 
 
@@ -949,7 +880,7 @@ def solve_mvc_mpc(
     :func:`solve_with_parity`; ``collector`` and ``tracer`` observe the
     MPC run.  Returns ``(DistributedCoverResult, mpc_payload)`` where the
     payload is the machine-side ledger (plus the parity report when
-    requested, and the fault report under a fault plan).
+    requested).
     ``graph`` must be connected, simple and undirected; other inputs raise
     the typed errors of :mod:`repro.graphs.instance`.
     """

@@ -143,21 +143,6 @@ class Machine:
             raise ValueError("cannot release a negative word count")
         self.stored_words = max(0, self.stored_words - words)
 
-    def snapshot(self) -> int:
-        """The machine's entire mutable state: its stored word count.
-
-        The frozen :class:`MachineSpec` / mutable :class:`Machine` split
-        is what makes barrier-time crash checkpoints cheap — this one
-        integer (plus program state) is all that crosses the pipe.
-        """
-        return self.stored_words
-
-    def restore(self, stored_words: int) -> None:
-        """Apply a :meth:`snapshot`, keeping the frozen spec in place."""
-        if stored_words < 0:
-            raise ValueError("stored_words must be >= 0")
-        self.stored_words = stored_words
-
     def window_budget_words(self) -> int:
         """Words of k-hop frontier this machine may prefetch in one window.
 

@@ -80,9 +80,6 @@ class MatchingResult:
     budget_words: int
     partition_digest: str
     stats: MPCRunStats
-    #: Fault/recovery report when a fault plan was attached; kept out of
-    #: :meth:`summary` so the parity-compared ledger never sees it.
-    faults: dict[str, Any] | None = None
 
     def __len__(self) -> int:
         return len(self.matching)
@@ -299,8 +296,7 @@ def mpc_maximal_matching(
     disconnected.  Raises :class:`~repro.mpc.machine.MemoryBudgetExceeded`
     when ``alpha`` is too small for the edge partition or the phase
     traffic.
-    ``faults`` attaches the fault-injection plane with checkpointed crash
-    recovery; the ledger and matching are unchanged by recovered faults.
+    ``faults`` injects ``mem@`` memory-pressure faults into the shuffles.
     ``collector`` (a :class:`~repro.metrics.MetricsCollector`) observes
     the shuffle stream and receives the matched/active-edge convergence
     curves; ``tracer`` (a :class:`~repro.trace.TraceRecorder`) gets the
@@ -369,7 +365,7 @@ def mpc_maximal_matching(
     if collector is not None:
         runtime.on_shuffle = collector.on_shuffle
     runtime.tracer = tracer
-    fault_injector = runtime.fault_injector = options.fault_injector()
+    runtime.fault_injector = options.fault_injector()
     result = runtime.run(programs, max_rounds=max_rounds, options=options)
     coordinator = programs[_COORDINATOR]
     matching: set[frozenset] = set()
@@ -390,7 +386,6 @@ def mpc_maximal_matching(
         budget_words=budget,
         partition_digest=assignment.digest(),
         stats=result.stats,
-        faults=None if fault_injector is None else fault_injector.report(),
     )
     if collector is not None:
         collector.set_engine("mpc")
@@ -409,8 +404,6 @@ def mpc_maximal_matching(
                 "workers": options.shard_workers(total_machines),
             }
         )
-        if outcome.faults is not None:
-            collector.record_faults(outcome.faults)
     return outcome
 
 

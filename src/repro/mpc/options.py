@@ -47,14 +47,15 @@ class RunOptions:
     * ``workers`` — shards for the machines' local computation, the
       caller plus ``workers - 1`` forked workers: an integer >= 1.  ``None`` resolves the
       ``REPRO_MPC_WORKERS`` environment variable, then 1.
-    * ``faults`` — a fault spec string, parsed here once with ``seed``
-      (the run seed), or a :class:`~repro.faults.plan.FaultPlan`, which
-      keeps its own seed.  A plan without events is stored as ``None``,
-      the fault-free default.
+    * ``faults`` — a ``mem@B[:M]`` fault spec string, parsed here once
+      with ``seed`` (the run seed), or a
+      :class:`~repro.faults.plan.FaultPlan`, which keeps its own seed.  A
+      plan without events is stored as ``None``, the fault-free default.
 
     Outputs, ``RunStats`` and the MPC ledger are identical at every
-    worker count and under every recovered fault plan; ``compress``
-    changes only how many shuffles carry the rounds.
+    worker count, and an injected fault raises the same error at any
+    worker count; ``compress`` changes only how many shuffles carry the
+    rounds.
     """
 
     compress: int | str = 1

@@ -40,16 +40,19 @@ exception module, qualname, message)`` and re-raised in the parent as the
 parent raises the smallest unit id's error: per-round unit computations
 are independent, so that is exactly the error the serial ascending-id
 loop would have hit first.
+
+**No crash recovery.**  The MPC model assumes machines that never fail,
+so a worker process that dies is not part of any run the simulator
+models: the pool tears every worker down and raises
+:class:`WorkerCrashError`, which the sweep runner treats as a transient
+worth retrying.
 """
 
 from __future__ import annotations
 
 import importlib
 import multiprocessing
-import os
-import signal
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -61,14 +64,6 @@ from typing import Any
 #: coordinates — which is how the parity acceptance gate runs one grid at
 #: several worker counts and byte-compares the ledgers.
 WORKERS_ENV_VAR = "REPRO_MPC_WORKERS"
-
-#: Successful barriers between shard-state checkpoints of a recovering
-#: pool.  Each checkpoint is an extra pipe round-trip, so the interval
-#: trades steady-state overhead against replay length on crash: a crash
-#: re-executes at most this many barriers of (deterministic) local
-#: computation, and since every metered shuffle runs parent-side, no
-#: shuffle is ever replayed whatever the interval.
-CHECKPOINT_INTERVAL = 6
 
 #: Sentinel shutting down a shard worker's command loop.
 _STOP = "__repro_mpc_shard_stop__"
@@ -220,37 +215,15 @@ class ForkShardPool:
     every result is collected before the caller proceeds — the
     process-level analogue of the model's synchronous round.
 
-    **Crash recovery.**  A pool with a fault ``injector``
-    (:class:`~repro.faults.inject.FaultInjector`) recovers from worker
-    crashes.  Only forked shards can crash, so only they are checkpointed
-    and replayed: every :data:`CHECKPOINT_INTERVAL`-th successful barrier
-    is followed by a ``("checkpoint", None)`` broadcast to the workers,
-    whose per-shard state blobs the parent retains (pipe pickling makes
-    them deep copies for free); the workers' barrier tasks in between are
-    recorded for replay.  A :class:`WorkerCrashError` then tears down
-    every child, respawns fresh forks, replays ``("restore", blob)`` plus
-    the recorded barriers (local computation is deterministic, so the
-    replay reproduces the pre-crash state exactly) and retries the
-    workers' half of the interrupted barrier.  Workers re-execute at most
-    :data:`CHECKPOINT_INTERVAL` barriers of local computation, and since
-    every metered shuffle happens parent-side, no shuffle is ever
-    replayed: the ledger of a recovered run is byte-identical to a
-    fault-free one.  After the plan's ``max_recoveries`` crashes the pool
-    restores checkpoint-plus-replay onto the parent-side handlers and
-    degrades to in-process serial execution, surfacing a
-    :class:`~repro.faults.recovery.DegradedExecutionWarning`.
-
-    **Fault injection.**  The ``injector`` gets a
-    ``before_step(pool, step_index)`` callback at the top of every
-    external :meth:`step`, before any task is sent.  Without one the pool
-    neither injects nor checkpoints, and a worker crash tears the pool
-    down and propagates.
+    The model's machines never fail, and neither may a worker: a worker
+    that dies (killed, segfaulted) tears the pool down and surfaces as
+    :class:`WorkerCrashError`, with no child process left behind.
     """
 
     def __init__(
         self,
         handlers: Sequence[Callable[[Any], Any]],
-        injector: Any = None,
+        *,
         tracer: Any = None,
     ) -> None:
         if not handlers:
@@ -261,21 +234,13 @@ class ForkShardPool:
                 "must fall back to serial execution on this platform"
             )
         self._handlers = list(handlers)
-        self._injector = injector
         #: Optional :class:`repro.trace.TraceRecorder`: barrier windows on
         #: the main track, compute intervals on per-shard tracks (tid
-        #: ``shard+1``), fork/checkpoint/restore/replay/degrade markers,
-        #: and the injector's fault markers.  Observation only.
+        #: ``shard+1``) and fork markers.  Observation only.
         self.tracer = tracer
         self._conns: list[Any] = []
         self._procs: list[Any] = []
-        self._checkpoints: list[Any] | None = None
-        #: Workers' barrier tasks since the last checkpoint (for replay).
-        self._history: list[list[Any]] = []
-        self._steps_since_checkpoint = 0
         self._step_index = 0
-        self._recoveries = 0
-        self._degraded = False
         if tracer is not None:
             tracer.name_thread(1, "shard-0")
         try:
@@ -298,16 +263,6 @@ class ForkShardPool:
     def shards(self) -> int:
         """Shard count (stable across close/teardown, unlike ``len``)."""
         return len(self._handlers)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the pool fell back to in-process serial execution."""
-        return self._degraded
-
-    @property
-    def recoveries(self) -> int:
-        """Crash recoveries performed so far (including the degrading one)."""
-        return self._recoveries
 
     def _spawn(self) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -348,20 +303,6 @@ class ForkShardPool:
                 pass
         self._conns = []
         self._procs = []
-
-    def kill_worker(self, index: int) -> bool:
-        """SIGKILL shard ``index``'s worker (fault injection entry point).
-
-        Shard 0 runs in the caller's process, so it has no worker to kill.
-        """
-        if self._degraded or not (1 <= index <= len(self._procs)):
-            return False
-        proc = self._procs[index - 1]
-        if proc.pid is None or not proc.is_alive():
-            return False
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=5)
-        return True
 
     def _send(self, tasks: Sequence[Any]) -> None:
         """Hand worker ``i`` (shard ``i + 1``) its task ``tasks[i]``."""
@@ -407,188 +348,54 @@ class ForkShardPool:
             step=self._step_index,
         )
         for index, stamp in enumerate(stamps):
-            if stamp is not None:
-                # Worker stamps share the parent's monotonic domain under
-                # fork; the clamp into the barrier window guards skew.
-                tracer.complete(
-                    label, stamp[0], stamp[1], tid=index + 1, cat="worker",
-                    clamp=(start, end),
-                )
-
-    def _barrier(self, tasks: Sequence[Any], label: str) -> list[Any]:
-        """Workers-only barrier (checkpoint, restore, replay)."""
-        start = self.tracer.now_ns() if self.tracer is not None else 0
-        self._send(tasks)
-        results, stamps = self._recv()
-        if self.tracer is not None:
-            self._trace_barrier(start, label, [None, *stamps])
-        return results
-
-    def _checkpoint(self) -> None:
-        self._checkpoints = self._barrier(
-            [("checkpoint", None)] * len(self._conns), "checkpoint"
-        )
-        self._history = []
-        self._steps_since_checkpoint = 0
-
-    def _after_barrier(self, tasks: Sequence[Any]) -> None:
-        """Checkpoint every :data:`CHECKPOINT_INTERVAL` barriers, else record.
-
-        Between checkpoints the barrier tasks are retained: local
-        computation is deterministic, so replaying them against the last
-        checkpoint reproduces the exact pre-crash state without paying a
-        pipe round-trip on every step.
-        """
-        self._steps_since_checkpoint += 1
-        if self._steps_since_checkpoint >= CHECKPOINT_INTERVAL:
-            self._checkpoint()
-        else:
-            self._history.append(list(tasks))
-
-    def _respawn(self) -> None:
-        """Fresh forks replayed to the last completed barrier's state.
-
-        The parent never runs a forked shard's handler during a parallel
-        run (workers advance copy-on-write copies; the parent mirrors
-        state back only at finalize), so a fresh fork *is* the pre-run
-        state — ``restore`` with the last checkpoint blob brings it to
-        the last checkpointed barrier (with no checkpoint yet the fresh
-        fork is already that base), and replaying the retained barrier
-        tasks since then (results discarded — the parent already
-        consumed them) reproduces the pre-crash state exactly.
-        """
-        tracer = self.tracer
-        respawn_start = tracer.now_ns() if tracer is not None else 0
-        self._spawn()
-        if self._checkpoints is not None:
-            self._barrier(
-                [("restore", blob) for blob in self._checkpoints], "restore"
-            )
-        for tasks in self._history:
-            self._barrier(tasks, "replay")
-        if tracer is not None:
+            # Worker stamps share the parent's monotonic domain under
+            # fork; the clamp into the barrier window guards skew.
             tracer.complete(
-                "recovery.respawn",
-                respawn_start,
-                tracer.now_ns(),
-                cat="recovery",
-                restored=self._checkpoints is not None,
-                replayed=len(self._history),
+                label, stamp[0], stamp[1], tid=index + 1, cat="worker",
+                clamp=(start, end),
             )
-
-    def _degrade(self) -> None:
-        """Fall back to in-process serial execution of the handlers."""
-        self._degraded = True
-        if self.tracer is not None:
-            self.tracer.instant(
-                "recovery.degrade", cat="recovery",
-                recoveries=self._recoveries - 1,
-            )
-        forked = self._handlers[1:]
-        if self._checkpoints is not None:
-            for handler, blob in zip(forked, self._checkpoints):
-                handler(("restore", blob))
-        for tasks in self._history:
-            for handler, task in zip(forked, tasks):
-                handler(task)
-        self._history = []
-        self._injector.note_degraded()
-        warnings.warn(
-            f"MPC shard pool exceeded its recovery budget "
-            f"({self._recoveries - 1} recoveries); degrading to in-process "
-            f"serial execution (results and ledger are unaffected)",
-            _degraded_warning_class(),
-            stacklevel=6,
-        )
-
-    def _crashed(self) -> None:
-        """A worker died: tear every child down, then recover or give up.
-
-        Called while handling the :class:`WorkerCrashError`.  With an
-        injector the pool respawns at its next send (or degrades once its
-        budget is spent); without one the error propagates, and no zombie
-        workers outlive the failure.
-        """
-        if self.tracer is not None:
-            self.tracer.instant(
-                "worker.crash-detected", cat="recovery",
-                step=self._step_index,
-            )
-        self._teardown_procs()
-        if self._injector is None:
-            raise
-        self._recoveries += 1
-        self._injector.note_recovery()
-        if self._recoveries > self._injector.plan.max_recoveries:
-            self._degrade()
-
-    def _post(self, tasks: Sequence[Any]) -> bool:
-        """Send the workers their tasks; False if a crash intervened."""
-        try:
-            if not self._procs:
-                self._respawn()
-            self._send(tasks)
-            return True
-        except WorkerCrashError:
-            self._crashed()
-            return False
 
     def step(
         self, tasks: Sequence[Any], overlap: Callable[[], Any] | None = None
     ) -> list[Any]:
         """One barrier: one task per shard, one result per shard.
 
-        In order: the injector's hook, the workers get their tasks,
-        ``overlap()`` runs (the compiled backend's window step), then
-        shard 0, then the workers' results are collected — their half of
-        the barrier is retried after a crash.  If ``overlap`` or shard 0
-        raises, the workers are torn down before the error propagates.
+        In order: the workers get their tasks, ``overlap()`` runs (the
+        compiled backend's window step), then shard 0, then the workers'
+        results are collected.  If sending, ``overlap`` or shard 0
+        raises, the workers are torn down before the error propagates;
+        so are they when a worker died, which raises
+        :class:`WorkerCrashError`.
         """
         if len(tasks) != len(self._handlers):
             raise ValueError(
                 f"expected {len(self._handlers)} tasks, got {len(tasks)}"
             )
-        if self._injector is not None and not self._degraded:
-            self._injector.before_step(self, self._step_index)
+        if len(self._procs) != len(self._handlers) - 1:
+            raise RuntimeError("the shard pool is closed")
         self._step_index += 1
         tracer = self.tracer
         start = tracer.now_ns() if tracer is not None else 0
-        forked = tasks[1:]
-        posted = bool(forked) and not self._degraded and self._post(forked)
         try:
+            self._send(tasks[1:])
             if overlap is not None:
                 overlap()
             first = tracer.now_ns() if tracer is not None else 0
             results = [self._handlers[0](tasks[0])]
-            stamps = [(first, tracer.now_ns()) if tracer is not None else None]
         except BaseException:
             self._teardown_procs()
             raise
-        while forked:
-            if self._degraded:
-                results += [
-                    handler(task)
-                    for handler, task in zip(self._handlers[1:], forked)
-                ]
-                break
-            if not (posted or self._post(forked)):
-                continue
-            try:
-                gathered, worker_stamps = self._recv()
-                # Finalize is the last barrier of a run — nothing left
-                # to recover to, so skip the checkpoint bookkeeping.
-                if self._injector is not None and not _is_finalize(tasks):
-                    self._after_barrier(forked)
-            except WorkerCrashError:
-                self._crashed()
-                posted = False
-                continue
-            results += gathered
-            stamps += worker_stamps
-            break
+        stamps = [(first, tracer.now_ns())] if tracer is not None else []
+        try:
+            gathered, worker_stamps = self._recv()
+        except WorkerCrashError:
+            self._teardown_procs()
+            raise
         if tracer is not None:
-            self._trace_barrier(start, _task_kind(tasks) or "barrier", stamps)
-        return results
+            self._trace_barrier(
+                start, _task_kind(tasks) or "barrier", stamps + worker_stamps
+            )
+        return results + gathered
 
     def step_all(self, task: Any) -> list[Any]:
         """Broadcast one task to every shard (e.g. ``("start", None)``)."""
@@ -606,25 +413,12 @@ class ForkShardPool:
         self._teardown_procs()
 
 
-def _is_finalize(tasks: Sequence[Any]) -> bool:
-    first = tasks[0] if tasks else None
-    return isinstance(first, tuple) and bool(first) and first[0] == "finalize"
-
-
 def _task_kind(tasks: Sequence[Any]) -> str | None:
     """The ``("kind", payload)`` tag of a barrier's tasks, if recognizable."""
     first = tasks[0] if tasks else None
     if isinstance(first, tuple) and first and isinstance(first[0], str):
         return first[0]
     return None
-
-
-def _degraded_warning_class() -> type:
-    # Imported lazily: repro.faults depends on repro.mpc.machine, and the
-    # fault-free path should not pay the import at module load.
-    from repro.faults.recovery import DegradedExecutionWarning
-
-    return DegradedExecutionWarning
 
 
 class ProgramShard:
@@ -639,13 +433,6 @@ class ProgramShard:
     back so the parent can mirror their post-run state (a serial run
     mutates the caller's objects in place; the parallel path must look
     the same to callers that read program attributes afterwards).
-
-    ``("checkpoint", None)`` snapshots the shard's mutable state — per
-    program only ``machine.stored_words`` plus the program ``__dict__``
-    (the frozen ``MachineSpec`` never crosses) — and ``("restore",
-    blob)`` applies such a snapshot in place, keeping the existing
-    ``machine``/spec objects.  Pipe pickling turns the snapshot into a
-    deep copy on the parent side for free.
     """
 
     def __init__(
@@ -653,36 +440,8 @@ class ProgramShard:
     ) -> None:
         self._programs = [(mid, programs[mid]) for mid in sorted(machine_ids)]
 
-    def _checkpoint(self) -> list[tuple[int, int, dict[str, Any]]]:
-        return [
-            (
-                mid,
-                prog.machine.snapshot(),
-                {k: v for k, v in prog.__dict__.items() if k != "machine"},
-            )
-            for mid, prog in self._programs
-        ]
-
-    def _restore(self, blob: Sequence[tuple[int, int, dict[str, Any]]]) -> None:
-        for (mid, stored_words, state), (own_mid, prog) in zip(
-            blob, self._programs
-        ):
-            if mid != own_mid:  # pragma: no cover - plumbing bug guard
-                raise RuntimeError(
-                    f"checkpoint blob for machine {mid} applied to {own_mid}"
-                )
-            prog.machine.restore(stored_words)
-            for key in [k for k in prog.__dict__ if k != "machine"]:
-                del prog.__dict__[key]
-            prog.__dict__.update(state)
-
     def __call__(self, task: Any) -> dict[str, Any]:
         kind, inboxes = task
-        if kind == "checkpoint":
-            return self._checkpoint()
-        if kind == "restore":
-            self._restore(inboxes)
-            return {"restored": len(self._programs), "error": None}
         if kind == "finalize":
             return {"programs": list(self._programs), "error": None}
         sent: list[tuple[int, list[Any]]] = []

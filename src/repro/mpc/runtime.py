@@ -167,10 +167,8 @@ class MPCRuntime:
         #: hold the reference and read at aggregation time.
         self.on_shuffle = on_shuffle
         #: Optional :class:`~repro.faults.inject.FaultInjector` whose
-        #: ``before_shuffle`` hook fires at the top of :meth:`shuffle`
-        #: and which the parallel path hands to its shard pool (enabling
-        #: checkpointed crash recovery); ``None`` (the default) keeps the
-        #: fault-free hot path untouched.
+        #: ``before_shuffle`` hook fires at the top of :meth:`shuffle`;
+        #: ``None`` (the default) keeps the fault-free hot path untouched.
         self.fault_injector = None
         #: Optional :class:`repro.trace.TraceRecorder`.  Observation only:
         #: it times the shuffle barrier and rides along to the shard pool;
@@ -415,9 +413,7 @@ class MPCRuntime:
                 for mid, _output in frag["finished"]:
                     done.add(mid)
 
-        with _parallel.ForkShardPool(
-            handlers, injector=self.fault_injector, tracer=self.tracer
-        ) as pool:
+        with _parallel.ForkShardPool(handlers, tracer=self.tracer) as pool:
             absorb(pool.step_all(("start", None)))
             while len(done) < m:
                 if self.stats.rounds - rounds_before >= max_rounds:

@@ -340,70 +340,6 @@ def mpc_smoke_grid() -> GridSpec:
     return GridSpec(name="mpc-smoke", cells=tuple(cells))
 
 
-def mpc_chaos_grid() -> GridSpec:
-    """Chaos smoke grid: MPC cells with injected crashes, parity-checked.
-
-    Every cell runs with 2 shard workers, a seeded fault plan that kills
-    at least one worker mid-run, and ``parity=True`` — so the
-    crash-recovered MPC execution is compared word-for-word against a
-    clean engine-v2 shadow *inside* the cell.  On platforms without
-    ``fork`` the cells run serially and the crash events stay pending;
-    the parity check still runs.
-    """
-    cells = [
-        Cell(
-            task="mpc-mvc",
-            graph="gnp",
-            n=14,
-            seed=2,
-            eps=0.5,
-            params=(
-                ("alpha", 0.9),
-                ("parity", True),
-                ("mpc_workers", 2),
-                ("faults", "crash@1"),
-            ),
-        ),
-        Cell(
-            task="mpc-mvc",
-            graph="tree",
-            n=12,
-            seed=3,
-            eps=0.5,
-            params=(
-                ("alpha", 0.85),
-                ("parity", True),
-                ("mpc_workers", 2),
-                ("faults", "straggle@1:0.01,crash@3"),
-            ),
-        ),
-        Cell(
-            task="mpc-mds",
-            graph="gnp",
-            n=12,
-            seed=5,
-            params=(
-                ("alpha", 0.9),
-                ("parity", True),
-                ("mpc_workers", 2),
-                ("faults", "crash@2,crash@4,max_recoveries=1"),
-            ),
-        ),
-        Cell(
-            task="mpc-matching",
-            graph="gnp",
-            n=24,
-            seed=7,
-            params=(
-                ("alpha", 0.8),
-                ("mpc_workers", 2),
-                ("faults", "crash@2"),
-            ),
-        ),
-    ]
-    return GridSpec(name="mpc-chaos", cells=tuple(cells))
-
-
 def smoke_grid() -> GridSpec:
     """Small mixed grid for CI smoke runs (seconds, not minutes)."""
     cells = [
@@ -463,7 +399,6 @@ NAMED_GRIDS = {
     "smoke": smoke_grid,
     "parallel-bench": parallel_bench_grid,
     "mpc-smoke": mpc_smoke_grid,
-    "mpc-chaos": mpc_chaos_grid,
     "mpc-vs-congest": mpc_vs_congest_grid,
     "mpc-vs-congest-quick": lambda: mpc_vs_congest_grid(quick=True),
     "mpc-compression": mpc_compression_grid,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.congest.network import RunStats
+from repro.contract import TIMING_SCOPED_FIELD_SET
 from repro.sweep.spec import Cell, GridSpec
 from repro.sweep.tasks import (
     export_graph_cache,
@@ -110,13 +111,14 @@ class CellResult:
 
     def to_json(self, include_timing: bool = True) -> dict[str, Any]:
         payload = self.payload
-        if not include_timing and payload is not None and "faults" in payload:
-            # The fault/recovery report is execution detail, not
-            # computation: the same crash event *fires* under shard
-            # workers but stays *pending* on a serial run, so keeping it
-            # in deterministic_json would break the worker-count
-            # invariance of the digest.  Scope it with the timings.
-            payload = {k: v for k, v in payload.items() if k != "faults"}
+        if not include_timing and payload is not None:
+            # Task payloads are pure functions of the cell; a
+            # timing-scoped key in one would break the digest's job- and
+            # worker-count invariance, so it is scoped with the timings.
+            payload = {
+                k: v for k, v in payload.items()
+                if k not in TIMING_SCOPED_FIELD_SET
+            }
         data: dict[str, Any] = {
             "cell": self.cell.to_json(),
             "key": self.cell.key,
@@ -446,6 +448,13 @@ def evaluate_cell(
         )
 
 
+def check_count(name: str, value: int, minimum: int) -> int:
+    """``value`` if it is at least ``minimum``, else a ``ValueError``."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
 #: Default base of the deterministic exponential retry backoff, seconds.
 DEFAULT_RETRY_BACKOFF = 0.05
 
@@ -556,8 +565,8 @@ def _retry_in_fresh_worker(
 ) -> CellResult:
     """One retry of a cell whose pool worker died, in a fresh subprocess.
 
-    A cell that took its worker down (OOM-kill, segfault, an injected
-    crash that outran recovery) must not be retried in the parent — if it
+    A cell that took its worker down (OOM-kill, segfault) must not be
+    retried in the parent — if it
     kills again it would take the whole sweep with it.  A dedicated
     single-worker pool isolates the blast radius per attempt.
     """
@@ -619,10 +628,8 @@ def run_sweep(
     serial runs, the submit-to-result window on pool runs.  The tracer is
     a pure observer: payloads and the deterministic digest are unchanged.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+    check_count("jobs", jobs, 1)
+    check_count("retries", retries, 0)
     start = time.perf_counter()  # repro: allow[DET002] sweep wall timing is timing-scoped output
     if graph_cache:
         _prewarm_with_budget(grid.cells, timeout)

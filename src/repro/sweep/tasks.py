@@ -124,10 +124,7 @@ METRICS_TASKS: frozenset[str] = frozenset(
 #: ``faults`` to the entry points as they are, which validate them as one
 #: :class:`~repro.mpc.options.RunOptions`: a missing ``mpc_workers``
 #: resolves ``REPRO_MPC_WORKERS``, which is how named grids run parallel
-#: without changing cell coordinates.  The fault/recovery *report* rides
-#: in the payload but records execution (whether an event fired depends
-#: on the worker count), so ``CellResult.to_json`` scopes it out of the
-#: deterministic digest along with the timings.
+#: without changing cell coordinates.
 _VARIANT_PARAMS = frozenset(
     {"compress", "parity", "metrics", "mpc_workers", "faults"}
 )
@@ -260,8 +257,7 @@ def _solution_payload(
     ``problem`` is ``"mvc"`` (a vertex cover) or ``"mds"`` (a dominating
     set).  An ``exact`` cell param adds the exact optimum and the ratio; a
     collector adds its metrics document.  An MPC ledger rides under
-    ``mpc`` with its fault report moved top-level (matching
-    mpc-matching), keeping ``mpc`` the parity-compared ledger.
+    ``mpc``.
     """
     from repro.exact.dominating_set import minimum_dominating_set
     from repro.exact.vertex_cover import minimum_vertex_cover
@@ -285,8 +281,6 @@ def _solution_payload(
     }
     if mpc is not None:
         payload["mpc"] = mpc
-        if "faults" in mpc:
-            payload["faults"] = mpc.pop("faults")
     if collector is not None:
         payload["metrics"] = collector.to_json()
     if cell.param("exact"):
@@ -461,8 +455,6 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
         ),
         "mpc": result.summary(),
     }
-    if result.faults is not None:
-        payload["faults"] = result.faults
     if collector is not None:
         payload["metrics"] = collector.to_json()
     return payload

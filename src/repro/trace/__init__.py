@@ -1,4 +1,4 @@
-"""The tracing plane: span timelines for CONGEST, MPC and recovery runs.
+"""The tracing plane: span timelines for CONGEST and MPC runs.
 
 ``TraceRecorder`` (see :mod:`repro.trace.recorder` for the determinism
 and clock contracts) collects Chrome trace-event / Perfetto JSON;

@@ -291,6 +291,21 @@ class TestSCOPE003PayloadPassthrough:
     def test_silent_with_sanitizer(self):
         assert "SCOPE003" not in rules_fired(self.SANITIZED)
 
+    def test_silent_with_contract_wide_strip(self):
+        # Stripping the contract's whole field list counts too.
+        source = (
+            "def to_json(self, include_timing=True):\n"
+            "    payload = self.payload\n"
+            "    if not include_timing and payload is not None:\n"
+            "        payload = {k: v for k, v in payload.items() "
+            "if k not in TIMING_SCOPED_FIELD_SET}\n"
+            "    return {'cell': 1, 'payload': payload}\n"
+        )
+        assert "SCOPE003" not in rules_fired(source)
+        # ...but only in the deterministic branch.
+        guarded = source.replace("if not include_timing", "if include_timing")
+        assert "SCOPE003" in rules_fired(guarded)
+
     def test_reintroducing_the_pr8_leak_is_caught(self):
         # Remove the strip: worker-count-dependent fault reports would
         # ride the payload straight into the sweep digest again.

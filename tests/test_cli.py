@@ -10,7 +10,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import build_graph
+from repro.lowerbounds.ckp17 import build_ckp17_mvc
 from repro.mpc.compile_congest import solve_mvc_mpc
+from repro.sweep import GridSpec, run_sweep
+from repro.sweep.runner import check_count
 
 
 class TestParser:
@@ -78,8 +81,53 @@ class TestBadValues:
                 ["mvc", "--graph", "path", "--n", "0"],
                 lambda: build_graph("path", 0),
             ),
+            (
+                ["verify", "--samples", "-2"],
+                lambda: check_count("samples", -2, 1),
+            ),
+            (
+                ["verify", "--samples", "0"],
+                lambda: check_count("samples", 0, 1),
+            ),
+            (
+                ["verify", "--model", "mpc", "--samples", "0"],
+                lambda: check_count("samples", 0, 1),
+            ),
+            (
+                ["verify", "--k", "3"],
+                lambda: build_ckp17_mvc(frozenset(), frozenset(), 3),
+            ),
+            (
+                ["verify", "--family", "bcd19", "--k", "3"],
+                lambda: build_ckp17_mvc(frozenset(), frozenset(), 3),
+            ),
+            (
+                ["gallery", "--k", "3"],
+                lambda: build_ckp17_mvc(frozenset(), frozenset(), 3),
+            ),
+            (
+                ["gallery", "--k", "-1"],
+                lambda: build_ckp17_mvc(frozenset(), frozenset(), -1),
+            ),
+            (
+                ["verify", "--jobs", "0"],
+                lambda: run_sweep(GridSpec("empty"), jobs=0),
+            ),
+            (
+                ["sweep", "--grid", "smoke", "--jobs", "0"],
+                lambda: run_sweep(GridSpec("empty"), jobs=0),
+            ),
+            (
+                ["sweep", "--grid", "smoke", "--retries", "-1"],
+                lambda: run_sweep(GridSpec("empty"), retries=-1),
+            ),
         ],
-        ids=["mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path"],
+        ids=[
+            "mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path",
+            "verify-samples-2", "verify-samples0", "verify-mpc-samples0",
+            "verify-k3", "verify-bcd19-k3", "gallery-k3", "gallery-k-1",
+            "verify-jobs0", "sweep-jobs0", "sweep-retries-1",
+        ],
     )
     def test_exits_2_with_library_message(self, argv, library_call, capsys):
         code = main(argv)
@@ -387,12 +435,12 @@ class TestSweepWarningSummary:
 
 class TestFaultsFlag:
     def test_mvc_faults_require_mpc_model(self, capsys):
-        code = main(["mvc", "--n", "12", "--faults", "crash@1"])
+        code = main(["mvc", "--n", "12", "--faults", "mem@1"])
         assert code == 2
         assert "--model mpc" in capsys.readouterr().err
 
     def test_mds_faults_require_mpc_model(self, capsys):
-        code = main(["mds", "--n", "12", "--faults", "crash@1"])
+        code = main(["mds", "--n", "12", "--faults", "mem@1"])
         assert code == 2
         assert "--model mpc" in capsys.readouterr().err
 
@@ -403,28 +451,14 @@ class TestFaultsFlag:
         assert code == 2
         assert "bad fault token" in capsys.readouterr().err
 
-    def test_mvc_run_prints_fault_report(self, capsys):
-        from repro.mpc.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("crash recovery requires fork")
-        code = main([
-            "mvc", "--n", "14", "--model", "mpc", "--alpha", "0.9",
-            "--mpc-workers", "2", "--faults", "crash@1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "faults: crash=1" in out
-        assert "recoveries=1" in out
-
     def test_sweep_faults_require_mpc_model(self):
         with pytest.raises(SystemExit, match="--model mpc"):
             main(["sweep", "--task", "mvc-congest", "--ns", "10",
-                  "--faults", "crash@1", "--quiet"])
+                  "--faults", "mem@1", "--quiet"])
 
     def test_sweep_faults_rejected_for_named_grids(self):
         with pytest.raises(SystemExit, match="ad-hoc"):
-            main(["sweep", "--grid", "smoke", "--faults", "crash@1"])
+            main(["sweep", "--grid", "smoke", "--faults", "mem@1"])
 
     def test_sweep_bad_spec_rejected(self):
         with pytest.raises(SystemExit, match="bad fault token"):
@@ -436,12 +470,12 @@ class TestFaultsFlag:
 
         args = build_parser().parse_args(
             ["sweep", "--task", "mpc-mvc", "--model", "mpc",
-             "--ns", "10,12", "--faults", "crash@1"]
+             "--ns", "10,12", "--faults", "mem@1"]
         )
         grid = _sweep_grid_from_args(args)
         assert len(grid.cells) == 2
         assert all(
-            cell.param("faults") == "crash@1" for cell in grid.cells
+            cell.param("faults") == "mem@1" for cell in grid.cells
         )
 
 
@@ -459,15 +493,3 @@ class TestRetriesFlag:
         )
         assert code == 1
         assert "1 error" in capsys.readouterr().out
-
-    def test_chaos_grid_runs_clean(self, capsys):
-        from repro.mpc.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("crash recovery requires fork")
-        code = main(
-            ["sweep", "--grid", "mpc-chaos", "--jobs", "1",
-             "--retries", "1", "--quiet"]
-        )
-        assert code == 0
-        assert "4 ok, 0 error" in capsys.readouterr().out

@@ -32,6 +32,7 @@ from repro.sweep.tasks import get_task
 
 _COMPRESS = "compress must be an integer >= 1 or 'auto', got {!r}"
 _WORKERS = "workers must be an integer >= 1, got {!r}"
+_FAULTS = "bad fault token {!r}: expected mem@B[:M]"
 
 #: ``(option, value, expected ValueError text)`` per invalid input class.
 INVALID = [
@@ -40,12 +41,11 @@ INVALID = [
     ("compress", "4", _COMPRESS.format("4")),
     ("workers", 0, _WORKERS.format(0)),
     ("workers", 2.5, _WORKERS.format(2.5)),
-    (
-        "faults",
-        "bogus@1",
-        "bad fault token 'bogus@1': expected crash@B[:T], "
-        "straggle@B[:D], mem@B[:M] or max_recoveries=N",
-    ),
+    ("faults", "bogus@1", _FAULTS.format("bogus@1")),
+    # The crash/straggle fault plane and its recovery budget are gone.
+    ("faults", "crash@1", _FAULTS.format("crash@1")),
+    ("faults", "straggle@1", _FAULTS.format("straggle@1")),
+    ("faults", "max_recoveries=2", _FAULTS.format("max_recoveries=2")),
 ]
 
 GRAPH = gnp_graph(10, 0.3, seed=1)
@@ -147,17 +147,18 @@ class TestRunOptions:
             RunOptions()
 
     def test_spec_is_parsed_with_the_run_seed(self):
-        plan = RunOptions(faults="crash@1", seed=7).faults
-        assert plan == FaultPlan.from_spec("crash@1", seed=7)
+        plan = RunOptions(faults="mem@1", seed=7).faults
+        assert plan == FaultPlan.from_spec("mem@1", seed=7)
 
     def test_plan_keeps_its_own_seed(self):
-        plan = FaultPlan.from_spec("crash@1", seed=3)
+        plan = FaultPlan.from_spec("mem@1", seed=3)
         assert RunOptions(faults=plan, seed=7).faults is plan
 
     def test_plan_without_events_is_fault_free(self):
-        options = RunOptions(faults="max_recoveries=3")
-        assert options.faults is None
-        assert options.fault_injector() is None
+        for faults in (" , ", FaultPlan(seed=3)):
+            options = RunOptions(faults=faults)
+            assert options.faults is None
+            assert options.fault_injector() is None
 
     def test_rejects_other_fault_types(self):
         with pytest.raises(ValueError, match="FaultPlan"):

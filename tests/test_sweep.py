@@ -475,9 +475,9 @@ class TestRetry:
             assert "attempts" not in deterministic["results"][0]
 
     def test_fault_report_is_timing_scoped(self):
-        # Whether a fault event fires depends on the worker count (a
-        # crash stays pending on a serial run), so the report must stay
-        # out of the deterministic digest like attempts and warnings.
+        # A timing-scoped key in a task payload (here the contract's
+        # "faults") stays out of the deterministic digest like attempts
+        # and warnings.
         from repro.sweep.runner import CellResult
 
         result = CellResult(

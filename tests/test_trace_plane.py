@@ -4,7 +4,7 @@ Covers ``repro.trace`` end to end: the recorder's event grammar (nested
 ``B``/``E`` spans, ``X`` completes with the clock-skew clamp, instants,
 counters), the strict shape validator, the span taxonomy emitted by the
 CONGEST engine and the MPC backend (stages, shuffle barriers, compression
-windows, per-worker timelines, crash recovery), and — the load-bearing
+windows, per-worker timelines), and — the load-bearing
 contract — with/without-``--trace`` differentials proving the tracer is a
 pure observer: shuffle ledgers, sweep digests and metrics
 ``deterministic_sha256`` are byte-identical whether or not a trace is
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 
 import pytest
 
@@ -23,7 +22,6 @@ import networkx as nx
 
 from repro.core.mvc_congest import approx_mvc_square
 from repro.congest.network import CongestNetwork
-from repro.faults import DegradedExecutionWarning
 from repro.graphs.generators import gnp_graph
 from repro.metrics import MetricsCollector
 from repro.mpc.compile_congest import solve_mds_mpc, solve_mvc_mpc
@@ -153,27 +151,20 @@ class TestCongestSpans:
 
 
 class TestMpcSpans:
-    def test_traced_parallel_faulted_run_has_full_taxonomy(self):
+    def test_traced_parallel_run_has_full_taxonomy(self):
         graph = nx.gnp_random_graph(18, 0.3, seed=7)
         rec = TraceRecorder()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedExecutionWarning)
-            solve_mvc_mpc(
-                graph, 0.5, alpha=0.9, seed=0, compress=2,
-                workers=2, faults="crash@2", tracer=rec,
-            )
+        solve_mvc_mpc(
+            graph, 0.5, alpha=0.9, seed=0, compress=2, workers=2,
+            tracer=rec,
+        )
         summary = validate_trace(rec.to_json())
         names = set(summary["names"])
         # Shuffle barriers and compression windows on the main track.
         assert {"shuffle", "window", "barrier"} <= names
         # Per-worker timelines shipped back over the pool pipes.
-        assert {"worker.fork", "round", "finalize"} <= names
-        # The injected crash and its recovery.
-        assert "fault.crash" in names
-        assert "worker.crash-detected" in names
-        assert "recovery.respawn" in names
-        assert "replay" in names
-        # main + one track per shard worker.
+        assert {"worker.fork", "start", "round", "finalize"} <= names
+        # main + one track per shard.
         assert summary["tracks"] == 3
 
 
@@ -211,17 +202,14 @@ class TestObserverContract:
         assert digests[False] == digests[True]
         assert shas[False] == shas[True]
 
-    def test_mpc_faulted_ledger_identical_with_and_without_trace(self):
+    def test_parallel_mvc_ledger_same_with_and_without_trace(self):
         graph = nx.gnp_random_graph(16, 0.3, seed=5)
         digests = {}
         for traced in (False, True):
             tracer = TraceRecorder() if traced else None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradedExecutionWarning)
-                _result, payload = solve_mvc_mpc(
-                    graph, 0.5, alpha=0.9, seed=0,
-                    workers=2, faults="crash@2", tracer=tracer,
-                )
+            _result, payload = solve_mvc_mpc(
+                graph, 0.5, alpha=0.9, seed=0, workers=2, tracer=tracer,
+            )
             digests[traced] = _digest(payload)
         assert digests[False] == digests[True]
 

@@ -29,13 +29,9 @@ class TestCommittedArtifacts:
         assert failures == {}
 
     def test_core_trajectories_are_gated(self):
-        # Acceptance floor: mpc, scaling and faults must always be gated.
+        # Acceptance floor: mpc and scaling must always be gated.
         results, _ = trend_gate.run_gates(BENCH_DIR)
-        assert {
-            "BENCH_mpc.json",
-            "BENCH_mpc_scaling.json",
-            "BENCH_mpc_faults.json",
-        } <= set(results)
+        assert {"BENCH_mpc.json", "BENCH_mpc_scaling.json"} <= set(results)
 
     def test_check_smoke_exit_code(self, capsys):
         assert trend_gate.main(["--check-smoke"]) == 0
@@ -100,28 +96,6 @@ class TestScalingGate:
         assert any("digests diverge" in f for f in trend_gate.gate_mpc_scaling(doc))
 
 
-class TestFaultsGate:
-    def test_recovered_digest_divergence_detected(self):
-        doc = _load("BENCH_mpc_faults.json")
-        doc["runs"][0]["digests"]["recovered"] = "deadbeef"
-        assert any(
-            "digests diverge" in f for f in trend_gate.gate_mpc_faults(doc)
-        )
-
-    def test_overhead_gate_enforced(self):
-        doc = _load("BENCH_mpc_faults.json")
-        doc["runs"][0]["recovery_overhead"] = doc["overhead_gate"] + 1.0
-        failures = trend_gate.gate_mpc_faults(doc)
-        assert any("exceeds the" in f for f in failures)
-
-    def test_hand_edited_worst_overhead_detected(self):
-        doc = _load("BENCH_mpc_faults.json")
-        doc["worst_recovery_overhead"] = 0.0
-        assert any(
-            "partially edited" in f for f in trend_gate.gate_mpc_faults(doc)
-        )
-
-
 class TestSweepAndEnginesGates:
     def test_sweep_sha_divergence_detected(self):
         doc = _load("BENCH_sweep.json")
@@ -163,10 +137,10 @@ class TestDiscovery:
         for name in trend_gate.GATES:
             doc = _load(name)
             (tmp_path / name).write_text(json.dumps(doc))
-        broken = _load("BENCH_mpc_faults.json")
-        broken["byte_identical"] = False
-        (tmp_path / "BENCH_mpc_faults.json").write_text(json.dumps(broken))
+        broken = _load("BENCH_mpc_scaling.json")
+        broken["runs"][0]["byte_identical_across_workers"] = False
+        (tmp_path / "BENCH_mpc_scaling.json").write_text(json.dumps(broken))
         code = trend_gate.main(["--check-smoke", "--bench-dir", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "TREND GATE FAILED [BENCH_mpc_faults.json]" in out
+        assert "TREND GATE FAILED [BENCH_mpc_scaling.json]" in out
