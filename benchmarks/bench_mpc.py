@@ -27,22 +27,16 @@ phases and machine counts vs alpha.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_mpc.py [--quick] [--json PATH]
-        [--check]
 
-``--check`` exits nonzero unless parity holds on every point, the probe
-cell fails with ``MemoryBudgetExceeded``, machine counts strictly
-increase as alpha decreases on every (task, n) point, shuffle counts
-strictly decrease as ``k`` grows on every compression point, and the
-``compress="auto"`` cell never uses more shuffles than the best fixed
-window — in this run and against the committed ``BENCH_mpc.json``
-curves.  Metrics documents embedded by the compression cells are
-schema-validated and written to ``METRICS_mpc.json``; their
-deterministic sections must be byte-identical across the ``k`` axis.
-``--check`` also guards against stale committed artifacts: the
-``METRICS_mpc.json`` on disk before this run must carry the current
-metrics schema version and per-cell deterministic sha256 values matching
-the fresh run — the two files are regenerated together, so a drifted
-one means somebody committed one without the other.
+The script only produces: the parity assertions above fail the run, and
+everything else is recorded in ``BENCH_mpc.json`` for
+``benchmarks/trend_gate.py`` to judge (machines vs alpha, shuffles vs
+``k``, ``auto`` against the best fixed window, the budget probe).  The
+compression cells' metrics documents are schema-validated, their
+deterministic sections must not move with ``k``, and their
+``deterministic_sha256`` values land in the artifact's ``metrics``
+manifest; the trend gate compares a fresh run's manifest with the
+committed one.
 """
 
 from __future__ import annotations
@@ -57,6 +51,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import print_table
 
+from repro.metrics import SCHEMA as METRICS_SCHEMA
+from repro.metrics import validate_metrics
 from repro.sweep import Cell, GridSpec, run_sweep
 from repro.sweep.grids import mpc_compression_grid, mpc_vs_congest_grid
 
@@ -179,17 +175,16 @@ def run_compression_bench(quick: bool):
     deterministic section (and its sha256) must not move with ``k``,
     while the variant section carries the per-``k`` shuffle ledger.
 
-    Returns ``(rows, points, metrics_docs)`` where ``metrics_docs`` maps
-    cell keys to schema-validated metrics documents.
+    Returns ``(rows, points, metrics_digests)`` where ``metrics_digests``
+    maps cell keys to the ``deterministic_sha256`` of their
+    schema-validated metrics documents.
     """
-    from repro.metrics import validate_metrics
-
     grid = mpc_compression_grid(quick=quick)
     sweep = run_sweep(grid, jobs=1)
     sweep.ok_payloads()
 
     by_point: dict[tuple[str, int, float], list] = {}
-    metrics_docs: dict[str, dict] = {}
+    metrics_digests: dict[str, str] = {}
     for result in sweep:
         cell = result.cell
         key = (cell.task, cell.n, cell.param("alpha"))
@@ -199,7 +194,7 @@ def run_compression_bench(quick: bool):
         doc = result.payload.get("metrics")
         if doc is not None:
             validate_metrics(doc)
-            metrics_docs[cell.key] = doc
+            metrics_digests[cell.key] = doc["deterministic_sha256"]
 
     rows = []
     points = []
@@ -266,7 +261,7 @@ def run_compression_bench(quick: bool):
                     shuffle["max_in_words"],
                 )
             )
-    return rows, points, metrics_docs
+    return rows, points, metrics_digests
 
 
 def run_matching_bench(quick: bool):
@@ -332,12 +327,6 @@ def main(argv=None) -> int:
         default=str(Path(__file__).parent / "BENCH_mpc.json"),
         metavar="PATH",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail unless parity holds everywhere, the budget probe is a "
-        "captured MemoryBudgetExceeded, and machines grow as alpha shrinks",
-    )
     args = parser.parse_args(argv)
 
     rows, points = run_compile_bench(args.quick, max(1, args.repeats))
@@ -353,7 +342,7 @@ def main(argv=None) -> int:
     print("\nparity: signature + RunStats identical to engine v2 on every "
           "(task, n, alpha) cell")
 
-    comp_rows, comp_points, metrics_docs = run_compression_bench(args.quick)
+    comp_rows, comp_points, metrics_digests = run_compression_bench(args.quick)
     print()
     print_table(
         "Round compression: shuffles vs k (CONGEST ledger invariant)",
@@ -363,31 +352,6 @@ def main(argv=None) -> int:
         ],
         comp_rows,
     )
-    metrics_path = Path(args.json).parent / "METRICS_mpc.json"
-    # Committed metrics baseline, read before this run overwrites the
-    # file (the staleness check under --check compares against it).
-    committed_metrics = None
-    try:
-        committed_metrics = json.loads(metrics_path.read_text())
-    except (OSError, ValueError):
-        pass
-    metrics_path.write_text(
-        json.dumps(
-            {
-                "schema": "repro.metrics.sweep/1",
-                "grid": "mpc-compression-quick"
-                if args.quick
-                else "mpc-compression",
-                "cells": metrics_docs,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    print(f"wrote {metrics_path} ({len(metrics_docs)} metrics documents, "
-          f"deterministic sections invariant across k)")
-
     match_rows, match_points = run_matching_bench(args.quick)
     print_table(
         "Native MPC matching (oracle-verified maximal)",
@@ -404,15 +368,6 @@ def main(argv=None) -> int:
     if probe["last_line"]:
         print(f"  {probe['last_line']}")
 
-    # Committed trend baseline, read before this run overwrites the file.
-    baseline_compression = []
-    try:
-        baseline_compression = json.loads(Path(args.json).read_text()).get(
-            "compression", []
-        )
-    except (OSError, ValueError):
-        pass
-
     payload = {
         "grid": "mpc-vs-congest-quick" if args.quick else "mpc-vs-congest",
         "available_cpus": len(os.sched_getaffinity(0))
@@ -423,127 +378,10 @@ def main(argv=None) -> int:
         "compression": comp_points,
         "matching": match_points,
         "budget_probe": probe,
+        "metrics": {"schema": METRICS_SCHEMA, "digests": metrics_digests},
     }
     Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.json}")
-
-    failures = []
-    if args.check:
-        if not probe["captured"]:
-            failures.append(
-                f"budget probe was {probe['status']!r}, expected a captured "
-                f"MemoryBudgetExceeded error"
-            )
-        by_point: dict[tuple[str, int], list[tuple[float, int]]] = {}
-        for p in points:
-            by_point.setdefault((p["task"], p["n"]), []).append(
-                (p["alpha"], p["machines"])
-            )
-        for (task, n), pairs in sorted(by_point.items()):
-            pairs.sort()
-            machine_counts = [machines for _, machines in pairs]
-            if not all(
-                a > b for a, b in zip(machine_counts, machine_counts[1:])
-            ):
-                failures.append(
-                    f"{task} n={n}: machine counts {machine_counts} do not "
-                    f"strictly decrease as alpha grows"
-                )
-        comp_by_point: dict[tuple[str, int, float], list[tuple[int, int]]] = {}
-        auto_by_point: dict[tuple[str, int, float], int] = {}
-        for p in comp_points:
-            key = (p["task"], p["n"], p["alpha"])
-            if p["k"] == "auto":
-                auto_by_point[key] = p["shuffles"]
-            else:
-                comp_by_point.setdefault(key, []).append(
-                    (p["k"], p["shuffles"])
-                )
-        for (task, n, alpha), pairs in sorted(comp_by_point.items()):
-            pairs.sort()
-            shuffle_counts = [shuffles for _, shuffles in pairs]
-            if not all(
-                a > b for a, b in zip(shuffle_counts, shuffle_counts[1:])
-            ):
-                failures.append(
-                    f"{task} n={n} alpha={alpha}: shuffle counts "
-                    f"{shuffle_counts} do not strictly decrease as k grows"
-                )
-            # The adaptive controller must never lose to the best fixed
-            # window on its own point...
-            best_fixed = min(shuffle_counts)
-            auto = auto_by_point.get((task, n, alpha))
-            if auto is None:
-                failures.append(
-                    f"{task} n={n} alpha={alpha}: no compress=auto cell in "
-                    f"the compression grid"
-                )
-            elif auto > best_fixed:
-                failures.append(
-                    f"{task} n={n} alpha={alpha}: auto compression used "
-                    f"{auto} shuffles, worse than the best fixed window "
-                    f"({best_fixed})"
-                )
-            # ...and must also hold the trend against the *committed*
-            # fixed-k curves, so a controller regression cannot hide
-            # behind a same-run planner regression.
-            committed = [
-                p["shuffles"]
-                for p in baseline_compression
-                if (p["task"], p["n"], p["alpha"]) == (task, n, alpha)
-                and p["k"] != "auto"
-            ]
-            if auto is not None and committed and auto > min(committed):
-                failures.append(
-                    f"{task} n={n} alpha={alpha}: auto compression used "
-                    f"{auto} shuffles, worse than the committed fixed-k "
-                    f"best ({min(committed)}) in {args.json}"
-                )
-        # Stale-artifact gate: the committed METRICS_mpc.json must have
-        # been regenerated together with BENCH_mpc.json — same metrics
-        # schema version, same per-cell deterministic sections as a
-        # fresh run (compared on the cells this run evaluated, so the
-        # --quick subset still checks against the full committed grid).
-        from repro.metrics import SCHEMA as METRICS_SCHEMA
-
-        if committed_metrics is None:
-            failures.append(
-                f"no committed {metrics_path.name} to check against; "
-                f"regenerate it together with {Path(args.json).name}"
-            )
-        else:
-            committed_cells = committed_metrics.get("cells", {})
-            for key, doc in sorted(metrics_docs.items()):
-                old = committed_cells.get(key)
-                if old is None:
-                    failures.append(
-                        f"{metrics_path.name} is stale: cell {key} is "
-                        f"missing from the committed document"
-                    )
-                elif old.get("schema") != METRICS_SCHEMA:
-                    failures.append(
-                        f"{metrics_path.name} is stale: cell {key} has "
-                        f"schema {old.get('schema')!r}, current is "
-                        f"{METRICS_SCHEMA!r}"
-                    )
-                elif (
-                    old.get("deterministic_sha256")
-                    != doc["deterministic_sha256"]
-                ):
-                    failures.append(
-                        f"{metrics_path.name} is stale: cell {key} "
-                        f"deterministic sha "
-                        f"{old.get('deterministic_sha256')} does not match "
-                        f"the fresh run's {doc['deterministic_sha256']}"
-                    )
-    for failure in failures:
-        print(f"CHECK FAILED: {failure}")
-    if failures:
-        return 1
-    if args.check:
-        print("check passed: parity, budget probe, machine scaling, shuffle "
-              "compression, the adaptive-k trend and the committed metrics "
-              "artifact all hold")
+    print(f"wrote {args.json} ({len(metrics_digests)} metrics digests)")
     return 0
 
 

@@ -1,30 +1,27 @@
 """Process-parallel MPC scaling benchmark: ranks vs wall-clock.
 
 Runs fixed MPC workloads (compiled MVC/MDS and the native matching) at
-several shard-worker counts, asserts the shuffle ledger and outputs are
-byte-identical at every count (the parity contract of
-:mod:`repro.mpc.parallel`), and records wall-clock numbers in a
+several shard-worker counts, records a digest of the shuffle ledger and
+outputs at every count (they must be byte-identical: the parity contract
+of :mod:`repro.mpc.parallel`) and wall-clock numbers in a
 machine-readable BENCH json.  A second section re-evaluates the
 ``mpc-vs-congest-quick`` sweep grid under the ``REPRO_MPC_WORKERS``
-override and requires the merged deterministic sha256 to match the
-serial run — the whole-grid form of the same contract.
+override and records the merged deterministic sha256 per worker count —
+the whole-grid form of the same contract.
 
 Shard workers can only beat serial when the machine has cores to spare;
 like ``BENCH_sweep.json``, the json records ``available_cpus`` next to
-the speedup and the ``--check`` gate applies only on hosts with >= 4
-CPUs (elsewhere it records itself as skipped rather than failing a
-1-core container for owning one core).
+the speedup.  The script only produces: ``benchmarks/trend_gate.py``
+judges the digests and, for full runs on hosts with >= 4 CPUs and >= 4
+workers, the 1.5x speedup.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_mpc_scaling.py
         [--workers 1,2,4] [--json benchmarks/BENCH_mpc_scaling.json]
-        [--check | --check-smoke]
+        [--quick]
 
-``--check`` fails unless the largest worker count achieved >= 1.5x over
-serial (on >= 4-CPU hosts) or any parity comparison failed.
-``--check-smoke`` is the CI form: small workloads, workers 1 and 2,
-parity enforced, no speedup gate anywhere.
+``--quick`` is the CI form: small workloads, workers 1 and 2.
 """
 
 from __future__ import annotations
@@ -47,10 +44,6 @@ from repro.mpc import mpc_maximal_matching, solve_mds_mpc, solve_mvc_mpc
 from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.sweep import named_grid, run_sweep
 from repro.sweep.tasks import clear_graph_cache
-
-SPEEDUP_GATE = 1.5
-GATE_MIN_CPUS = 4
-GATE_MIN_WORKERS = 4
 
 
 def _digest(payload) -> str:
@@ -111,8 +104,8 @@ def _matching_scenario(n: int, p: float, alpha: float):
     return run
 
 
-def _scenarios(smoke: bool):
-    if smoke:
+def _scenarios(quick: bool):
+    if quick:
         return {
             "mvc-gnp": _mvc_scenario(24, 0.15, 0.8, 1),
             "mds-compress4": _mds_scenario(20, 0.18, 0.8, 4),
@@ -160,7 +153,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", default=None,
         help="comma-separated shard-worker counts (default 1,2,4; "
-        "smoke mode 1,2)",
+        "quick mode 1,2)",
     )
     parser.add_argument(
         "--json",
@@ -168,26 +161,18 @@ def main(argv=None) -> int:
         metavar="PATH",
     )
     parser.add_argument(
-        "--check",
+        "--quick",
         action="store_true",
-        help=f"fail unless max workers beats serial by >= {SPEEDUP_GATE}x "
-        f"on hosts with >= {GATE_MIN_CPUS} CPUs (parity always enforced)",
-    )
-    parser.add_argument(
-        "--check-smoke",
-        action="store_true",
-        help="CI mode: small workloads, workers 1,2, parity enforced, "
-        "no speedup gate",
+        help="CI mode: small workloads, workers 1,2",
     )
     args = parser.parse_args(argv)
-    smoke = args.check_smoke
     if args.workers:
         workers_list = [int(w) for w in args.workers.split(",") if w]
     else:
-        workers_list = [1, 2] if smoke else [1, 2, 4]
+        workers_list = [1, 2] if args.quick else [1, 2, 4]
 
     available = os.cpu_count() or 1
-    scenarios = _scenarios(smoke)
+    scenarios = _scenarios(args.quick)
     rows = []
     runs = []
     parity_ok = True
@@ -224,36 +209,22 @@ def main(argv=None) -> int:
                  "yes" if identical else "NO")
             )
 
-    grid_report = _grid_parity(workers_list[:2] if smoke else workers_list)
+    grid_report = _grid_parity(
+        workers_list[:2] if args.quick else workers_list
+    )
     parity_ok = parity_ok and grid_report["byte_identical"]
 
-    speedups = [r["speedup_at_max_workers"] for r in runs]
-    overall = max(speedups)
-    gate_applies = (
-        args.check
-        and available >= GATE_MIN_CPUS
-        and max(workers_list) >= GATE_MIN_WORKERS
-    )
-    if args.check and not gate_applies:
-        gate = (
-            f"skipped ({available} cpu(s) available, "
-            f"max workers {max(workers_list)}; gate needs >= "
-            f"{GATE_MIN_CPUS} of both)"
-        )
-    elif gate_applies:
-        gate = "passed" if overall >= SPEEDUP_GATE else "FAILED"
-    else:
-        gate = "not requested"
     report = {
         "bench": "mpc-scaling",
-        "mode": "smoke" if smoke else "full",
+        "mode": "quick" if args.quick else "full",
         "available_cpus": available,
         "workers": workers_list,
         "runs": runs,
         "grid_parity": grid_report,
         "byte_identical_across_workers": parity_ok,
-        "best_speedup_at_max_workers": overall,
-        "speedup_gate": gate,
+        "best_speedup_at_max_workers": max(
+            r["speedup_at_max_workers"] for r in runs
+        ),
         "note": (
             "speedup is bounded by available_cpus: shard workers cannot "
             "beat serial without spare cores, so compare the speedup "
@@ -274,21 +245,6 @@ def main(argv=None) -> int:
         f"workers: {'yes' if grid_report['byte_identical'] else 'NO'}"
     )
     print(f"BENCH json written to {args.json}")
-
-    if not parity_ok:
-        print(
-            "FAIL: ledger/output digests differ across worker counts",
-            file=sys.stderr,
-        )
-        return 1
-    if gate_applies and overall < SPEEDUP_GATE:
-        print(
-            f"FAIL: expected >= {SPEEDUP_GATE}x at "
-            f"{max(workers_list)} workers, got {overall:.2f}x "
-            f"({available} cpu(s) available)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

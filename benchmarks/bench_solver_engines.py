@@ -20,12 +20,12 @@ behind the headline claim.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_solver_engines.py [--quick]
-        [--repeats R] [--json PATH] [--check] [--check-smoke]
+        [--repeats R] [--json PATH]
 
-``--check`` exits nonzero unless v2 (batched) achieves >= 2x over ``v1``
-on the E01 and E12 timing cells at n >= 200.  ``--check-smoke``
-is the CI regression gate for the quick grid: parity must hold exactly and
-v2 (batched) must not fall behind v1 by more than the jitter tolerance.
+Parity failures fail the run; the speedups are recorded in
+``BENCH_solver_engines.json`` and judged by ``benchmarks/trend_gate.py``
+(every point >= 0.8x of v1, and on the full grid >= 2x on the E01 and
+E12 timing cells at n >= 200).
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ from repro.congest.primitives import BfsTreeAlgorithm
 from repro.graphs.generators import gnp_graph
 from repro.sweep import run_sweep
 from repro.sweep.grids import SOLVER_ENGINES, solver_engines_grid
-
-#: Wall-clock tolerance for the CI smoke gate: timing on shared runners
-#: jitters, so "not slower than v1" is enforced with this slack factor.
-SMOKE_TOLERANCE = 0.8
-
-#: The headline requirement checked by ``--check``.
-CHECK_SPEEDUP = 2.0
 
 
 def run_traced_stage_parity(n: int = 40, seed: int = 11) -> list[str]:
@@ -168,18 +161,6 @@ def main(argv=None) -> int:
         default=str(Path(__file__).parent / "BENCH_solver_engines.json"),
         metavar="PATH",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"fail unless batched >= {CHECK_SPEEDUP}x over v1 on the "
-        "E01 and E12 timing cells (n >= 200)",
-    )
-    parser.add_argument(
-        "--check-smoke",
-        action="store_true",
-        help="CI gate: parity exact, batched not slower than v1 beyond "
-        f"a {SMOKE_TOLERANCE}x jitter tolerance",
-    )
     args = parser.parse_args(argv)
     repeats = max(1, min(args.repeats, 2) if args.quick else args.repeats)
 
@@ -207,32 +188,7 @@ def main(argv=None) -> int:
     Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.json}")
 
-    failures = []
-    if args.check:
-        for task in ("mvc-congest", "mds-congest"):
-            timing = [
-                p for p in points if p["task"] == task and p["n"] >= 200
-            ]
-            if not timing:
-                failures.append(f"no timing cell with n >= 200 for {task}")
-                continue
-            best = max(p["speedup_vs_v1"] for p in timing)
-            if best < CHECK_SPEEDUP:
-                failures.append(
-                    f"{task}: best batched-vs-v1 speedup {best:.2f}x "
-                    f"< {CHECK_SPEEDUP}x"
-                )
-    if args.check_smoke:
-        for p in points:
-            if p["speedup_vs_v1"] < SMOKE_TOLERANCE:
-                failures.append(
-                    f"{p['task']} n={p['n']}: batched engine fell to "
-                    f"{p['speedup_vs_v1']:.2f}x of v1 "
-                    f"(tolerance {SMOKE_TOLERANCE}x)"
-                )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

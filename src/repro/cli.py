@@ -55,7 +55,7 @@ from repro.lowerbounds.mds_square_gap import (
     GapConstructionParams,
     build_gap_family,
 )
-from repro.mpc.machine import check_alpha
+from repro.mpc.machine import MemoryBudgetExceeded, check_alpha
 from repro.mpc.options import RunOptions, parse_scalar
 from repro.sweep import (
     TABLE_HEADER,
@@ -66,7 +66,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.grids import NAMED_GRIDS
-from repro.sweep.runner import check_count
+from repro.sweep.runner import check_count, check_timeout
 from repro.sweep.tasks import task_names
 
 
@@ -439,8 +439,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _parse_list(text: str, convert):
-    return tuple(convert(part) for part in text.split(",") if part)
+def _parse_list(text: str, flag: str, convert):
+    try:
+        return tuple(convert(part) for part in text.split(",") if part)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_axis(text, flag, convert):
@@ -461,7 +464,7 @@ def _parse_axis(text, flag, convert):
         try:
             value = convert(part)
         except ValueError as exc:
-            raise SystemExit(f"{flag}: {exc}") from None
+            raise _UsageError(f"{flag}: {exc}") from None
         if value not in values:
             values.append(value)
     return tuple(values)
@@ -501,24 +504,24 @@ def _parse_mpc_workers(text: str) -> tuple[int, ...]:
 def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if args.grid is not None:
         if args.task is not None:
-            raise SystemExit("pass either --grid or --task, not both")
+            raise _UsageError("pass either --grid or --task, not both")
         if args.model != "congest" or args.alphas or args.compress:
-            raise SystemExit(
+            raise _UsageError(
                 "--model/--alphas/--compress apply to ad-hoc --task grids; "
                 "named grids fix their model, alphas and compression per "
                 "cell"
             )
         if args.faults:
-            raise SystemExit(
+            raise _UsageError(
                 "--faults applies to ad-hoc --task grids; named grids fix "
                 "their cells"
             )
         return named_grid(args.grid)
     if args.task is None:
-        raise SystemExit("sweep requires --grid NAME or --task NAME")
+        raise _UsageError("sweep requires --grid NAME or --task NAME")
     is_mpc_task = args.task.startswith("mpc-")
     if is_mpc_task != (args.model == "mpc"):
-        raise SystemExit(
+        raise _UsageError(
             f"task {args.task!r} belongs to the "
             f"{'mpc' if is_mpc_task else 'congest'} model; pass a matching "
             f"--model"
@@ -526,35 +529,35 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     alphas: tuple[float, ...] = ()
     if args.alphas:
         if args.model != "mpc":
-            raise SystemExit("--alphas requires --model mpc")
+            raise _UsageError("--alphas requires --model mpc")
         alphas = _parse_alphas(args.alphas)
     elif args.model == "mpc":
         alphas = (0.8,)
     compressions: tuple[int | str, ...] = (1,)
     if args.compress:
         if args.model != "mpc":
-            raise SystemExit("--compress requires --model mpc")
+            raise _UsageError("--compress requires --model mpc")
         compressions = _parse_compress(args.compress) or (1,)
     workers_axis: tuple[int, ...] = (1,)
     if args.mpc_workers:
         if args.model != "mpc":
-            raise SystemExit("--mpc-workers requires --model mpc")
+            raise _UsageError("--mpc-workers requires --model mpc")
         workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
     faults_param: tuple[tuple[str, object], ...] = ()
     if args.faults:
         if args.model != "mpc":
-            raise SystemExit("--faults requires --model mpc")
+            raise _UsageError("--faults requires --model mpc")
         try:
             RunOptions(workers=1, faults=args.faults)
         except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}") from None
+            raise _UsageError(f"--faults: {exc}") from None
         faults_param = (("faults", args.faults),)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
         from repro.sweep.tasks import METRICS_TASKS
 
         if args.task not in METRICS_TASKS:
-            raise SystemExit(
+            raise _UsageError(
                 f"sweep --metrics requires a metrics-capable task "
                 f"({', '.join(sorted(METRICS_TASKS))}), got {args.task!r}"
             )
@@ -562,14 +565,14 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     engines: tuple[str | None, ...] = (None,)
     if args.engines:
         if args.model == "mpc":
-            raise SystemExit(
+            raise _UsageError(
                 "--engines selects CONGEST engines; the mpc model has its "
                 "own runtime (sweep --alphas instead)"
             )
-        engines = _parse_list(args.engines, str)
+        engines = _parse_list(args.engines, "--engines", str)
     epss: tuple[float | None, ...] = (None,)
     if args.epss:
-        epss = _parse_list(args.epss, float)
+        epss = _parse_list(args.epss, "--epss", float)
     # One expansion per (alpha, compression, workers) triple (extra
     # per-cell axes the cartesian helper does not know about); seeds
     # derive from the other coordinates, so the same point at two alphas,
@@ -589,8 +592,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
                 expansion = expand_grid(
                     name=f"adhoc-{args.task}",
                     task=args.task,
-                    graphs=_parse_list(args.graphs, str),
-                    ns=_parse_list(args.ns, int),
+                    graphs=_parse_list(args.graphs, "--graphs", str),
+                    ns=_parse_list(args.ns, "--ns", int),
                     epss=epss,
                     engines=engines,
                     replicates=args.replicates,
@@ -602,7 +605,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if not grid.cells:
         # An empty axis (e.g. --ns "" from an unset shell variable) would
         # otherwise "succeed" vacuously with 0 cells and exit 0.
-        raise SystemExit(
+        raise _UsageError(
             "sweep grid is empty; check --graphs/--ns/--epss/--engines/"
             "--replicates for empty values"
         )
@@ -612,6 +615,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _checked(check_count, "jobs", args.jobs, 1)
     _checked(check_count, "retries", args.retries, 0)
+    _checked(check_count, "repeats", args.repeats, 1)
+    _checked(check_timeout, args.timeout)
     tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
@@ -624,7 +629,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid is not None and args.mpc_workers:
         values = _parse_mpc_workers(args.mpc_workers)
         if len(values) != 1:
-            raise SystemExit(
+            raise _UsageError(
                 "named grids take a single --mpc-workers value (applied "
                 "as the REPRO_MPC_WORKERS override); axes apply to ad-hoc "
                 "--task grids"
@@ -996,6 +1001,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # too (e.g. a generated graph with no vertices).
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryBudgetExceeded as exc:
+        # The model refusing an instance (S too small for a vertex, or a
+        # planned memory fault) is a failed run, not a program crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,8 +30,8 @@ process-wide via the ``REPRO_ENGINE`` environment variable; only ``v1``
 and ``v2`` are accepted.  Both engines are required to produce identical
 outputs, statistics and traces;
 ``tests/test_engine_parity.py`` and ``tests/test_batch_outbox.py`` enforce
-this differentially, and ``benchmarks/bench_engine_scaling.py`` /
-``benchmarks/bench_solver_engines.py`` measure the speedups.
+this differentially, and ``benchmarks/bench_solver_engines.py`` measures
+the speedups.
 """
 
 from repro.congest.errors import CongestionError, RoundLimitError

@@ -73,9 +73,9 @@ reference order so the first offending target raises the same
 ``CongestNetwork._check_send``).
 
 ``tests/test_engine_parity.py`` and ``tests/test_batch_outbox.py`` enforce
-the contract differentially, and ``benchmarks/bench_engine_scaling.py`` /
-``benchmarks/bench_solver_engines.py`` re-check it at benchmark scale via
-the sweep runner's per-cell engine selection.
+the contract differentially, and ``benchmarks/bench_solver_engines.py``
+re-checks it at benchmark scale via the sweep runner's per-cell engine
+selection.
 
 Per-round instrumentation: both loops deliver a structured
 :class:`~repro.congest.network.RoundEvent` (round index, messages, words,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.sweep.spec import Cell, GridSpec
 
 #: Scenario table of the engine-scaling sweep: task, (full sizes), (quick
-#: sizes).  Mirrors the original ``bench_engine_scaling`` scenarios.
+#: sizes); run with ``python -m repro sweep --grid engine-scaling``.
 ENGINE_SCALING_SCENARIOS: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
     ("pipeline-path", (120, 240, 480), (240,)),
     ("broadcast-star", (100, 200, 400), (200,)),
@@ -124,8 +124,8 @@ def solver_engines_grid(quick: bool = False) -> GridSpec:
       tracing on to compare full round timelines;
     * *timing points* (n >= 200, denser than the sweep default so the
       broadcast batches are wide) — the benchmark reports the v2
-      speedup over v1, and ``--check`` requires >= 2x on the E01 (MVC)
-      and E12 (MDS) cells.
+      speedup over v1, and ``benchmarks/trend_gate.py`` requires >= 2x
+      on the E01 (MVC) and E12 (MDS) cells.
 
     ``quick`` keeps the parity points and shrinks the timing points to CI
     scale (seconds, not minutes).
@@ -226,9 +226,9 @@ def mpc_vs_congest_grid(quick: bool = False) -> GridSpec:
     )
 
 
-#: Compression windows swept by the ``mpc-compression`` grids.  The
-#: benchmark's ``--check`` gate asserts shuffle counts strictly decrease
-#: along this axis on every (task, n, alpha) point of the quick grid.
+#: Compression windows swept by the ``mpc-compression`` grids.  The bench
+#: trend gate asserts shuffle counts strictly decrease along this axis on
+#: every (task, n, alpha) point.
 MPC_COMPRESSION_KS = (1, 2, 4)
 
 

@@ -455,6 +455,13 @@ def check_count(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def check_timeout(timeout: float | None) -> float | None:
+    """``timeout`` if it is ``None`` (no budget) or positive, else a ``ValueError``."""
+    if timeout is not None and not timeout > 0:
+        raise ValueError("timeout must be > 0 seconds")
+    return timeout
+
+
 #: Default base of the deterministic exponential retry backoff, seconds.
 DEFAULT_RETRY_BACKOFF = 0.05
 
@@ -630,6 +637,8 @@ def run_sweep(
     """
     check_count("jobs", jobs, 1)
     check_count("retries", retries, 0)
+    check_count("repeats", repeats, 1)
+    check_timeout(timeout)
     start = time.perf_counter()  # repro: allow[DET002] sweep wall timing is timing-scoped output
     if graph_cache:
         _prewarm_with_budget(grid.cells, timeout)

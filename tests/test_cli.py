@@ -57,6 +57,16 @@ def _library_message(call) -> str:
     return str(excinfo.value)
 
 
+def _usage_error(argv, capsys) -> str:
+    """``main(argv)`` exits 2 printing only ``error: ...``; the message."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err[len("error: "):]
+
+
 class TestBadValues:
     """A bad value exits 2 with the message the Python entry point raises."""
 
@@ -121,12 +131,30 @@ class TestBadValues:
                 ["sweep", "--grid", "smoke", "--retries", "-1"],
                 lambda: run_sweep(GridSpec("empty"), retries=-1),
             ),
+            (
+                ["sweep", "--grid", "smoke", "--repeats", "0"],
+                lambda: run_sweep(GridSpec("empty"), repeats=0),
+            ),
+            (
+                ["sweep", "--grid", "smoke", "--repeats", "-3"],
+                lambda: run_sweep(GridSpec("empty"), repeats=-3),
+            ),
+            (
+                ["sweep", "--grid", "smoke", "--timeout", "0"],
+                lambda: run_sweep(GridSpec("empty"), timeout=0),
+            ),
+            (
+                ["sweep", "--grid", "smoke", "--timeout", "-1"],
+                lambda: run_sweep(GridSpec("empty"), timeout=-1.0),
+            ),
         ],
         ids=[
             "mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path",
             "verify-samples-2", "verify-samples0", "verify-mpc-samples0",
             "verify-k3", "verify-bcd19-k3", "gallery-k3", "gallery-k-1",
             "verify-jobs0", "sweep-jobs0", "sweep-retries-1",
+            "sweep-repeats0", "sweep-repeats-3", "sweep-timeout0",
+            "sweep-timeout-1",
         ],
     )
     def test_exits_2_with_library_message(self, argv, library_call, capsys):
@@ -135,6 +163,34 @@ class TestBadValues:
         assert code == 2
         assert captured.err == f"error: {_library_message(library_call)}\n"
         assert captured.out == ""
+
+
+class TestMpcBudgetErrors:
+    """A ``MemoryBudgetExceeded`` is a failed run: ``error:``, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["mvc", "--n", "40", "--model", "mpc", "--alpha", "0.3"],
+                "vertex 32 needs 12 words",
+            ),
+            (
+                ["mvc", "--n", "14", "--model", "mpc", "--alpha", "0.9",
+                 "--faults", "mem@1"],
+                "injected by fault plan",
+            ),
+        ],
+        ids=["budget-too-small", "injected-mem-fault"],
+    )
+    def test_prints_error_without_traceback(self, argv, message, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestMdsCommand:
@@ -229,13 +285,27 @@ class TestSweepCommand:
         assert code == 1
         assert "1 error" in capsys.readouterr().out
 
-    def test_grid_and_task_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--grid", "smoke", "--task", "mvc-congest"])
+    def test_grid_and_task_are_exclusive(self, capsys):
+        message = _usage_error(
+            ["sweep", "--grid", "smoke", "--task", "mvc-congest"], capsys
+        )
+        assert "either --grid or --task" in message
 
-    def test_requires_grid_or_task(self):
-        with pytest.raises(SystemExit):
-            main(["sweep"])
+    def test_requires_grid_or_task(self, capsys):
+        assert "requires --grid NAME" in _usage_error(["sweep"], capsys)
+
+    def test_empty_grid_rejected(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "mvc-congest", "--ns", ""], capsys
+        )
+        assert "sweep grid is empty" in message
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--ns", "abc"), ("--epss", "x")]
+    )
+    def test_unparsable_axis_value_rejected(self, flag, value, capsys):
+        argv = ["sweep", "--task", "mvc-congest", "--ns", "10", flag, value]
+        assert _usage_error(argv, capsys).startswith(f"{flag}: ")
 
 
 class TestAlphasParsing:
@@ -252,19 +322,19 @@ class TestAlphasParsing:
         keys = [cell.key for cell in grid.cells]
         assert len(keys) == len(set(keys)) == 2
 
-    def test_nonpositive_alpha_rejected(self):
-        from repro.cli import _parse_alphas
+    @staticmethod
+    def _sweep_alphas(alphas):
+        return ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                "--alphas", alphas, "--ns", "10"]
 
-        message = r"alpha must be in \(0, 2\]"
+    def test_nonpositive_alpha_rejected(self, capsys):
         for bad in ("0", "-0.5", "0.8,0", "3"):
-            with pytest.raises(SystemExit, match=message):
-                _parse_alphas(bad)
+            message = _usage_error(self._sweep_alphas(bad), capsys)
+            assert message.startswith("--alphas: alpha must be in (0, 2]")
 
-    def test_non_numeric_alpha_rejected(self):
-        from repro.cli import _parse_alphas
-
-        with pytest.raises(SystemExit, match="not a number"):
-            _parse_alphas("0.8,abc")
+    def test_non_numeric_alpha_rejected(self, capsys):
+        message = _usage_error(self._sweep_alphas("0.8,abc"), capsys)
+        assert "not a number" in message
 
 
 class TestCompressFlag:
@@ -290,12 +360,16 @@ class TestCompressFlag:
         assert code == 2
         assert ">= 1" in capsys.readouterr().err
 
-    def test_sweep_compress_axis_dedupes(self):
+    def test_sweep_compress_axis_dedupes(self, capsys):
         from repro.cli import _parse_compress, _sweep_grid_from_args
 
         assert _parse_compress("4,2,4,1") == (4, 2, 1)
-        with pytest.raises(SystemExit, match=">= 1"):
-            _parse_compress("2,0")
+        message = _usage_error(
+            ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+             "--compress", "2,0", "--ns", "12"],
+            capsys,
+        )
+        assert ">= 1" in message
         args = build_parser().parse_args(
             ["sweep", "--task", "mpc-mvc", "--model", "mpc",
              "--alphas", "0.9", "--compress", "1,2,2", "--ns", "12"]
@@ -304,10 +378,13 @@ class TestCompressFlag:
         assert len(grid.cells) == 2
         assert [cell.param("compress", 1) for cell in grid.cells] == [1, 2]
 
-    def test_sweep_compress_requires_mpc_model(self):
-        with pytest.raises(SystemExit, match="--model mpc"):
-            main(["sweep", "--task", "mvc-congest", "--ns", "10",
-                  "--compress", "2"])
+    def test_sweep_compress_requires_mpc_model(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "mvc-congest", "--ns", "10",
+             "--compress", "2"],
+            capsys,
+        )
+        assert "--model mpc" in message
 
     def test_verify_mpc_with_compression(self, capsys):
         code = main(
@@ -387,10 +464,13 @@ class TestMetricsFlag:
         assert code == 2
         assert "--model congest or --model mpc" in capsys.readouterr().err
 
-    def test_sweep_metrics_requires_capable_task(self):
-        with pytest.raises(SystemExit, match="metrics-capable"):
-            main(["sweep", "--task", "selftest-ok", "--ns", "8",
-                  "--metrics", "/tmp/unused.json"])
+    def test_sweep_metrics_requires_capable_task(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "selftest-ok", "--ns", "8",
+             "--metrics", "/tmp/unused.json"],
+            capsys,
+        )
+        assert "metrics-capable" in message
 
     def test_sweep_metrics_writes_cell_documents(self, capsys, tmp_path):
         from repro.metrics import validate_metrics
@@ -451,19 +531,35 @@ class TestFaultsFlag:
         assert code == 2
         assert "bad fault token" in capsys.readouterr().err
 
-    def test_sweep_faults_require_mpc_model(self):
-        with pytest.raises(SystemExit, match="--model mpc"):
-            main(["sweep", "--task", "mvc-congest", "--ns", "10",
-                  "--faults", "mem@1", "--quiet"])
+    def test_sweep_faults_require_mpc_model(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "mvc-congest", "--ns", "10",
+             "--faults", "mem@1", "--quiet"],
+            capsys,
+        )
+        assert "--model mpc" in message
 
-    def test_sweep_faults_rejected_for_named_grids(self):
-        with pytest.raises(SystemExit, match="ad-hoc"):
-            main(["sweep", "--grid", "smoke", "--faults", "mem@1"])
+    def test_sweep_faults_rejected_for_named_grids(self, capsys):
+        message = _usage_error(
+            ["sweep", "--grid", "smoke", "--faults", "mem@1"], capsys
+        )
+        assert "ad-hoc" in message
 
-    def test_sweep_bad_spec_rejected(self):
-        with pytest.raises(SystemExit, match="bad fault token"):
-            main(["sweep", "--task", "mpc-mvc", "--model", "mpc",
-                  "--ns", "10", "--faults", "nope@2", "--quiet"])
+    def test_sweep_bad_spec_rejected(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+             "--ns", "10", "--faults", "nope@2", "--quiet"],
+            capsys,
+        )
+        assert "bad fault token" in message
+
+    def test_sweep_removed_fault_kind_rejected(self, capsys):
+        message = _usage_error(
+            ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+             "--ns", "10", "--faults", "crash@1"],
+            capsys,
+        )
+        assert message.startswith("--faults: ")
 
     def test_sweep_faults_param_attached_to_every_cell(self):
         from repro.cli import _sweep_grid_from_args, build_parser
