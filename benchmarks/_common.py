@@ -1,4 +1,4 @@
-"""Shared harness for the benchmark suite: tables + grid evaluation.
+"""Shared harness for the benchmark suite: result tables.
 
 Every benchmark regenerates one of the paper's claims (the experiment
 index mapping each ``bench_eNN`` module to its claim lives in `DESIGN.md
@@ -8,39 +8,14 @@ check the claim's *shape* (who wins, how quantities scale), so the harness
 doubles as a verification suite.
 
 Grid-shaped benchmarks declare their cells in :mod:`repro.sweep.grids` and
-evaluate them through :func:`evaluate_grid` below — serially in-process by
-default (the deterministic pytest path), or over a process pool when
-``REPRO_SWEEP_JOBS`` is set.  The same grids are runnable in parallel from
+evaluate them serially in-process with :func:`repro.sweep.run_sweep` (the
+deterministic pytest path).  The same grids are runnable in parallel from
 the CLI: ``python -m repro sweep --grid e01 --jobs 4``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Sequence
-
-from repro.sweep import GridSpec, SweepResult, run_sweep
-
-#: Environment override for benchmark grid parallelism (default: serial).
-JOBS_ENV_VAR = "REPRO_SWEEP_JOBS"
-
-
-def evaluate_grid(
-    grid: GridSpec,
-    jobs: int | None = None,
-    repeats: int = 1,
-    timeout: float | None = None,
-) -> SweepResult:
-    """Evaluate a benchmark grid through the sweep runner.
-
-    ``jobs=None`` reads :data:`JOBS_ENV_VAR` (default 1, i.e. serial and
-    in-process, which is what pytest assertions rely on for timing-free
-    determinism).  The merged result is identical for every ``jobs`` value;
-    only wall-clock differs.
-    """
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1") or "1")
-    return run_sweep(grid, jobs=jobs, repeats=repeats, timeout=timeout)
 
 
 def print_table(

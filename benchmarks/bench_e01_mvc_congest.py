@@ -16,19 +16,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import evaluate_grid, print_table
+from _common import print_table
 
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import gnp_graph
 from repro.graphs.power import square
 from repro.graphs.validation import assert_vertex_cover
+from repro.sweep import run_sweep
 from repro.sweep.grids import e01_grid
 
 
 def _run_grid():
     rows = []
     normalized = []
-    for cell, payload in evaluate_grid(e01_grid()).ok_payloads():
+    for cell, payload in run_sweep(e01_grid()).ok_payloads():
         eps = cell.eps
         ratio = payload["ratio"]
         assert ratio <= 1 + eps + 1e-9

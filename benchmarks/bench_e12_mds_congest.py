@@ -17,14 +17,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _common import evaluate_grid, print_table
+from _common import print_table
 
+from repro.sweep import run_sweep
 from repro.sweep.grids import e12_estimator_grid, e12_mds_grid
 
 
 def _estimator_rows():
     rows = []
-    for cell, payload in evaluate_grid(e12_estimator_grid()).ok_payloads():
+    for cell, payload in run_sweep(e12_estimator_grid()).ok_payloads():
         rows.append(
             (
                 payload["samples"],
@@ -38,7 +39,7 @@ def _estimator_rows():
 
 def _mds_rows():
     rows = []
-    for cell, payload in evaluate_grid(e12_mds_grid()).ok_payloads():
+    for cell, payload in run_sweep(e12_mds_grid()).ok_payloads():
         rows.append(
             (
                 cell.n,

@@ -43,7 +43,6 @@ import networkx as nx
 from repro.mpc import mpc_maximal_matching, solve_mds_mpc, solve_mvc_mpc
 from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.sweep import named_grid, run_sweep
-from repro.sweep.tasks import clear_graph_cache
 
 
 def _digest(payload) -> str:
@@ -131,7 +130,6 @@ def _grid_parity(workers_list) -> dict:
     try:
         for workers in workers_list:
             os.environ[WORKERS_ENV_VAR] = str(workers)
-            clear_graph_cache()
             sweep = run_sweep(grid, jobs=1)
             sweep.ok_payloads()
             digests[workers] = sweep.deterministic_sha256()

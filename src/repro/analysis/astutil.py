@@ -78,12 +78,3 @@ def string_constants_in(node: ast.AST) -> set[str]:
         for n in ast.walk(node)
         if isinstance(n, ast.Constant) and isinstance(n.value, str)
     }
-
-
-def is_self_attribute(node: ast.AST) -> bool:
-    """Whether ``node`` is an ``self.x`` attribute access."""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )

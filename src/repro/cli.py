@@ -31,6 +31,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro.congest.engine import resolve_engine_name
 from repro.core.mds_congest import approx_mds_square
 from repro.core.mvc_centralized import five_thirds_mvc_square
 from repro.core.mvc_clique import (
@@ -40,7 +41,12 @@ from repro.core.mvc_clique import (
 from repro.core.mvc_congest import approx_mvc_square, normalized_epsilon
 from repro.exact.dominating_set import minimum_dominating_set
 from repro.exact.vertex_cover import minimum_vertex_cover
-from repro.graphs.generators import GRAPH_KINDS, build_graph
+from repro.graphs.generators import (
+    GRAPH_KINDS,
+    build_graph,
+    check_graph_kind,
+    check_graph_size,
+)
 from repro.graphs.instance import InputError
 from repro.graphs.power import square
 from repro.graphs.validation import (
@@ -439,13 +445,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _parse_list(text: str, flag: str, convert):
-    try:
-        return tuple(convert(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise _UsageError(f"{flag}: {exc}") from None
-
-
 def _parse_axis(text, flag, convert):
     """Parse one comma-separated sweep axis: convert, validate, dedupe.
 
@@ -454,7 +453,9 @@ def _parse_axis(text, flag, convert):
     re-runs and double-counts in the aggregate stats — so duplicates are
     dropped while preserving first-occurrence order.  ``convert`` raises
     ``ValueError`` on a bad value, which is rejected up front as a parse
-    error instead of failing inside every cell.
+    error instead of failing inside every cell; a value that parses but
+    breaks a library rule is reported through :func:`_checked`, with the
+    library's own message.
     """
     values = []
     for part in text.split(","):
@@ -476,6 +477,12 @@ def _alpha(text: str) -> float:
     except ValueError:
         raise ValueError(f"{text!r} is not a number") from None
     return check_alpha(value)
+
+
+def _eps(text: str) -> float:
+    value = float(text)
+    _checked(normalized_epsilon, value)
+    return value
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -569,10 +576,20 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
                 "--engines selects CONGEST engines; the mpc model has its "
                 "own runtime (sweep --alphas instead)"
             )
-        engines = _parse_list(args.engines, "--engines", str)
+        engines = _parse_axis(
+            args.engines,
+            "--engines",
+            lambda part: _checked(resolve_engine_name, part),
+        )
     epss: tuple[float | None, ...] = (None,)
     if args.epss:
-        epss = _parse_list(args.epss, "--epss", float)
+        epss = _parse_axis(args.epss, "--epss", _eps)
+    graphs = _parse_axis(
+        args.graphs, "--graphs", lambda part: _checked(check_graph_kind, part)
+    )
+    ns = _parse_axis(
+        args.ns, "--ns", lambda part: _checked(check_graph_size, int(part))
+    )
     # One expansion per (alpha, compression, workers) triple (extra
     # per-cell axes the cartesian helper does not know about); seeds
     # derive from the other coordinates, so the same point at two alphas,
@@ -592,8 +609,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
                 expansion = expand_grid(
                     name=f"adhoc-{args.task}",
                     task=args.task,
-                    graphs=_parse_list(args.graphs, "--graphs", str),
-                    ns=_parse_list(args.ns, "--ns", int),
+                    graphs=graphs,
+                    ns=ns,
                     epss=epss,
                     engines=engines,
                     replicates=args.replicates,

@@ -46,7 +46,6 @@ from repro.congest.network import (
     CongestNetwork,
     RunResult,
     RunStats,
-    run_stages,
 )
 from repro.congest.clique import CongestedCliqueNetwork
 from repro.congest.primitives import (
@@ -72,7 +71,6 @@ __all__ = [
     "CongestedCliqueNetwork",
     "RunResult",
     "RunStats",
-    "run_stages",
     "BfsTreeAlgorithm",
     "ConvergecastAlgorithm",
     "BroadcastAlgorithm",

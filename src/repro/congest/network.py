@@ -15,10 +15,10 @@ with the ``REPRO_ENGINE`` environment variable; both must behave
 identically (see ``tests/test_engine_parity.py`` and
 ``tests/test_batch_outbox.py``).
 
-Paper algorithms are sequences of phases whose round complexities add; the
-:func:`run_stages` driver runs stage factories back-to-back on the same
-network, with per-node ``state`` dictionaries carrying intermediate results
-from one stage to the next.
+Paper algorithms are sequences of phases whose round complexities add: a
+solver calls ``run`` once per stage on the same network (``label=`` names
+the stage), with per-node ``state`` dictionaries carrying intermediate
+results from one stage to the next.
 """
 
 from __future__ import annotations
@@ -146,12 +146,10 @@ class RoundEvent:
     v2 only traffic- or self-woken ones — so it is exactly the quantity an
     activity-scheduling experiment wants to see.
 
-    ``stage`` and ``stage_label`` attribute the event to the solver stage
-    that produced it: :func:`run_stages` stamps the stage index on every
-    forwarded event, and a ``label=`` passed to ``run`` (directly or via
-    ``run_stages(stage_labels=...)``) travels as ``stage_label``.  Both
-    default to ``None`` for unlabelled runs; neither is part of the
-    engine parity surface (they are attribution, not metering).
+    ``stage_label`` attributes the event to the solver stage that
+    produced it: the ``label=`` passed to ``run``, or ``None`` for an
+    unlabelled run.  It is not part of the engine parity surface (it is
+    attribution, not metering).
     """
 
     round_index: int
@@ -159,7 +157,6 @@ class RoundEvent:
     words: int
     awake: int
     cut_words: int = 0
-    stage: int | None = None
     stage_label: str | None = None
 
 
@@ -461,60 +458,3 @@ class CongestNetwork:
             if self._cut and frozenset((sender, target)) in self._cut:
                 stats.cut_words += words
             pending[target][sender] = payload
-
-
-def run_stages(
-    network: CongestNetwork,
-    stages: Iterable[AlgorithmFactory],
-    inputs: Mapping[Any, Any] | None = None,
-    max_rounds: int | None = None,
-    reset_state: bool = True,
-    trace: bool = False,
-    on_round: Callable[[RoundEvent], None] | None = None,
-    stage_labels: Iterable[str | None] | None = None,
-) -> tuple[RunResult, list[RunResult]]:
-    """Run ``stages`` back-to-back, summing round/message statistics.
-
-    Per-node ``state`` dicts persist across stages so a stage can leave
-    results for the next (the paper's phases communicate the same way: the
-    state a node holds when one phase ends is its input to the next).
-
-    ``trace`` and ``on_round`` are forwarded to every stage's
-    ``network.run`` (so per-stage traces land on the per-stage results and
-    a single hook spans the whole pipeline); each forwarded event is
-    stamped with the zero-based stage index (``event.stage``) before
-    delivery.  ``on_round=None`` falls back to the network-level default
-    hook, which gets the same stage stamping.  ``stage_labels`` optionally
-    names the stages (passed as ``label=`` per run, surfacing as
-    ``event.stage_label``); extra labels are ignored, missing ones are
-    ``None``.
-
-    Returns ``(combined, per_stage)`` where ``combined`` holds the outputs of
-    the final stage and the summed stats.
-    """
-    if reset_state:
-        network.reset_state()
-    labels = list(stage_labels) if stage_labels is not None else []
-    hook = on_round if on_round is not None else network.on_round
-    per_stage: list[RunResult] = []
-    total = RunStats(word_bits=network.word_bits)
-    last: RunResult | None = None
-    for index, factory in enumerate(stages):
-        stage_hook = None
-        if hook is not None:
-            def stage_hook(event, _index=index, _hook=hook):
-                event.stage = _index
-                _hook(event)
-        last = network.run(
-            factory,
-            inputs=inputs,
-            max_rounds=max_rounds,
-            trace=trace,
-            on_round=stage_hook,
-            label=labels[index] if index < len(labels) else None,
-        )
-        per_stage.append(last)
-        total = total + last.stats
-    if last is None:
-        raise ValueError("run_stages requires at least one stage")
-    return RunResult(outputs=last.outputs, stats=total, by_id=last.by_id), per_stage

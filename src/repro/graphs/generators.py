@@ -169,6 +169,22 @@ GRAPH_KINDS = (
 )
 
 
+def check_graph_kind(kind: str) -> str:
+    """``kind`` if :func:`build_graph` knows it, else a ``ValueError``."""
+    if kind not in GRAPH_KINDS:
+        raise ValueError(
+            f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}"
+        )
+    return kind
+
+
+def check_graph_size(n: int) -> int:
+    """``n`` if it is a size :func:`build_graph` accepts, else a ``ValueError``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return n
+
+
 def build_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> nx.Graph:
     """Build one of the named workload graphs at size ``n``.
 
@@ -178,8 +194,8 @@ def build_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> nx.
     for ``gnp`` (default ``min(0.3, 5/n)``, the sparse regime used across
     the benchmarks).  Every kind rejects ``n < 1``.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_graph_size(n)
+    check_graph_kind(kind)
     if kind == "gnp":
         if p is None:
             p = min(0.3, 5.0 / max(n, 2))
@@ -197,9 +213,7 @@ def build_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> nx.
         return cycle_graph(n)
     if kind == "star":
         return star_graph(n)
-    if kind == "power-law":
-        return power_law_graph(n, m=2, seed=seed)
-    raise ValueError(f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}")
+    return power_law_graph(n, m=2, seed=seed)  # "power-law"
 
 
 def workload_suite(

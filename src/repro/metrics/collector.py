@@ -29,10 +29,9 @@ The document is split in two, and the split is the contract:
   loads) and the auto-compression ledger.
 
 Phases are detected on the event stream itself: every ``run`` emits a
-round-0 event, so a new phase starts exactly there.  Stage attribution
-arrives on the events — :func:`~repro.congest.network.run_stages` stamps
-``stage`` indices, and ``run(label=...)`` stamps ``stage_label`` — and is
-used for phase naming, falling back to positional names.
+round-0 event, so a new phase starts exactly there.  A phase is named by
+the ``stage_label`` that ``run(label=...)`` stamps on its events, or
+positionally (``phaseN``) when it has none.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class MetricsCollector:
 
     def __init__(self, label: str | None = None) -> None:
         self.label = label
-        #: One entry per detected phase: stage index / label attribution
-        #: plus the phase's ordered RoundEvents.
+        #: One entry per detected phase: its stage label plus the
+        #: phase's ordered RoundEvents.
         self.phases: list[dict[str, Any]] = []
         #: Live ShuffleRecord references (``absorb_early_finish`` may
         #: still shrink the last one, so aggregation happens at emit
@@ -93,15 +92,10 @@ class MetricsCollector:
     def on_round(self, event: Any) -> None:
         """RoundEvent hook: pass as ``on_round=`` (or via :meth:`attach`)."""
         if event.round_index == 0 or not self.phases:
-            self.phases.append(
-                {"stage": event.stage, "label": event.stage_label,
-                 "events": []}
-            )
+            self.phases.append({"label": event.stage_label, "events": []})
         phase = self.phases[-1]
         if phase["label"] is None and event.stage_label is not None:
             phase["label"] = event.stage_label
-        if phase["stage"] is None and event.stage is not None:
-            phase["stage"] = event.stage
         phase["events"].append(event)
 
     def on_shuffle(self, record: Any) -> None:
@@ -159,8 +153,6 @@ class MetricsCollector:
     def _phase_name(self, index: int, phase: dict[str, Any]) -> str:
         if phase["label"] is not None:
             return str(phase["label"])
-        if phase["stage"] is not None:
-            return f"stage{phase['stage']}"
         return f"phase{index}"
 
     def deterministic_payload(self) -> dict[str, Any]:

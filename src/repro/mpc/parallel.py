@@ -9,12 +9,10 @@ computation concurrently (shard 0 in the caller's process, each other
 shard in a forked worker) while every metered shuffle stays a barrier in
 the parent process, overlapped with the workers' round where it can.
 
-The plumbing deliberately mirrors the sweep runner's fork/pickle-once
-discipline (:mod:`repro.sweep.runner`): the immutable instance state —
+The plumbing ships each piece of state once: the immutable instance state —
 graph, partition, compiled programs/algorithms — crosses into the workers
 exactly once at fork time (inherited copy-on-write under the ``fork``
-start method, the same mechanism that ships the runner's prewarmed graph
-cache), and only small mutable per-round deltas cross the pipes
+start method), and only small mutable per-round deltas cross the pipes
 afterwards: inboxes (native programs) or the round's metered send
 batches (compiled CONGEST) down, ``(sends, stats-delta, finished)``
 fragments up.  Platforms without ``fork`` fall back to the serial path

@@ -143,7 +143,7 @@ class MPCRuntime:
     Statistics accumulate over the runtime's lifetime (``stats``,
     ``trace``), so a multi-stage computation — e.g. the CONGEST compiler
     running several solver stages on one network — reports totals the same
-    way :func:`~repro.congest.network.run_stages` sums ``RunStats``.
+    way a solver sums its stages' ``RunStats``.
     """
 
     def __init__(

@@ -376,18 +376,6 @@ def parallel_bench_grid() -> GridSpec:
     return GridSpec(name="parallel-bench", cells=tuple(cells))
 
 
-def scenario_of(cell: Cell) -> str:
-    """Scenario name of an engine-scaling cell (inverse of the cell table)."""
-    by_coords = {
-        ("pipeline-path", "path"): "pipeline-path",
-        ("broadcast-star", "star"): "broadcast-star",
-        ("mvc-congest", "gnp"): "mvc-er",
-        ("mvc-congest", "power-law"): "mvc-power-law",
-        ("mds-congest", "gnp"): "mds-er",
-    }
-    return by_coords[(cell.task, cell.graph)]
-
-
 NAMED_GRIDS = {
     "e01": e01_grid,
     "e12-estimator": e12_estimator_grid,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import signal
 import sys
 import threading
@@ -35,13 +34,7 @@ from typing import Any
 from repro.congest.network import RunStats
 from repro.contract import TIMING_SCOPED_FIELD_SET
 from repro.sweep.spec import Cell, GridSpec
-from repro.sweep.tasks import (
-    export_graph_cache,
-    get_task,
-    install_graph_cache,
-    prewarm_graph_cache,
-    stats_from_json,
-)
+from repro.sweep.tasks import get_task, stats_from_json
 
 try:  # POSIX-only; RSS metering degrades to None elsewhere.
     import resource
@@ -60,8 +53,7 @@ class CellTimeoutError(TimeoutError):
     """Raised inside a worker when a cell exceeds its time budget.
 
     Subclasses :class:`TimeoutError` so budget expiry stays recognizable
-    through code that swallows ordinary failures (the graph-cache prewarm
-    skips unbuildable cells but must re-raise timeouts).
+    through code that swallows ordinary failures.
     """
 
 
@@ -525,48 +517,6 @@ def _evaluate_remote(
     )
 
 
-def _install_cache_in_worker(graphs) -> None:
-    """Pool initializer for non-``fork`` start methods.
-
-    ``graphs`` is the parent's exported graph cache; it is pickled once
-    per worker (not once per cell), which is the whole point — repeated
-    cells on the same graph stop paying generation *and* shipping cost.
-    """
-    install_graph_cache(graphs)
-
-
-def _prewarm_with_budget(cells, timeout: float | None) -> None:
-    """Prewarm the graph cache, bounded by the per-cell time budget.
-
-    Without a bound, a pathologically slow graph construction would hang
-    the whole sweep in the parent before any cell's own ``SIGALRM`` is
-    armed.  The prewarm therefore runs under one alarm of ``timeout``
-    seconds (the same budget a single cell gets); on expiry the remaining
-    graphs are simply left unwarmed — their cells build them under their
-    own per-cell alarms and time out individually, exactly as without the
-    cache.  Where ``SIGALRM`` is unavailable the prewarm is unbounded,
-    matching the per-cell timeout's own degradation.
-    """
-    use_alarm = timeout is not None and timeout > 0 and _can_arm_alarm()
-    if not use_alarm:
-        prewarm_graph_cache(cells)
-        return
-    old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        prewarm_graph_cache(cells)
-    except CellTimeoutError:
-        pass
-    finally:
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-        except CellTimeoutError:
-            # The alarm fired in the instant before setitimer(0) took
-            # effect; the itimer is one-shot, so just finish disarming.
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old_handler)
-
-
 def _retry_in_fresh_worker(
     cell: Cell, timeout: float | None, repeats: int
 ) -> CellResult:
@@ -596,7 +546,6 @@ def run_sweep(
     jobs: int = 1,
     timeout: float | None = None,
     repeats: int = 1,
-    graph_cache: bool = True,
     retries: int = 0,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     trace: Any = None,
@@ -610,16 +559,8 @@ def run_sweep(
     an ``error`` result for the cells it took down — the pool raises
     ``BrokenProcessPool`` for their futures rather than hanging, which is
     why this uses ``concurrent.futures`` and not ``multiprocessing.Pool``.
-
-    With ``graph_cache`` (the default) every distinct workload graph of
-    the grid is built once in the parent before evaluation starts and
-    shared with the workers — inherited for free under the ``fork`` start
-    method, shipped once per worker through the pool initializer under
-    ``spawn``/``forkserver`` — so cells that differ only in solver-side
-    axes (engine, eps, replicates on a fixed ``graph_seed``) stop paying
-    graph-generation cost.  Graph construction is deterministic, so cached
-    and freshly built graphs are identical and the merged results are
-    unaffected.
+    Each cell builds its own input graph inside its own ``timeout``, so a
+    slow graph build times out only that cell.
 
     ``retries`` bounds per-cell re-evaluation of *transient* failures —
     worker crashes, timeouts, broken pool workers — with deterministic
@@ -640,8 +581,6 @@ def run_sweep(
     check_count("repeats", repeats, 1)
     check_timeout(timeout)
     start = time.perf_counter()  # repro: allow[DET002] sweep wall timing is timing-scoped output
-    if graph_cache:
-        _prewarm_with_budget(grid.cells, timeout)
     if jobs == 1 or len(grid.cells) <= 1:
         results = []
         for cell in grid.cells:
@@ -657,15 +596,7 @@ def run_sweep(
                 )
             results.append(result)
     else:
-        initializer = initargs = None
-        if graph_cache and multiprocessing.get_start_method() != "fork":
-            initializer = _install_cache_in_worker
-            initargs = (export_graph_cache(),)
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=initializer,
-            initargs=initargs or (),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 (
                     cell,

@@ -15,6 +15,9 @@ Conventions shared by the built-in tasks:
 * ``signature`` — a short hex digest of the solution, used by differential
   checks (engine v1 vs v2 parity at benchmark scale) without shipping the
   full solution between processes.
+* per-cell graph — a task builds its workload graph from the cell's
+  coordinates with :func:`_cell_graph`, inside the cell's own evaluation
+  and time budget; nothing is shared between cells.
 * per-cell engine selection — ``cell.engine`` is passed straight to the
   solver / network constructor, so one grid can mix ``v1`` and ``v2`` cells.
 
@@ -40,36 +43,13 @@ TaskFn = Callable[[Cell], dict[str, Any]]
 
 _REGISTRY: dict[str, TaskFn] = {}
 
-#: Tasks that build their workload graph through :func:`_cell_graph` and
-#: therefore benefit from the shared graph cache (see below).
-_GRAPH_TASKS: set[str] = set()
-
-#: ``graph_cache_key -> built graph``.  Populated by
-#: :func:`prewarm_graph_cache` in the sweep parent before any cell runs;
-#: pool workers receive it once (inherited under ``fork``, shipped through
-#: the pool initializer under ``spawn``), so repeated cells stop paying
-#: graph-generation cost.  Cached graphs are shared read-only: tasks must
-#: not mutate the graph they are handed (none of the built-ins do — they
-#: derive new graphs like ``square(graph)`` instead).
-_GRAPH_CACHE: dict[tuple[Any, ...], Any] = {}
-
-
-def register_task(
-    name: str, *, graph_cache: bool = False
-) -> Callable[[TaskFn], TaskFn]:
-    """Decorator registering ``fn`` as the evaluator for task ``name``.
-
-    ``graph_cache=True`` declares that the task builds its graph via
-    :func:`_cell_graph`, letting the sweep runner prewarm the shared graph
-    cache for its cells.
-    """
+def register_task(name: str) -> Callable[[TaskFn], TaskFn]:
+    """Decorator registering ``fn`` as the evaluator for task ``name``."""
 
     def deco(fn: TaskFn) -> TaskFn:
         if name in _REGISTRY:
             raise ValueError(f"task {name!r} already registered")
         _REGISTRY[name] = fn
-        if graph_cache:
-            _GRAPH_TASKS.add(name)
         return fn
 
     return deco
@@ -162,82 +142,15 @@ def _observed_congest(cell: Cell, graph: Any):
     return network, collector
 
 
-def graph_cache_key(cell: Cell) -> tuple[Any, ...] | None:
-    """Cache key of the graph a cell would build, or None if uncacheable.
-
-    Keys are exactly the :func:`~repro.graphs.generators.build_graph`
-    coordinates — ``(kind, n, seed, params)`` — so two cells that differ
-    only in solver-side axes (engine, eps, samples, replicate-independent
-    seeds with an explicit ``graph_seed``) share one built graph.
-    """
-    if cell.task not in _GRAPH_TASKS:
-        return None
-    return (
-        cell.graph,
-        cell.n,
-        cell.param("graph_seed", cell.seed),
-        cell.param("gnp_p"),
-    )
-
-
-def prewarm_graph_cache(cells: Iterable[Cell]) -> int:
-    """Build (once) every distinct graph the given cells will request.
-
-    Returns the number of graphs *newly built* into the cache.  Called by
-    the sweep runner in the parent process before evaluation starts, so
-    pool workers never regenerate a graph the parent already built.  A
-    kind the generator rejects is skipped silently — the owning cell will
-    raise the real error (captured per cell) when it actually runs — but
-    a :class:`TimeoutError` propagates: it means the runner's prewarm
-    budget expired, not that a cell is unbuildable.
-    """
-    from repro.graphs.generators import build_graph
-
-    built = 0
-    for cell in cells:
-        key = graph_cache_key(cell)
-        if key is None or key in _GRAPH_CACHE:
-            continue
-        kind, n, seed, p = key
-        try:
-            _GRAPH_CACHE[key] = build_graph(kind, n, seed=seed, p=p)
-        except TimeoutError:
-            raise
-        except Exception:
-            continue
-        built += 1
-    return built
-
-
-def export_graph_cache() -> dict[tuple[Any, ...], Any]:
-    """Snapshot of the graph cache, for shipping to ``spawn`` workers."""
-    return dict(_GRAPH_CACHE)
-
-
-def install_graph_cache(graphs: dict[tuple[Any, ...], Any]) -> None:
-    """Install a parent-exported cache in this (worker) process."""
-    _GRAPH_CACHE.update(graphs)
-
-
-def clear_graph_cache() -> None:
-    """Drop all cached graphs (tests and memory-conscious callers)."""
-    _GRAPH_CACHE.clear()
-
-
 def _cell_graph(cell: Cell):
     from repro.graphs.generators import build_graph
 
-    key = graph_cache_key(cell)
-    if key is not None:
-        graph = _GRAPH_CACHE.get(key)
-        if graph is not None:
-            return graph
-    p = cell.param("gnp_p")
-    graph_seed = cell.param("graph_seed", cell.seed)
-    graph = build_graph(cell.graph, cell.n, seed=graph_seed, p=p)
-    if key is not None:
-        _GRAPH_CACHE[key] = graph
-    return graph
+    return build_graph(
+        cell.graph,
+        cell.n,
+        seed=cell.param("graph_seed", cell.seed),
+        p=cell.param("gnp_p"),
+    )
 
 
 # -- cover / dominating-set solvers ---------------------------------------
@@ -290,7 +203,7 @@ def _solution_payload(
     return payload
 
 
-@register_task("mvc-congest", graph_cache=True)
+@register_task("mvc-congest")
 def _mvc_congest(cell: Cell) -> dict[str, Any]:
     """Algorithm 1 ((1+eps)-MVC of G^2) on the CONGEST simulator."""
     from repro.core.mvc_congest import approx_mvc_square
@@ -302,7 +215,7 @@ def _mvc_congest(cell: Cell) -> dict[str, Any]:
     return _solution_payload(cell, graph, "mvc", result, collector)
 
 
-@register_task("mvc-clique-det", graph_cache=True)
+@register_task("mvc-clique-det")
 def _mvc_clique_det(cell: Cell) -> dict[str, Any]:
     """Deterministic congested-clique MVC (Theorem 24)."""
     from repro.core.mvc_clique import approx_mvc_square_clique_deterministic
@@ -315,7 +228,7 @@ def _mvc_clique_det(cell: Cell) -> dict[str, Any]:
     return _solution_payload(cell, graph, "mvc", result)
 
 
-@register_task("mds-congest", graph_cache=True)
+@register_task("mds-congest")
 def _mds_congest(cell: Cell) -> dict[str, Any]:
     """Theorem 28 (O(log Delta)-MDS of G^2) on the CONGEST simulator."""
     from repro.core.mds_congest import approx_mds_square
@@ -330,7 +243,7 @@ def _mds_congest(cell: Cell) -> dict[str, Any]:
     )
 
 
-@register_task("mds-estimator", graph_cache=True)
+@register_task("mds-estimator")
 def _mds_estimator(cell: Cell) -> dict[str, Any]:
     """Lemma 29 two-hop-size estimator concentration on one graph."""
     from repro.core.estimation import estimate_neighborhood_sizes
@@ -358,7 +271,7 @@ def _mds_estimator(cell: Cell) -> dict[str, Any]:
 # -- low-space MPC backend tasks ------------------------------------------
 
 
-@register_task("mpc-mvc", graph_cache=True)
+@register_task("mpc-mvc")
 def _mpc_mvc(cell: Cell) -> dict[str, Any]:
     """Algorithm 1 compiled onto the MPC backend.
 
@@ -392,7 +305,7 @@ def _mpc_mvc(cell: Cell) -> dict[str, Any]:
     return _solution_payload(cell, graph, "mvc", result, collector, mpc)
 
 
-@register_task("mpc-mds", graph_cache=True)
+@register_task("mpc-mds")
 def _mpc_mds(cell: Cell) -> dict[str, Any]:
     """Theorem 28 MDS compiled onto the MPC backend (see ``mpc-mvc``)."""
     from repro.mpc.compile_congest import solve_mds_mpc
@@ -416,7 +329,7 @@ def _mpc_mds(cell: Cell) -> dict[str, Any]:
     )
 
 
-@register_task("mpc-matching", graph_cache=True)
+@register_task("mpc-matching")
 def _mpc_matching(cell: Cell) -> dict[str, Any]:
     """Native MPC greedy maximal matching, oracle-verified.
 
@@ -460,7 +373,7 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
     return payload
 
 
-@register_task("mpc-parity", graph_cache=True)
+@register_task("mpc-parity")
 def _mpc_parity(cell: Cell) -> dict[str, Any]:
     """Round-compilation trust-but-check: stage parity plus matching.
 

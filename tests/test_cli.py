@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from repro.cli import build_parser, main
+from repro.congest.network import CongestNetwork
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import build_graph
 from repro.lowerbounds.ckp17 import build_ckp17_mvc
@@ -147,6 +148,25 @@ class TestBadValues:
                 ["sweep", "--grid", "smoke", "--timeout", "-1"],
                 lambda: run_sweep(GridSpec("empty"), timeout=-1.0),
             ),
+            (
+                ["sweep", "--task", "mvc-congest", "--ns", "10",
+                 "--engines", "v9"],
+                lambda: CongestNetwork(nx.path_graph(3), engine="v9"),
+            ),
+            (
+                ["sweep", "--task", "mvc-congest", "--ns", "10",
+                 "--graphs", "bogus"],
+                lambda: build_graph("bogus", 10),
+            ),
+            (
+                ["sweep", "--task", "mvc-congest", "--ns", "10",
+                 "--epss", "0"],
+                lambda: approx_mvc_square(nx.path_graph(3), 0.0),
+            ),
+            (
+                ["sweep", "--task", "mvc-congest", "--ns", "0"],
+                lambda: build_graph("gnp", 0),
+            ),
         ],
         ids=[
             "mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path",
@@ -154,7 +174,8 @@ class TestBadValues:
             "verify-k3", "verify-bcd19-k3", "gallery-k3", "gallery-k-1",
             "verify-jobs0", "sweep-jobs0", "sweep-retries-1",
             "sweep-repeats0", "sweep-repeats-3", "sweep-timeout0",
-            "sweep-timeout-1",
+            "sweep-timeout-1", "sweep-engine-v9", "sweep-graph-bogus",
+            "sweep-eps0", "sweep-n0",
         ],
     )
     def test_exits_2_with_library_message(self, argv, library_call, capsys):

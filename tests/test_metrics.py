@@ -1,8 +1,8 @@
 """The metrics plane: collector, schema, determinism, adaptive control.
 
 Covers the ``repro.metrics`` package plus the instrumentation plumbing it
-rides on: stage/label attribution through ``run_stages`` and
-``network.run(label=...)``, the byte-identity of the deterministic metrics
+rides on: stage-label attribution through ``network.run(label=...)``,
+the byte-identity of the deterministic metrics
 section across engines and compression windows, the peak-hold estimator
 behind ``compress="auto"``, and the incremental window planner's frontier
 caches.
@@ -16,7 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.congest.algorithm import NodeAlgorithm
-from repro.congest.network import CongestNetwork, run_stages
+from repro.congest.network import CongestNetwork
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import gnp_graph
 from repro.metrics import (
@@ -60,53 +60,23 @@ class _CountDown(NodeAlgorithm):
 
 
 class TestStageAttribution:
-    """Satellite: run_stages must forward instrumentation, not swallow it."""
-
-    def test_run_stages_stamps_stage_indices(self):
-        graph = gnp_graph(10, 0.3, seed=3)
-        net = CongestNetwork(graph, seed=3)
-        events = []
-        run_stages(
-            net,
-            [lambda v: _CountDown(v), lambda v: _CountDown(v, rounds=2)],
-            on_round=events.append,
-        )
-        stages = sorted({e.stage for e in events})
-        assert stages == [0, 1]
-        # Every stage restarts its round numbering at the round-0 event.
-        firsts = [e for e in events if e.round_index == 0]
-        assert [e.stage for e in firsts] == [0, 1]
-
-    def test_run_stages_forwards_network_hook(self):
-        # The network-level default hook must see stage-stamped events
-        # even when no explicit on_round is passed to run_stages.
-        graph = gnp_graph(8, 0.4, seed=1)
-        events = []
-        net = CongestNetwork(graph, seed=1, on_round=events.append)
-        run_stages(net, [lambda v: _CountDown(v)])
-        assert events
-        assert all(e.stage == 0 for e in events)
-
-    def test_run_stages_forwards_trace(self):
-        graph = gnp_graph(8, 0.4, seed=1)
-        net = CongestNetwork(graph, seed=1)
-        result, per_stage = run_stages(
-            net, [lambda v: _CountDown(v)], trace=True
-        )
-        assert per_stage[0].trace is not None
-        assert len(per_stage[0].trace) >= 1
+    """A run's ``label=`` reaches its events and names its phase."""
 
     def test_stage_labels_reach_the_events(self):
         graph = gnp_graph(8, 0.4, seed=2)
         net = CongestNetwork(graph, seed=2)
-        events = []
-        run_stages(
-            net,
-            [lambda v: _CountDown(v), lambda v: _CountDown(v)],
-            on_round=events.append,
-            stage_labels=["warmup", "main"],
-        )
-        assert {e.stage_label for e in events} == {"warmup", "main"}
+        collector = MetricsCollector().attach(net)
+        net.run(lambda v: _CountDown(v), label="warmup")
+        net.run(lambda v: _CountDown(v))
+        labels = [
+            {e.stage_label for e in phase["events"]}
+            for phase in collector.phases
+        ]
+        assert labels == [{"warmup"}, {None}]
+        # A labelled phase is named by its label, an unlabelled one by
+        # its position.
+        phases = collector.to_json()["deterministic"]["phases"]
+        assert [p["label"] for p in phases] == ["warmup", "phase1"]
 
     def test_run_label_stamps_stage_label(self):
         graph = gnp_graph(8, 0.4, seed=2)
@@ -116,7 +86,6 @@ class TestStageAttribution:
                 label="solo")
         assert events
         assert all(e.stage_label == "solo" for e in events)
-        assert all(e.stage is None for e in events)
 
     def test_solver_phases_are_labeled(self):
         graph = gnp_graph(12, 0.3, seed=5)

@@ -40,7 +40,7 @@ SOLVERS = {
 
 def _stream(events):
     return [
-        (e.stage, e.round_index, e.messages, e.words, e.cut_words, e.awake)
+        (e.round_index, e.messages, e.words, e.cut_words, e.awake)
         for e in events
     ]
 

@@ -8,7 +8,7 @@ import pytest
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.clique import CongestedCliqueNetwork
 from repro.congest.errors import CongestionError, ProtocolError, RoundLimitError
-from repro.congest.network import CongestNetwork, RunStats, run_stages
+from repro.congest.network import CongestNetwork, RunStats
 
 
 class Silent(NodeAlgorithm):
@@ -259,15 +259,17 @@ class TestStages:
 
         g = nx.path_graph(3)
         net = CongestNetwork(g)
-        combined, per_stage = run_stages(net, [WriteStage, ReadStage])
-        assert len(per_stage) == 2
-        assert combined.outputs == {0: 0, 1: 10, 2: 20}
+        net.run(WriteStage, label="write")
+        result = net.run(ReadStage, label="read")
+        assert result.outputs == {0: 0, 1: 10, 2: 20}
 
     def test_stage_rounds_summed(self):
         g = nx.path_graph(3)
         net = CongestNetwork(g)
-        combined, _ = run_stages(net, [PingNeighbors, PingNeighbors])
-        assert combined.stats.rounds == 2
+        total = RunStats(word_bits=net.word_bits)
+        for _ in range(2):
+            total = total + net.run(PingNeighbors).stats
+        assert total.rounds == 2
 
     def test_id_label_mapping_roundtrip(self):
         g = nx.Graph()

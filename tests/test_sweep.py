@@ -336,48 +336,6 @@ class TestNamedGrids:
             assert {c.engine for c in big} == {"v1", "v2"}
 
 
-class TestGraphCache:
-    def _cell(self, seed=5):
-        return Cell(task="mvc-congest", graph="gnp", n=14, seed=seed, eps=0.5)
-
-    def test_cached_and_fresh_graphs_give_identical_payloads(self):
-        from repro.sweep.tasks import (
-            clear_graph_cache,
-            graph_cache_key,
-            prewarm_graph_cache,
-        )
-
-        cell = self._cell()
-        clear_graph_cache()
-        cold = evaluate_cell(cell)
-        clear_graph_cache()
-        assert prewarm_graph_cache([cell]) == 1
-        warm = evaluate_cell(cell)
-        clear_graph_cache()
-        assert cold.payload == warm.payload
-        assert graph_cache_key(cell) is not None
-
-    def test_non_graph_tasks_are_not_cached(self):
-        from repro.sweep.tasks import graph_cache_key
-
-        assert graph_cache_key(Cell(task="selftest-ok", n=4, seed=1)) is None
-
-    def test_cache_key_ignores_solver_axes(self):
-        from repro.sweep.tasks import graph_cache_key
-
-        a = Cell(task="mvc-congest", n=14, seed=5, eps=0.5, engine="v1")
-        b = Cell(task="mvc-congest", n=14, seed=5, eps=0.25, engine="v2")
-        assert graph_cache_key(a) == graph_cache_key(b)
-
-    def test_prewarm_skips_unbuildable_cells(self):
-        from repro.sweep.tasks import clear_graph_cache, prewarm_graph_cache
-
-        bad = Cell(task="mds-congest", graph="nope", n=8, seed=0)
-        clear_graph_cache()
-        assert prewarm_graph_cache([bad]) == 0
-        clear_graph_cache()
-
-
 class TestMemoryMetering:
     def test_max_rss_recorded_and_timing_scoped(self):
         result = evaluate_cell(self._ok_cell())
