@@ -590,6 +590,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     ns = _parse_axis(
         args.ns, "--ns", lambda part: _checked(check_graph_size, int(part))
     )
+    _checked(check_count, "replicates", args.replicates, 1)
     # One expansion per (alpha, compression, workers) triple (extra
     # per-cell axes the cartesian helper does not know about); seeds
     # derive from the other coordinates, so the same point at two alphas,
@@ -623,8 +624,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
         # An empty axis (e.g. --ns "" from an unset shell variable) would
         # otherwise "succeed" vacuously with 0 cells and exit 0.
         raise _UsageError(
-            "sweep grid is empty; check --graphs/--ns/--epss/--engines/"
-            "--replicates for empty values"
+            "sweep grid is empty; check --graphs/--ns/--epss/--engines "
+            "for empty values"
         )
     return grid
 

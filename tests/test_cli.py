@@ -167,6 +167,11 @@ class TestBadValues:
                 ["sweep", "--task", "mvc-congest", "--ns", "0"],
                 lambda: build_graph("gnp", 0),
             ),
+            (
+                ["sweep", "--task", "mvc-congest", "--ns", "10",
+                 "--replicates", "0"],
+                lambda: check_count("replicates", 0, 1),
+            ),
         ],
         ids=[
             "mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path",
@@ -175,7 +180,7 @@ class TestBadValues:
             "verify-jobs0", "sweep-jobs0", "sweep-retries-1",
             "sweep-repeats0", "sweep-repeats-3", "sweep-timeout0",
             "sweep-timeout-1", "sweep-engine-v9", "sweep-graph-bogus",
-            "sweep-eps0", "sweep-n0",
+            "sweep-eps0", "sweep-n0", "sweep-replicates0",
         ],
     )
     def test_exits_2_with_library_message(self, argv, library_call, capsys):

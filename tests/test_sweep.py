@@ -336,6 +336,41 @@ class TestNamedGrids:
             assert {c.engine for c in big} == {"v1", "v2"}
 
 
+class TestCellGraphs:
+    """Each cell builds its own graph from its own coordinates."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unbuildable_graph_is_a_cell_error(self, jobs):
+        grid = GridSpec(
+            "graphs",
+            (
+                Cell(task="mvc-congest", graph="nope", n=8, seed=0, eps=0.5),
+                Cell(task="mvc-congest", graph="gnp", n=8, seed=0, eps=0.5),
+            ),
+        )
+        sweep = run_sweep(grid, jobs=jobs)
+        assert [r.status for r in sweep] == ["error", "ok"]
+        assert "unknown graph kind 'nope'" in sweep.failures[0].error
+
+    def test_solver_axes_see_the_same_graph(self):
+        v1 = Cell(task="mvc-congest", n=14, seed=5, eps=0.5, engine="v1")
+        v2 = Cell(task="mvc-congest", n=14, seed=5, eps=0.5, engine="v2")
+        assert evaluate_cell(v1).payload == evaluate_cell(v2).payload
+
+    def test_graph_seed_param_overrides_the_cell_seed(self):
+        from repro.sweep.tasks import _cell_graph
+
+        def edges(seed, **params):
+            cell = Cell(
+                task="mvc-congest", n=20, seed=seed,
+                params=tuple(params.items()),
+            )
+            return sorted(_cell_graph(cell).edges())
+
+        assert edges(1, graph_seed=7) == edges(2, graph_seed=7)
+        assert edges(1) != edges(2)
+
+
 class TestMemoryMetering:
     def test_max_rss_recorded_and_timing_scoped(self):
         result = evaluate_cell(self._ok_cell())
