@@ -72,7 +72,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.grids import NAMED_GRIDS
-from repro.sweep.runner import check_count, check_timeout
+from repro.sweep.runner import check_count
 from repro.sweep.tasks import task_names
 
 
@@ -388,6 +388,8 @@ def _mpc_verify_grid(
 
 
 def _cmd_verify_mpc(args: argparse.Namespace, options: RunOptions) -> int:
+    _checked(check_alpha, args.alpha)
+    _checked(check_graph_size, args.n)
     tracer = _make_tracer(args)
     grid = _mpc_verify_grid(
         args.n, args.alpha, args.samples, compress=options.compress,
@@ -476,7 +478,7 @@ def _alpha(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"{text!r} is not a number") from None
-    return check_alpha(value)
+    return _checked(check_alpha, value)
 
 
 def _eps(text: str) -> float:
@@ -495,7 +497,9 @@ def _parse_compress(text: str) -> tuple[int | str, ...]:
     return _parse_axis(
         text,
         "--compress",
-        lambda part: RunOptions(parse_scalar(part), workers=1).compress,
+        lambda part: _checked(
+            RunOptions, parse_scalar(part), workers=1
+        ).compress,
     )
 
 
@@ -504,7 +508,7 @@ def _parse_mpc_workers(text: str) -> tuple[int, ...]:
     return _parse_axis(
         text,
         "--mpc-workers",
-        lambda part: RunOptions(workers=parse_scalar(part)).workers,
+        lambda part: _checked(RunOptions, workers=parse_scalar(part)).workers,
     )
 
 
@@ -554,10 +558,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if args.faults:
         if args.model != "mpc":
             raise _UsageError("--faults requires --model mpc")
-        try:
-            RunOptions(workers=1, faults=args.faults)
-        except ValueError as exc:
-            raise _UsageError(f"--faults: {exc}") from None
+        _checked(RunOptions, workers=1, faults=args.faults)
         faults_param = (("faults", args.faults),)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
@@ -631,10 +632,6 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _checked(check_count, "jobs", args.jobs, 1)
-    _checked(check_count, "retries", args.retries, 0)
-    _checked(check_count, "repeats", args.repeats, 1)
-    _checked(check_timeout, args.timeout)
     tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
@@ -659,12 +656,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if env_workers is not None:
         os.environ[WORKERS_ENV_VAR] = str(env_workers)
     try:
-        sweep = run_sweep(
+        # run_sweep checks jobs, repeats and the timeout before any cell
+        # runs, so its ValueError is a bad flag value.
+        sweep = _checked(
+            run_sweep,
             grid,
             jobs=args.jobs,
             timeout=args.timeout,
             repeats=args.repeats,
-            retries=args.retries,
             trace=tracer,
         )
     finally:
@@ -722,12 +721,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"cells: {counts['ok']} ok, {counts['error']} error, "
           f"{counts['timeout']} timeout in {sweep.wall_seconds:.2f}s "
           f"(jobs={args.jobs})")
-    warned = sum(1 for result in sweep if result.warning)
-    if warned:
-        # Degradations must not hide in the table: repeat them here,
-        # where scripts scraping the summary will see them.
-        print(f"warnings: {warned} cell(s) ran degraded "
-              f"(see the detail column)")
     print(f"deterministic sha256: {digest}")
     return 1 if sweep.failures else 0
 
@@ -979,14 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="best-of-N timing repeats per cell",
-    )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-evaluate cells that fail transiently (worker crashes, "
-        "timeouts) up to N extra times with deterministic backoff; the "
-        "attempt count is recorded in the timing-scoped JSON only",
     )
     sweep.add_argument(
         "--json",

@@ -21,10 +21,15 @@ enforcement points stay in agreement:
 Growing the list is an API decision, not a local edit: adding a name here
 makes the analyzer police it everywhere and both validators reject it
 from deterministic data.
+
+The module also holds :func:`derive_seed`, the one seed derivation that
+sweep cells, MPC partitions and fault plans share.  It lives in this
+leaf module so the solver path never imports the sweep package.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Any
 
@@ -117,3 +122,18 @@ def find_timing_scoped_keys(payload: Any, path: str = "") -> list[str]:
                 find_timing_scoped_keys(value, f"{path}[{index}]")
             )
     return found
+
+
+def derive_seed(base: int, *components: Any) -> int:
+    """Deterministic per-cell seed from a base seed and cell coordinates.
+
+    Uses SHA-256 over a canonical string, so the derivation is stable across
+    processes and Python invocations (unlike builtin ``hash``, which is
+    salted by ``PYTHONHASHSEED``).  Collisions between distinct cells of one
+    grid are astronomically unlikely; equal coordinates always map to the
+    same seed, which is what makes serial and parallel evaluation of the
+    same grid byte-identical.
+    """
+    text = "/".join(repr(c) for c in (base, *components))
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % (2**31 - 1)

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a frozen schedule of :class:`FaultEvent`s parsed
 from a compact spec string (the CLI's ``--faults`` value, also usable as
 a sweep-cell param).  The one source of randomness in a plan — which
 machine a targetless memory fault blames — is derived through
-:func:`repro.sweep.spec.derive_seed`, so the same spec + seed yields the
+:func:`repro.contract.derive_seed`, so the same spec + seed yields the
 same faults in every job, process pool worker and restart.
 
 Spec grammar (comma-separated tokens)::
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sweep.spec import derive_seed
+from repro.contract import derive_seed
 
 
 @dataclass(frozen=True)

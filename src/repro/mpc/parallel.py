@@ -42,8 +42,8 @@ loop would have hit first.
 **No crash recovery.**  The MPC model assumes machines that never fail,
 so a worker process that dies is not part of any run the simulator
 models: the pool tears every worker down and raises
-:class:`WorkerCrashError`, which the sweep runner treats as a transient
-worth retrying.
+:class:`WorkerCrashError`, which the sweep runner records as the cell's
+error.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ are non-negotiable because the sweep runner's parity contract rests on
 them:
 
 * **determinism across processes** — assignments derive from SHA-256
-  hashes via :func:`repro.sweep.spec.derive_seed` (never the builtin
+  hashes via :func:`repro.contract.derive_seed` (never the builtin
   salted ``hash``), so ``--jobs 1``, ``--jobs 4`` and a fresh interpreter
   all compute byte-identical partitions and digests;
 * **budget feasibility by construction** — items are placed with a
@@ -27,9 +27,9 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.contract import derive_seed
 from repro.graphs.instance import Instance
 from repro.mpc.machine import MemoryBudgetExceeded
-from repro.sweep.spec import derive_seed
 
 
 @dataclass(frozen=True)

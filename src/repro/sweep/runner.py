@@ -15,7 +15,11 @@ cell result carrying the formatted traceback; a task that exceeds the
 per-cell ``timeout`` is captured as ``status="timeout"`` (implemented with
 ``SIGALRM``, so it works identically inside pool workers and in serial runs
 on the main thread).  Neither aborts the sweep — the merged table reports
-every cell.
+every cell.  Each cell is evaluated exactly once: cells are pure functions
+of their coordinates, so re-running one can only repeat its outcome.  A
+``timeout`` that cannot be armed (no ``SIGALRM``, or a serial sweep off
+the main thread) is a ``ValueError`` before any cell runs, never a cell
+that silently runs without its budget.
 """
 
 from __future__ import annotations
@@ -77,19 +81,6 @@ class CellResult:
     error: str | None = None
     seconds: float = 0.0
     max_rss_kb: int | None = None
-    #: Environment degradations that did not fail the cell — currently the
-    #: timeout fallback (a requested ``timeout`` that could not be armed
-    #: because ``SIGALRM`` is unavailable or the evaluation runs off the
-    #: main thread runs un-budgeted instead of silently pretending the
-    #: budget was enforced).  Platform-dependent like ``seconds``, so it is
-    #: excluded from :meth:`SweepResult.deterministic_json`.
-    warning: str | None = None
-    #: How many evaluations this result took (1 = no retry).  Retries only
-    #: happen for transient failures (worker crash, timeout, broken pool)
-    #: and re-run the same deterministic cell, so the *payload* is
-    #: retry-invariant; the count itself is scheduling luck and therefore
-    #: timing-scoped, like ``seconds``.
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -124,8 +115,6 @@ class CellResult:
             # with the timings (machine-dependent), like ``max_rss_kb``.
             data["elapsed_s"] = self.seconds
             data["max_rss_kb"] = self.max_rss_kb
-            data["warning"] = self.warning
-            data["attempts"] = self.attempts
         return data
 
 
@@ -196,9 +185,6 @@ class SweepResult:
             "grid": self.grid.name,
             "cells": len(self.results),
             "counts": counts,
-            # "warnings" is added under include_timing below: whether a
-            # cell degraded (e.g. an unenforceable timeout) depends on
-            # the platform, so it must stay out of deterministic_json.
             "results": [
                 r.to_json(include_timing=include_timing)
                 for r in self.results
@@ -220,7 +206,6 @@ class SweepResult:
         if include_timing:
             data["jobs"] = self.jobs
             data["wall_seconds"] = self.wall_seconds
-            data["warnings"] = sum(1 for r in self.results if r.warning)
         return data
 
     def deterministic_json(self) -> str:
@@ -260,10 +245,6 @@ class SweepResult:
             elif result.payload:
                 sig = result.payload.get("signature")
                 detail = str(sig) if sig else ""
-            if result.warning:
-                # A degraded cell must be visible in the merged table, not
-                # only in the JSON dump.
-                detail = f"warn! {detail}".rstrip()
             rows.append(
                 (
                     result.cell.key,
@@ -318,20 +299,28 @@ def _alarm_handler(signum, frame):  # pragma: no cover - dispatched by OS
     raise CellTimeoutError
 
 
-def _can_arm_alarm() -> bool:
-    """Whether a ``SIGALRM`` timeout can actually be armed here.
+def _check_alarm(timeout: float | None, in_process: bool = True) -> None:
+    """A ``ValueError`` if a requested ``timeout`` cannot be armed here.
 
-    Two independent degradations exist: platforms without ``SIGALRM``
-    (e.g. Windows) where referencing it would raise, and non-main threads,
-    where ``signal.signal`` raises ``ValueError`` and an armed alarm would
-    never be delivered to this frame anyway.  Callers that detect either
-    must fall back to no-timeout *visibly* (a ``CellResult.warning``), not
-    silently.
+    The budget is a ``SIGALRM`` itimer.  Platforms without ``SIGALRM``
+    (e.g. Windows) cannot arm it at all, and off the main thread
+    ``signal.signal`` refuses the handler.  A pool worker evaluates on
+    its own main thread, so only in-process evaluation (``in_process``)
+    needs the caller on the main thread.
     """
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
+    if timeout is None:
+        return
+    if not hasattr(signal, "SIGALRM"):
+        raise ValueError(
+            f"timeout {timeout:g}s cannot be enforced: signal.SIGALRM is "
+            f"unavailable on this platform"
+        )
+    on_main = threading.current_thread() is threading.main_thread()
+    if in_process and not on_main:
+        raise ValueError(
+            f"timeout {timeout:g}s cannot be enforced: SIGALRM only fires "
+            f"on the main thread"
+        )
 
 
 def _peak_rss_kb() -> int | None:
@@ -357,29 +346,15 @@ def evaluate_cell(
     comes from the last run; tasks are deterministic, so payloads of all
     repeats are equal) — the standard best-of-N used by the benchmarks.
 
-    The timeout uses ``SIGALRM`` and therefore only applies on the main
-    thread of a POSIX process; elsewhere it degrades to "no timeout" —
-    recorded as ``CellResult.warning`` so the degradation is visible in
-    the merged table — rather than failing (the budget covers all repeats
-    together).
+    The timeout uses ``SIGALRM`` and covers all repeats together.  It only
+    arms on the main thread of a POSIX process; anywhere else a requested
+    timeout is a ``ValueError`` before the task runs (:func:`_check_alarm`).
     """
-    timeout_requested = timeout is not None and timeout > 0
-    use_alarm = timeout_requested and _can_arm_alarm()
-    warning = None
-    if timeout_requested and not use_alarm:
-        if not hasattr(signal, "SIGALRM"):
-            warning = (
-                f"timeout {timeout:g}s not enforced: signal.SIGALRM is "
-                f"unavailable on this platform; cell ran un-budgeted"
-            )
-        else:
-            warning = (
-                f"timeout {timeout:g}s not enforced: SIGALRM only fires on "
-                f"the main thread; cell ran un-budgeted"
-            )
+    check_timeout(timeout)
+    _check_alarm(timeout)
     old_handler = None
-    armed = use_alarm
-    if use_alarm:
+    armed = timeout is not None
+    if armed:
         old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
         signal.setitimer(signal.ITIMER_REAL, timeout)
 
@@ -417,7 +392,6 @@ def evaluate_cell(
             payload=payload,
             seconds=best,
             max_rss_kb=_peak_rss_kb(),
-            warning=warning,
         )
     except CellTimeoutError:
         _disarm()
@@ -427,7 +401,6 @@ def evaluate_cell(
             error=f"cell exceeded timeout of {timeout:g}s",
             seconds=float(timeout or 0.0),
             max_rss_kb=_peak_rss_kb(),
-            warning=warning,
         )
     except Exception:
         _disarm()
@@ -436,7 +409,6 @@ def evaluate_cell(
             status=STATUS_ERROR,
             error=traceback.format_exc(limit=20)[-_ERROR_LIMIT:],
             max_rss_kb=_peak_rss_kb(),
-            warning=warning,
         )
 
 
@@ -454,100 +426,11 @@ def check_timeout(timeout: float | None) -> float | None:
     return timeout
 
 
-#: Default base of the deterministic exponential retry backoff, seconds.
-DEFAULT_RETRY_BACKOFF = 0.05
-
-#: Error-text markers of transient failures worth retrying: a lost MPC
-#: shard worker (typed transport) or a lost pool worker.  Deliberately
-#: narrow — deterministic model errors (budget violations, protocol
-#: errors) would fail identically on every attempt.
-_TRANSIENT_MARKERS = ("WorkerCrashError", "worker failed:")
-
-
-def _is_transient(result: CellResult) -> bool:
-    """Whether a failed cell is worth retrying (crash/timeout, not logic)."""
-    if result.status == STATUS_TIMEOUT:
-        return True
-    if result.status == STATUS_ERROR and result.error:
-        return any(marker in result.error for marker in _TRANSIENT_MARKERS)
-    return False
-
-
-def _backoff_sleep(attempt: int, backoff: float) -> None:
-    """Deterministic exponential backoff before retry ``attempt`` (1-based)."""
-    if backoff > 0:
-        time.sleep(backoff * (2 ** (attempt - 1)))  # repro: allow[DET002] retry backoff affects wall time only, not payloads
-
-
-def evaluate_cell_with_retry(
-    cell: Cell,
-    timeout: float | None = None,
-    repeats: int = 1,
-    retries: int = 0,
-    backoff: float = DEFAULT_RETRY_BACKOFF,
-) -> CellResult:
-    """:func:`evaluate_cell` plus bounded retry of transient failures.
-
-    Up to ``retries`` re-evaluations with deterministic exponential
-    backoff (``backoff * 2**(attempt-1)`` seconds).  Only transient
-    failures are retried (see :func:`_is_transient`); tasks are
-    deterministic, so a successful retry's payload is byte-identical to
-    what a fault-free first attempt would have produced — the attempt
-    count lands in the timing-scoped ``CellResult.attempts``, never in
-    the deterministic digest.
-    """
-    result = evaluate_cell(cell, timeout=timeout, repeats=repeats)
-    attempts = 1
-    while attempts <= retries and _is_transient(result):
-        _backoff_sleep(attempts, backoff)
-        result = evaluate_cell(cell, timeout=timeout, repeats=repeats)
-        attempts += 1
-    result.attempts = attempts
-    return result
-
-
-def _evaluate_remote(
-    packed: tuple[Cell, float | None, int, int, float]
-) -> CellResult:
-    """Pool entry point (top-level, so it pickles under any start method)."""
-    cell, timeout, repeats, retries, backoff = packed
-    return evaluate_cell_with_retry(
-        cell, timeout=timeout, repeats=repeats, retries=retries,
-        backoff=backoff,
-    )
-
-
-def _retry_in_fresh_worker(
-    cell: Cell, timeout: float | None, repeats: int
-) -> CellResult:
-    """One retry of a cell whose pool worker died, in a fresh subprocess.
-
-    A cell that took its worker down (OOM-kill, segfault) must not be
-    retried in the parent — if it
-    kills again it would take the whole sweep with it.  A dedicated
-    single-worker pool isolates the blast radius per attempt.
-    """
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(
-            _evaluate_remote, (cell, timeout, repeats, 0, 0.0)
-        )
-        try:
-            return future.result()
-        except Exception as exc:
-            return CellResult(
-                cell=cell,
-                status=STATUS_ERROR,
-                error=f"worker failed: {exc!r}",
-            )
-
-
 def run_sweep(
     grid: GridSpec,
     jobs: int = 1,
     timeout: float | None = None,
     repeats: int = 1,
-    retries: int = 0,
-    retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     trace: Any = None,
 ) -> SweepResult:
     """Evaluate every cell of ``grid`` and merge the outcomes.
@@ -560,16 +443,9 @@ def run_sweep(
     ``BrokenProcessPool`` for their futures rather than hanging, which is
     why this uses ``concurrent.futures`` and not ``multiprocessing.Pool``.
     Each cell builds its own input graph inside its own ``timeout``, so a
-    slow graph build times out only that cell.
-
-    ``retries`` bounds per-cell re-evaluation of *transient* failures —
-    worker crashes, timeouts, broken pool workers — with deterministic
-    exponential backoff (``retry_backoff`` base seconds).  Cells whose
-    pool worker died are retried in a fresh single-worker pool, never in
-    the parent.  Retried payloads are byte-identical to first-attempt
-    payloads (deterministic tasks), so the merged deterministic digest is
-    retry-invariant; only the timing-scoped ``attempts`` field records
-    the extra work.
+    slow graph build times out only that cell.  A ``timeout`` that cannot
+    be armed where the cells would run raises ``ValueError`` before any
+    cell runs (:func:`_check_alarm`).
 
     ``trace`` (a :class:`repro.trace.TraceRecorder`) adds one complete
     event per cell to the timeline — the in-process evaluation window on
@@ -577,18 +453,16 @@ def run_sweep(
     a pure observer: payloads and the deterministic digest are unchanged.
     """
     check_count("jobs", jobs, 1)
-    check_count("retries", retries, 0)
     check_count("repeats", repeats, 1)
     check_timeout(timeout)
+    serial = jobs == 1 or len(grid.cells) <= 1
+    _check_alarm(timeout, in_process=serial)
     start = time.perf_counter()  # repro: allow[DET002] sweep wall timing is timing-scoped output
-    if jobs == 1 or len(grid.cells) <= 1:
+    if serial:
         results = []
         for cell in grid.cells:
             cell_start = trace.now_ns() if trace is not None else 0
-            result = evaluate_cell_with_retry(
-                cell, timeout=timeout, repeats=repeats, retries=retries,
-                backoff=retry_backoff,
-            )
+            result = evaluate_cell(cell, timeout=timeout, repeats=repeats)
             if trace is not None:
                 trace.complete(
                     f"cell:{cell.key}", cell_start, trace.now_ns(),
@@ -601,10 +475,7 @@ def run_sweep(
                 (
                     cell,
                     trace.now_ns() if trace is not None else 0,
-                    pool.submit(
-                        _evaluate_remote,
-                        (cell, timeout, repeats, retries, retry_backoff),
-                    ),
+                    pool.submit(evaluate_cell, cell, timeout, repeats),
                 )
                 for cell in grid.cells
             ]
@@ -627,24 +498,6 @@ def run_sweep(
                         f"cell:{cell.key}", submit_ns, trace.now_ns(),
                         cat="sweep", status=results[-1].status,
                     )
-        # Pool-level failures never reached the in-worker retry loop;
-        # give them their own bounded retries, each in a fresh worker.
-        if retries > 0:
-            for index, result in enumerate(results):
-                attempts = result.attempts
-                while (
-                    attempts <= retries
-                    and result.status == STATUS_ERROR
-                    and result.error is not None
-                    and result.error.startswith("worker failed:")
-                ):
-                    _backoff_sleep(attempts, retry_backoff)
-                    result = _retry_in_fresh_worker(
-                        result.cell, timeout, repeats
-                    )
-                    attempts += 1
-                    result.attempts = attempts
-                    results[index] = result
     return SweepResult(
         grid=grid,
         results=results,

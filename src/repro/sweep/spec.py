@@ -15,29 +15,15 @@ identical merged results.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Any
 
+from repro.contract import derive_seed
+
 #: Parameter values allowed inside ``Cell.params`` — kept to JSON scalars so
 #: cells serialize losslessly and pickle cheaply.
 _SCALAR = (str, int, float, bool, type(None))
-
-
-def derive_seed(base: int, *components: Any) -> int:
-    """Deterministic per-cell seed from a base seed and cell coordinates.
-
-    Uses SHA-256 over a canonical string, so the derivation is stable across
-    processes and Python invocations (unlike builtin ``hash``, which is
-    salted by ``PYTHONHASHSEED``).  Collisions between distinct cells of one
-    grid are astronomically unlikely; equal coordinates always map to the
-    same seed, which is what makes serial and parallel evaluation of the
-    same grid byte-identical.
-    """
-    text = "/".join(repr(c) for c in (base, *components))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % (2**31 - 1)
 
 
 @dataclass(frozen=True)

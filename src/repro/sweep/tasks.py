@@ -572,44 +572,7 @@ def _selftest_kill(cell: Cell) -> dict[str, Any]:
     than hang waiting for a result that will never arrive.  Never run this
     serially: in-process it kills the caller, which is the simulated
     disaster, not a test harness.
-
-    With a ``marker`` param (a file path), the kill happens only while
-    the marker does not exist — the first attempt creates it and dies,
-    any retry succeeds.  That is the pool-level transient the runner's
-    fresh-worker retry path exists for.
     """
-    marker = cell.param("marker")
-    if marker is not None:
-        from pathlib import Path
-
-        path = Path(str(marker))
-        if path.exists():
-            return {"n": cell.n, "signature": f"kill-recovered-{cell.n}"}
-        path.write_text("killed once\n")
     os.kill(os.getpid(), signal.SIGKILL)
     raise AssertionError("unreachable")  # pragma: no cover
 
-
-@register_task("selftest-flaky")
-def _selftest_flaky(cell: Cell) -> dict[str, Any]:
-    """Fails transiently on the first attempt, succeeds afterwards.
-
-    Uses a ``marker`` param (a file path) as cross-attempt state: while
-    the marker does not exist the task creates it and raises
-    :class:`~repro.mpc.parallel.WorkerCrashError` — the canonical
-    transient the retry loop is allowed to retry.  Without a marker the
-    task always succeeds.
-    """
-    marker = cell.param("marker")
-    if marker is not None:
-        from pathlib import Path
-
-        from repro.mpc.parallel import WorkerCrashError
-
-        path = Path(str(marker))
-        if not path.exists():
-            path.write_text("failed once\n")
-            raise WorkerCrashError(
-                f"selftest-flaky first attempt n={cell.n} seed={cell.seed}"
-            )
-    return {"n": cell.n, "seed": cell.seed, "signature": f"flaky-{cell.n}"}

@@ -13,6 +13,7 @@ from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import build_graph
 from repro.lowerbounds.ckp17 import build_ckp17_mvc
 from repro.mpc.compile_congest import solve_mvc_mpc
+from repro.mpc.options import RunOptions
 from repro.sweep import GridSpec, run_sweep
 from repro.sweep.runner import check_count
 
@@ -129,10 +130,6 @@ class TestBadValues:
                 lambda: run_sweep(GridSpec("empty"), jobs=0),
             ),
             (
-                ["sweep", "--grid", "smoke", "--retries", "-1"],
-                lambda: run_sweep(GridSpec("empty"), retries=-1),
-            ),
-            (
                 ["sweep", "--grid", "smoke", "--repeats", "0"],
                 lambda: run_sweep(GridSpec("empty"), repeats=0),
             ),
@@ -172,15 +169,54 @@ class TestBadValues:
                  "--replicates", "0"],
                 lambda: check_count("replicates", 0, 1),
             ),
+            (
+                ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                 "--ns", "10", "--alphas", "0"],
+                lambda: solve_mvc_mpc(nx.path_graph(3), 0.5, alpha=0.0),
+            ),
+            (
+                ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                 "--ns", "10", "--compress", "0"],
+                lambda: RunOptions(0),
+            ),
+            (
+                ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                 "--ns", "10", "--mpc-workers", "0"],
+                lambda: RunOptions(workers=0),
+            ),
+            (
+                ["sweep", "--task", "mpc-mvc", "--model", "mpc",
+                 "--ns", "10", "--faults", "bogus"],
+                lambda: RunOptions(faults="bogus"),
+            ),
+            (
+                ["verify", "--model", "mpc", "--alpha", "0"],
+                lambda: solve_mvc_mpc(nx.path_graph(3), 0.5, alpha=0.0),
+            ),
+            (
+                ["verify", "--model", "mpc", "--alpha", "3"],
+                lambda: solve_mvc_mpc(nx.path_graph(3), 0.5, alpha=3.0),
+            ),
+            (
+                ["verify", "--model", "mpc", "--n", "0"],
+                lambda: build_graph("gnp", 0),
+            ),
+            (
+                ["verify", "--model", "mpc", "--n", "-3"],
+                lambda: build_graph("gnp", -3),
+            ),
         ],
         ids=[
             "mvc-n0", "mds-n0", "eps0", "alpha0", "alpha3", "empty-path",
             "verify-samples-2", "verify-samples0", "verify-mpc-samples0",
             "verify-k3", "verify-bcd19-k3", "gallery-k3", "gallery-k-1",
-            "verify-jobs0", "sweep-jobs0", "sweep-retries-1",
+            "verify-jobs0", "sweep-jobs0",
             "sweep-repeats0", "sweep-repeats-3", "sweep-timeout0",
             "sweep-timeout-1", "sweep-engine-v9", "sweep-graph-bogus",
             "sweep-eps0", "sweep-n0", "sweep-replicates0",
+            "sweep-alphas0", "sweep-compress0", "sweep-mpc-workers0",
+            "sweep-faults-bogus", "verify-mpc-alpha0", "verify-mpc-alpha3",
+            "verify-mpc-n0", "verify-mpc-n-3",
         ],
     )
     def test_exits_2_with_library_message(self, argv, library_call, capsys):
@@ -304,6 +340,17 @@ class TestSweepCommand:
         assert code == 0
         assert "4 ok" in capsys.readouterr().out
 
+    def test_unarmable_timeout_is_a_usage_error(self, capsys, monkeypatch):
+        import signal as signal_module
+
+        monkeypatch.delattr(signal_module, "SIGALRM")
+        message = _usage_error(
+            ["sweep", "--task", "selftest-ok", "--ns", "8",
+             "--timeout", "30"],
+            capsys,
+        )
+        assert message.startswith("timeout 30s cannot be enforced")
+
     def test_failures_set_exit_code(self, capsys):
         code = main(
             ["sweep", "--task", "selftest-fail", "--ns", "8", "--quiet"]
@@ -356,7 +403,7 @@ class TestAlphasParsing:
     def test_nonpositive_alpha_rejected(self, capsys):
         for bad in ("0", "-0.5", "0.8,0", "3"):
             message = _usage_error(self._sweep_alphas(bad), capsys)
-            assert message.startswith("--alphas: alpha must be in (0, 2]")
+            assert message.startswith("alpha must be in (0, 2]")
 
     def test_non_numeric_alpha_rejected(self, capsys):
         message = _usage_error(self._sweep_alphas("0.8,abc"), capsys)
@@ -516,29 +563,6 @@ class TestMetricsFlag:
             validate_metrics(doc)
 
 
-class TestSweepWarningSummary:
-    def test_degraded_cells_are_reported(self, capsys, monkeypatch):
-        # Force the timeout-degradation path: with SIGALRM unavailable
-        # every budgeted cell runs un-budgeted and must say so in the
-        # summary, not only in the JSON dump.
-        import repro.sweep.runner as runner
-
-        monkeypatch.setattr(runner, "_can_arm_alarm", lambda: False)
-        code = main(
-            ["sweep", "--task", "selftest-ok", "--ns", "8",
-             "--timeout", "30", "--jobs", "1"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "warnings: 1 cell(s) ran degraded" in out
-        assert "warn!" in out
-
-    def test_clean_run_prints_no_warning_line(self, capsys):
-        code = main(["sweep", "--task", "selftest-ok", "--ns", "8"])
-        assert code == 0
-        assert "warnings:" not in capsys.readouterr().out
-
-
 class TestFaultsFlag:
     def test_mvc_faults_require_mpc_model(self, capsys):
         code = main(["mvc", "--n", "12", "--faults", "mem@1"])
@@ -585,7 +609,8 @@ class TestFaultsFlag:
              "--ns", "10", "--faults", "crash@1"],
             capsys,
         )
-        assert message.startswith("--faults: ")
+        library = _library_message(lambda: RunOptions(faults="crash@1"))
+        assert message == f"{library}\n"
 
     def test_sweep_faults_param_attached_to_every_cell(self):
         from repro.cli import _sweep_grid_from_args, build_parser
@@ -602,16 +627,8 @@ class TestFaultsFlag:
 
 
 class TestRetriesFlag:
-    def test_default_is_zero(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["sweep", "--grid", "smoke"])
-        assert args.retries == 0
-
-    def test_persistent_failure_still_exits_nonzero(self, capsys):
-        code = main(
-            ["sweep", "--task", "selftest-fail", "--ns", "8",
-             "--retries", "2", "--quiet"]
-        )
-        assert code == 1
-        assert "1 error" in capsys.readouterr().out
+    def test_removed_flag_is_a_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--grid", "smoke", "--retries", "1"])
+        assert excinfo.value.code == 2
+        assert "--retries" in capsys.readouterr().err

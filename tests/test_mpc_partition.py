@@ -1,7 +1,8 @@
 """Deterministic MPC partitioning: identical across jobs and restarts.
 
 The partitioner derives machine assignments from the same SHA-256 seed
-derivation as :mod:`repro.sweep.spec` — never the salted builtin ``hash``
+derivation as the sweep cells (:func:`repro.contract.derive_seed`) — never
+the salted builtin ``hash``
 — so the same cell must hash to the same machines in a pool worker, in a
 serial run, and in a freshly started interpreter.
 """
@@ -60,6 +61,27 @@ class TestCrossProcessDeterminism:
         # Equal-weight vertices are hash-shuffled per seed; identical
         # assignments for every seed would mean the seed is ignored.
         assert a.digest() != b.digest()
+
+
+class TestImportIsolation:
+    def test_solver_path_does_not_load_the_sweep_package(self):
+        """The seed derivation comes from a leaf module, not the sweep
+        runner, so a solve never imports the runner's process pool."""
+        script = (
+            "import sys, repro.mpc.compile_congest, repro.core.mds_congest;"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'repro.sweep' or m.startswith('repro.sweep.')))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert out == "[]"
 
 
 class TestSweepJobParity:

@@ -98,100 +98,98 @@ class TestEvaluateCell:
         )
         assert result.status == "timeout"
         assert "0.2" in result.error
-        assert result.warning is None
 
     def test_unknown_task_is_an_error_result(self):
         result = evaluate_cell(Cell(task="no-such-task"))
         assert result.status == "error"
         assert "no-such-task" in result.error
 
-    def test_timeout_off_main_thread_falls_back_with_warning(self):
-        # SIGALRM never fires off the main thread; the cell must still
-        # run (un-budgeted) and the degradation must be recorded, not
-        # silent.
+
+class TestUnarmableTimeout:
+    """A timeout that cannot be armed is a ``ValueError``, never a cell
+    that runs without its budget."""
+
+    GRID = GridSpec(
+        "two", (Cell(task="selftest-ok", n=1), Cell(task="selftest-ok", n=2))
+    )
+
+    @staticmethod
+    def _in_thread(call):
         import threading
 
         box: list = []
 
         def worker():
-            box.append(
-                evaluate_cell(
-                    Cell(task="selftest-ok", n=5, seed=7), timeout=30.0
-                )
-            )
+            try:
+                box.append(call())
+            except Exception as exc:
+                box.append(exc)
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
-        (result,) = box
-        assert result.ok
-        assert result.payload == {"n": 5, "seed": 7, "signature": "ok-5"}
-        assert "not enforced" in result.warning
-        assert "main thread" in result.warning
+        (outcome,) = box
+        return outcome
 
-    def test_timeout_without_sigalrm_falls_back_with_warning(
-        self, monkeypatch
-    ):
-        # Platforms without SIGALRM (Windows) must degrade the same way
-        # instead of raising on the missing symbol.
+    def test_serial_sweep_off_main_thread_runs_no_task(self, monkeypatch):
+        from repro.sweep import runner as runner_module
+
+        looked_up: list = []
+        real_get_task = runner_module.get_task
+
+        def spy(name):
+            looked_up.append(name)
+            return real_get_task(name)
+
+        monkeypatch.setattr(runner_module, "get_task", spy)
+        outcome = self._in_thread(
+            lambda: run_sweep(self.GRID, jobs=1, timeout=30.0)
+        )
+        assert isinstance(outcome, ValueError)
+        assert str(outcome) == (
+            "timeout 30s cannot be enforced: SIGALRM only fires on the "
+            "main thread"
+        )
+        assert looked_up == []
+
+    def test_evaluate_cell_off_main_thread_raises(self):
+        outcome = self._in_thread(
+            lambda: evaluate_cell(Cell(task="selftest-ok"), timeout=30.0)
+        )
+        assert isinstance(outcome, ValueError)
+        assert str(outcome) == (
+            "timeout 30s cannot be enforced: SIGALRM only fires on the "
+            "main thread"
+        )
+
+    def test_pool_sweep_off_main_thread_keeps_its_budget(self):
+        # Pool workers evaluate on their own main thread, so the alarm
+        # arms there even when the caller is a thread.
+        grid = GridSpec(
+            "slow",
+            (
+                Cell(task="selftest-ok", n=1),
+                Cell(task="selftest-sleep", params=(("sleep", 5.0),)),
+            ),
+        )
+        outcome = self._in_thread(
+            lambda: run_sweep(grid, jobs=2, timeout=0.2)
+        )
+        assert [r.status for r in outcome] == ["ok", "timeout"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_sigalrm_raises(self, monkeypatch, jobs):
         import signal as signal_module
 
         monkeypatch.delattr(signal_module, "SIGALRM")
-        result = evaluate_cell(
-            Cell(task="selftest-ok", n=5, seed=7), timeout=30.0
-        )
-        assert result.ok
-        assert "SIGALRM" in result.warning
-        assert "un-budgeted" in result.warning
+        with pytest.raises(ValueError, match="SIGALRM is unavailable"):
+            run_sweep(self.GRID, jobs=jobs, timeout=30.0)
+        # Without a timeout nothing needs the alarm.
+        assert evaluate_cell(Cell(task="selftest-ok", n=5)).ok
 
-    def test_warning_is_timing_scoped_in_json(self):
-        # The warning is platform-dependent, like seconds/max_rss_kb, so
-        # it must stay out of the deterministic parity surface.
-        result = evaluate_cell(Cell(task="selftest-ok", n=5, seed=7))
-        assert "warning" in result.to_json(include_timing=True)
-        assert "warning" not in result.to_json(include_timing=False)
-        assert result.warning is None
-
-
-class TestWarningSurfacing:
-    """Regression: a degraded cell must be visible in the merged outputs,
-    not only on the individual CellResult."""
-
-    def _sweep(self, warning=None):
-        from repro.sweep.runner import SweepResult
-
-        results = [
-            evaluate_cell(Cell(task="selftest-ok", n=5, seed=7)),
-            evaluate_cell(Cell(task="selftest-ok", n=6, seed=8)),
-        ]
-        results[1].warning = warning
-        return SweepResult(
-            grid=GridSpec("g", tuple(r.cell for r in results)),
-            results=results,
-            jobs=1,
-            wall_seconds=0.0,
-        )
-
-    def test_table_rows_carry_a_marker(self):
-        sweep = self._sweep(warning="timeout 5s not enforced")
-        details = [row[-1] for row in sweep.table_rows()]
-        assert not details[0].startswith("warn!")
-        assert details[1].startswith("warn! ")
-        # The signature detail survives behind the marker.
-        assert "ok-6" in details[1]
-
-    def test_to_json_counts_warnings_under_timing(self):
-        sweep = self._sweep(warning="degraded")
-        assert sweep.to_json(include_timing=True)["warnings"] == 1
-        assert "warnings" not in sweep.to_json(include_timing=False)
-
-    def test_clean_sweep_counts_zero(self):
-        sweep = self._sweep(warning=None)
-        assert sweep.to_json(include_timing=True)["warnings"] == 0
-        assert all(
-            not str(row[-1]).startswith("warn!")
-            for row in sweep.table_rows()
-        )
+    def test_retries_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            run_sweep(self.GRID, retries=1)
 
 
 class TestDeterminism:
@@ -218,6 +216,22 @@ class TestDeterminism:
         assert "wall_seconds" not in data
         assert "jobs" not in data
         assert all("seconds" not in r for r in data["results"])
+
+    def test_fault_report_is_timing_scoped(self):
+        # A timing-scoped key in a task payload (here the contract's
+        # "faults") stays out of the deterministic digest like seconds.
+        from repro.sweep.runner import CellResult
+
+        result = CellResult(
+            cell=Cell(task="selftest-ok", n=5),
+            status="ok",
+            payload={"answer": 42, "faults": {"recoveries": 1}},
+        )
+        timed = result.to_json(include_timing=True)
+        assert timed["payload"]["faults"] == {"recoveries": 1}
+        deterministic = result.to_json(include_timing=False)
+        assert "faults" not in deterministic["payload"]
+        assert deterministic["payload"]["answer"] == 42
 
 
 class TestFailureIsolation:
@@ -257,7 +271,7 @@ class TestFailureIsolation:
         kill_result = next(
             r for r in sweep if r.cell.task == "selftest-kill"
         )
-        assert "worker failed" in kill_result.error
+        assert "worker failed:" in kill_result.error
         # The healthy cell may also be lost if it shared the broken pool
         # epoch, but it must be *recorded*, never hung.
         assert statuses["selftest-ok"] in ("ok", "error")
@@ -392,152 +406,3 @@ class TestMemoryMetering:
     @staticmethod
     def _ok_cell():
         return Cell(task="selftest-ok", n=3, seed=0)
-
-
-class TestRetry:
-    """Bounded per-cell retry with deterministic backoff (transients only)."""
-
-    @staticmethod
-    def _flaky_cell(tmp_path, n=5):
-        return Cell(
-            task="selftest-flaky", n=n, seed=1,
-            params=(("marker", str(tmp_path / f"flaky-{n}.marker")),),
-        )
-
-    def test_transient_failure_retried_to_ok(self, tmp_path):
-        from repro.sweep.runner import evaluate_cell_with_retry
-
-        result = evaluate_cell_with_retry(self._flaky_cell(tmp_path), retries=1)
-        assert result.ok
-        assert result.attempts == 2
-        assert result.payload["signature"] == "flaky-5"
-
-    def test_without_retries_the_transient_is_an_error(self, tmp_path):
-        from repro.sweep.runner import evaluate_cell_with_retry
-
-        result = evaluate_cell_with_retry(self._flaky_cell(tmp_path), retries=0)
-        assert result.status == "error"
-        assert "WorkerCrashError" in result.error
-        assert result.attempts == 1
-
-    def test_persistent_failure_exhausts_the_budget(self):
-        from repro.sweep.runner import evaluate_cell_with_retry
-
-        result = evaluate_cell_with_retry(
-            Cell(task="selftest-fail", n=3), retries=3, backoff=0.0
-        )
-        # Non-transient failures (a typed model error) never retry.
-        assert result.status == "error"
-        assert result.attempts == 1
-
-    def test_timeout_is_transient(self):
-        from repro.sweep.runner import evaluate_cell_with_retry
-
-        result = evaluate_cell_with_retry(
-            Cell(task="selftest-sleep", params=(("sleep", 5.0),)),
-            timeout=0.2, retries=1, backoff=0.0,
-        )
-        assert result.status == "timeout"
-        assert result.attempts == 2
-
-    def test_attempts_are_timing_scoped(self, tmp_path):
-        from repro.sweep.runner import evaluate_cell_with_retry
-
-        result = evaluate_cell_with_retry(self._flaky_cell(tmp_path), retries=1)
-        assert result.to_json(include_timing=True)["attempts"] == 2
-        assert "attempts" not in result.to_json(include_timing=False)
-
-    def test_serial_sweep_retries_flaky_cells(self, tmp_path):
-        grid = GridSpec("flaky", (self._flaky_cell(tmp_path),))
-        sweep = run_sweep(grid, jobs=1, retries=1)
-        assert not sweep.failures
-        (result,) = list(sweep)
-        assert result.attempts == 2
-
-    def test_retry_does_not_change_the_deterministic_digest(self, tmp_path):
-        cell = Cell(task="selftest-ok", n=5, seed=7)
-        clean = run_sweep(GridSpec("g", (cell,)), jobs=1)
-        flaky = run_sweep(
-            GridSpec("g", (self._flaky_cell(tmp_path, n=5),)), jobs=1,
-            retries=1,
-        )
-        # Different tasks, so compare the shape of the contract instead:
-        # attempts live only under timing in both documents.
-        for sweep in (clean, flaky):
-            deterministic = json.loads(sweep.deterministic_json())
-            assert "attempts" not in deterministic["results"][0]
-
-    def test_fault_report_is_timing_scoped(self):
-        # A timing-scoped key in a task payload (here the contract's
-        # "faults") stays out of the deterministic digest like attempts
-        # and warnings.
-        from repro.sweep.runner import CellResult
-
-        result = CellResult(
-            cell=Cell(task="selftest-ok", n=5),
-            status="ok",
-            payload={"answer": 42, "faults": {"recoveries": 1}},
-        )
-        timed = result.to_json(include_timing=True)
-        assert timed["payload"]["faults"] == {"recoveries": 1}
-        deterministic = result.to_json(include_timing=False)
-        assert "faults" not in deterministic["payload"]
-        assert deterministic["payload"]["answer"] == 42
-
-    def test_pool_killed_worker_retried_in_fresh_worker(self, tmp_path):
-        marker = tmp_path / "kill.marker"
-        grid = GridSpec(
-            "kill",
-            (
-                Cell(task="selftest-ok", n=1),
-                Cell(
-                    task="selftest-kill", n=2,
-                    params=(("marker", str(marker)),),
-                ),
-            ),
-        )
-        sweep = run_sweep(grid, jobs=2, retries=1, retry_backoff=0.0)
-        statuses = {r.cell.task: r.status for r in sweep}
-        assert statuses["selftest-kill"] == "ok"
-        kill_result = next(
-            r for r in sweep if r.cell.task == "selftest-kill"
-        )
-        assert kill_result.attempts == 2
-        assert kill_result.payload["signature"] == "kill-recovered-2"
-
-    def test_pool_killed_worker_without_retries_stays_error(self):
-        # Two cells so the pool path runs (single-cell grids evaluate
-        # serially, where selftest-kill would take down the caller).
-        grid = GridSpec(
-            "kill",
-            (Cell(task="selftest-ok", n=1), Cell(task="selftest-kill", n=2)),
-        )
-        sweep = run_sweep(grid, jobs=2, retries=0)
-        result = next(r for r in sweep if r.cell.task == "selftest-kill")
-        assert result.status == "error"
-        assert "worker failed:" in result.error
-        assert result.attempts == 1
-
-
-class TestTimeoutDegradationDirect:
-    """Satellite: `_can_arm_alarm() is False` must degrade, not crash."""
-
-    def test_unarmable_alarm_surfaces_warning_and_runs(self, monkeypatch):
-        from repro.sweep import runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_can_arm_alarm", lambda: False)
-        result = evaluate_cell(
-            Cell(task="selftest-ok", n=5, seed=7), timeout=30.0
-        )
-        assert result.ok
-        assert result.payload == {"n": 5, "seed": 7, "signature": "ok-5"}
-        assert result.warning is not None
-        assert "un-budgeted" in result.warning
-
-    def test_no_timeout_no_warning(self, monkeypatch):
-        from repro.sweep import runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_can_arm_alarm", lambda: False)
-        result = evaluate_cell(Cell(task="selftest-ok", n=5, seed=7))
-        assert result.ok
-        assert result.warning is None
