@@ -36,6 +36,13 @@ class TestSpec:
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert 0 <= derive_seed(7, "mvc", "gnp", 24, 0.5, 0) < 2**31 - 1
 
+    def test_derive_seed_is_the_contract_function(self):
+        # The sweep package re-exports the leaf-module function, so a
+        # cell seed and a partition seed come from one derivation.
+        import repro.contract
+
+        assert derive_seed is repro.contract.derive_seed
+
     def test_cell_params_sorted_and_scalar(self):
         cell = Cell(task="t", params=(("z", 1), ("a", 2)))
         assert cell.params == (("a", 2), ("z", 1))
@@ -103,6 +110,28 @@ class TestEvaluateCell:
         result = evaluate_cell(Cell(task="no-such-task"))
         assert result.status == "error"
         assert "no-such-task" in result.error
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_nonpositive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be > 0 seconds"):
+            evaluate_cell(Cell(task="selftest-ok"), timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "cell, status",
+        [
+            (Cell(task="selftest-ok", n=1), "ok"),
+            (Cell(task="selftest-fail", n=1), "error"),
+            (Cell(task="selftest-sleep", params=(("sleep", 5.0),)), "timeout"),
+        ],
+    )
+    def test_alarm_disarmed_and_handler_restored(self, cell, status):
+        import signal
+
+        before = signal.getsignal(signal.SIGALRM)
+        result = evaluate_cell(cell, timeout=0.2)
+        assert result.status == status
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) == before
 
 
 class TestUnarmableTimeout:
@@ -190,6 +219,42 @@ class TestUnarmableTimeout:
     def test_retries_keyword_is_gone(self):
         with pytest.raises(TypeError):
             run_sweep(self.GRID, retries=1)
+
+    def test_retry_backoff_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            run_sweep(self.GRID, retry_backoff=0.1)
+
+    def test_retry_entry_points_are_gone(self):
+        with pytest.raises(ImportError):
+            from repro.sweep.runner import evaluate_cell_with_retry  # noqa: F401
+        assert "selftest-flaky" not in task_names()
+        result = evaluate_cell(Cell(task="selftest-flaky"))
+        assert result.status == "error"
+        assert "selftest-flaky" in result.error
+
+    def test_results_carry_no_attempts_or_warnings(self):
+        grid = GridSpec(
+            "mixed",
+            (
+                Cell(task="selftest-ok", n=1),
+                Cell(task="selftest-fail", n=2),
+                Cell(task="selftest-sleep", params=(("sleep", 5.0),)),
+            ),
+        )
+        sweep = run_sweep(grid, jobs=1, timeout=0.2)
+        assert [r.status for r in sweep] == ["ok", "error", "timeout"]
+        for include_timing in (True, False):
+            data = sweep.to_json(include_timing=include_timing)
+            assert "warnings" not in data
+            for row in data["results"]:
+                assert "attempts" not in row
+                assert "warning" not in row
+        for result in sweep:
+            assert not hasattr(result, "attempts")
+            assert not hasattr(result, "warning")
+        assert not any(
+            "warn!" in str(field) for row in sweep.table_rows() for field in row
+        )
 
 
 class TestDeterminism:
