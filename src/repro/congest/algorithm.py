@@ -34,10 +34,14 @@ class NodeView:
         of one paper algorithm hand intermediate results to the next stage
         through it.
     rng:
-        Node-private deterministic randomness.
+        Node-private deterministic randomness: ``random.Random`` seeded
+        with ``"{seed}/{id}"``, built on first use (most stages never
+        draw).
     """
 
-    __slots__ = ("id", "label", "neighbors", "n", "input", "state", "rng")
+    __slots__ = (
+        "id", "label", "neighbors", "n", "input", "state", "_seed", "_rng",
+    )
 
     def __init__(
         self,
@@ -47,7 +51,7 @@ class NodeView:
         n: int,
         node_input: Any,
         state: dict,
-        rng: random.Random,
+        seed: int,
     ) -> None:
         self.id = node_id
         self.label = label
@@ -55,7 +59,15 @@ class NodeView:
         self.n = n
         self.input = node_input
         self.state = state
-        self.rng = rng
+        self._seed = seed
+        self._rng: random.Random | None = None
+
+    @property
+    def rng(self) -> random.Random:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(f"{self._seed}/{self.id}")
+        return rng
 
     @property
     def degree(self) -> int:

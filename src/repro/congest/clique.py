@@ -16,7 +16,5 @@ from repro.congest.network import CongestNetwork
 class CongestedCliqueNetwork(CongestNetwork):
     """All-to-all variant of the CONGEST runtime."""
 
-    _plain_adjacency = False
-
     def _can_send(self, sender: int, target: int) -> bool:
         return sender != target and 0 <= target < self.n

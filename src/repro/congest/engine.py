@@ -16,10 +16,13 @@
   is metered with one word-cost computation, one strictness check and an
   O(1) statistics update.  Trusted broadcasts are metered and delivered
   inline in the kernel's invocation loop; ``MailboxRing.post_batch`` only
-  serves untrusted ``send_many`` batches (targets validated with numpy when
-  available) and shard delivery.  A recording kernel also returns each
-  round's sends already metered, as ``(sender, targets, payload, words)``
-  batches.
+  serves untrusted ``send_many`` batches (targets validated in reference
+  order, one pure-Python check each) and shard delivery.  A recording
+  kernel also returns each round's sends already metered, as
+  ``(sender, targets, payload, words)`` batches.
+* :class:`BulkRounds` — a stage's bulk form (whole-network array rounds,
+  see ``CongestNetwork.run(bulk=...)``) in the shape :func:`drive` steps,
+  so engine v2 runs it through the same loop, limits and round events.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -97,17 +100,12 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.congest.errors import RoundLimitError
 from repro.congest.message import BatchOutbox, payload_words
 from repro.congest.scheduler import ActivityScheduler, MailboxRing
-
-try:  # numpy accelerates untrusted-batch validation; optional by design.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.congest.algorithm import NodeAlgorithm
@@ -313,11 +311,6 @@ def _word_cost(cache: dict[Any, int], payload: Any, word_bits: int) -> int:
             words = cache[payload] = payload_words(payload, word_bits)
         return words
     return payload_words(payload, word_bits)
-
-
-#: Untrusted batches at least this long are validated with numpy (when
-#: installed); shorter ones loop — ndarray setup costs more than it saves.
-_NUMPY_MIN_BATCH = 32
 
 
 #: A metered send: ``(sender, targets, payload, words)`` — one payload of
@@ -579,42 +572,11 @@ class RoundKernel:
             self.sends.append((sender, targets, payload, words))
 
     def _validate_targets(self, sender: int, targets: tuple[int, ...]) -> None:
-        """Reference-order validation of untrusted batch targets.
-
-        Vectorized with numpy for long batches on plain-CONGEST networks;
-        when the vectorized check finds any violation it falls through to
-        the sequential loop so the *first* offending target raises exactly
-        the error the per-message loop would have raised.
-        """
+        """Reference-order validation of untrusted batch targets: the
+        first offending target raises exactly the error the per-message
+        loop would have raised."""
         network = self.network
         n = network.n
-        if (
-            _np is not None
-            and network._plain_adjacency
-            and len(targets) >= _NUMPY_MIN_BATCH
-            # The reference loop accepts exactly Python ints (bools ride
-            # along via isinstance); numpy scalars coerce into an integer
-            # ndarray but must still be *rejected*, so anything that is
-            # not a plain int falls through to the sequential loop and
-            # raises (or accepts, for bools) exactly as v1 would.
-            and all(type(t) is int for t in targets)
-        ):
-            arr = _np.asarray(targets)
-            if arr.dtype.kind in "iu":
-                neighbors = network._nbr_arrays.get(sender)
-                if neighbors is None:
-                    neighbors = _np.asarray(
-                        network._adjacency[sender], dtype=_np.int64
-                    )
-                    network._nbr_arrays[sender] = neighbors
-                ok = (
-                    (arr != sender)
-                    & (arr >= 0)
-                    & (arr < n)
-                    & _np.isin(arr, neighbors)
-                )
-                if bool(ok.all()):
-                    return
         can_send = network._can_send
         for target in targets:
             if target == sender or not (
@@ -623,3 +585,45 @@ class RoundKernel:
                 and can_send(sender, target)
             ):
                 network._check_send(sender, target)
+
+
+class BulkRounds:
+    """A bulk stage stepped by :func:`drive` like a round kernel.
+
+    ``stage`` yields one ``(messages, words, max_words, cut_words,
+    outputs)`` tuple per round, round 0 first: the round's metered
+    traffic, and the output of each node that finishes in it.  A bulk
+    stage raises its own strict-limit errors, as the round that meters the
+    message would.  Every live node counts as invoked in every round,
+    which is what engine v2 does for a lockstep stage whose nodes all hear
+    from a neighbor or self-wake each round.
+    """
+
+    def __init__(self, stage: Iterator[tuple], n: int, stats: "RunStats") -> None:
+        self._stage = stage
+        self._live = n
+        self.stats = stats
+        #: Nodes that finished during this round.
+        self.finished: list[int] = []
+        #: Node id -> output, filled as nodes finish.
+        self.outputs: dict[int, Any] = {}
+
+    def start(self) -> None:
+        self._meter()
+
+    def step(self, overlap: Callable[[], Any] | None = None) -> int:
+        awake = self._live
+        self._meter()
+        return awake
+
+    def _meter(self) -> None:
+        messages, words, max_words, cut_words, outputs = next(self._stage)
+        stats = self.stats
+        stats.messages += messages
+        stats.total_words += words
+        if max_words > stats.max_words_per_edge_round:
+            stats.max_words_per_edge_round = max_words
+        stats.cut_words += cut_words
+        self.finished = list(outputs)
+        self.outputs.update(outputs)
+        self._live -= len(outputs)

@@ -24,8 +24,7 @@ results from one stage to the next.
 from __future__ import annotations
 
 import contextlib
-import random
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +32,7 @@ import networkx as nx
 
 from repro.congest.algorithm import NodeAlgorithm, NodeView
 from repro.congest.engine import (
+    BulkRounds,
     RoundKernel,
     drive,
     reference_rounds,
@@ -43,6 +43,9 @@ from repro.congest.message import BatchOutbox, payload_words
 from repro.graphs.instance import Instance
 
 AlgorithmFactory = Callable[[NodeView], NodeAlgorithm]
+#: A stage's bulk form: ``bulk(network)`` -> the per-round generator that
+#: :class:`~repro.congest.engine.BulkRounds` steps.
+BulkStage = Callable[["CongestNetwork"], Iterator[tuple]]
 
 #: Default cap on simulated rounds, as a multiple of n^2 (quadratic round
 #: counts are the worst case the paper discusses).
@@ -208,9 +211,6 @@ class CongestNetwork:
     #: Canonical name of the loop running this network's rounds: resolved
     #: per network from ``engine=`` unless a backend class fixes it.
     engine_name: str | None = None
-    #: Whether ``_can_send`` is plain adjacency, the only rule the kernel's
-    #: vectorized target validation knows how to evaluate.
-    _plain_adjacency = True
 
     def __init__(
         self,
@@ -258,9 +258,6 @@ class CongestNetwork:
         #: payload value -> word cost (word size is fixed per network, so
         #: keys need not include it).
         self._words_cache: dict[Any, int] = {}
-        #: node id -> numpy array of its neighbors, built lazily for the
-        #: vectorized validation of untrusted batches.
-        self._nbr_arrays: dict[int, Any] = {}
 
     # -- identifier mapping ------------------------------------------------
 
@@ -321,7 +318,6 @@ class CongestNetwork:
         for node_id in range(self.n):
             label = self._label_of[node_id]
             node_input = None if inputs is None else inputs.get(label)
-            rng = random.Random(f"{self.seed}/{node_id}")
             views.append(
                 NodeView(
                     node_id=node_id,
@@ -330,7 +326,7 @@ class CongestNetwork:
                     n=self.n,
                     node_input=node_input,
                     state=self.node_state[node_id],
-                    rng=rng,
+                    seed=self.seed,
                 )
             )
         return views
@@ -343,6 +339,7 @@ class CongestNetwork:
         trace: bool = False,
         on_round: Callable[[RoundEvent], None] | None = None,
         label: str | None = None,
+        bulk: BulkStage | None = None,
     ) -> RunResult:
         """Run one algorithm instance per node until all finish.
 
@@ -360,10 +357,18 @@ class CongestNetwork:
         The rounds run on the loop chosen at construction time (see
         :mod:`repro.congest.engine`); every engine produces identical
         results.
+
+        ``bulk`` is the stage's bulk form: ``bulk(network)`` returns the
+        generator a :class:`~repro.congest.engine.BulkRounds` steps, which
+        runs every node's rounds at once as array operations and then
+        stands in for ``factory``'s handlers (no algorithm is built).  A
+        caller passes one only where it reproduces the handlers exactly:
+        engine v2 on a plain :class:`CongestNetwork` (see ``DESIGN.md``,
+        "Bulk stages").
         """
         return self._run(
             self._engine_rounds, factory, inputs, max_rounds, trace,
-            on_round, label,
+            on_round, label, bulk,
         )
 
     def _run(
@@ -375,11 +380,13 @@ class CongestNetwork:
         trace: bool,
         on_round: Callable[[RoundEvent], None] | None,
         label: str | None,
+        bulk: BulkStage | None = None,
     ) -> RunResult:
         """One run's setup and result around a backend's ``rounds`` loop.
 
         ``rounds(algorithms, stats, max_rounds, timeline, hook, label)``
-        executes the rounds, leaving every algorithm finished.  With a
+        executes the rounds, leaving every algorithm finished; a ``bulk``
+        stage runs on :func:`drive` in its place.  With a
         tracer the run is spanned and every round event also samples a
         ``congest.round`` counter; timing happens only here, so traced
         runs stay byte-identical.
@@ -409,11 +416,17 @@ class CongestNetwork:
         with span:
             if max_rounds is None:
                 max_rounds = DEFAULT_ROUND_FACTOR * self.n * self.n + 1000
-            algorithms = [factory(view) for view in self._make_views(inputs)]
             stats = RunStats(word_bits=self.word_bits)
             timeline: list[RoundRecord] | None = [] if trace else None
-            rounds(algorithms, stats, max_rounds, timeline, hook, label)
-        by_id = {alg.node.id: alg.output for alg in algorithms}
+            loop = (max_rounds, timeline, hook, label)
+            if bulk is None:
+                algorithms = [factory(view) for view in self._make_views(inputs)]
+                rounds(algorithms, stats, *loop)
+                by_id = {alg.node.id: alg.output for alg in algorithms}
+            else:
+                stage = BulkRounds(bulk(self), self.n, stats)
+                drive(stage, self.n, stats, *loop)
+                by_id = stage.outputs
         return RunResult(
             outputs={self._label_of[nid]: out for nid, out in by_id.items()},
             stats=stats,

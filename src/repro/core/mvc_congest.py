@@ -28,12 +28,15 @@ statistics are honest CONGEST costs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
+from itertools import chain
 from typing import Any
 
 import networkx as nx
 
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
+from repro.congest.message import payload_words
 from repro.congest.network import CongestNetwork, RunStats
 from repro.congest.primitives import (
     BfsTreeAlgorithm,
@@ -105,20 +108,11 @@ class PhaseOneAlgorithm(NodeAlgorithm):
         u_neighbors = sorted(
             sender for sender, msg in inbox.items() if msg[1] == 1
         )
-        me = self.node.id
-        tokens = [(me, u) for u in u_neighbors]
-        if self.in_R:
-            tokens.append((me, me))
-        self.node.state["in_S"] = self.in_S
-        self.node.state["in_R"] = self.in_R
-        self.node.state["u_neighbors"] = u_neighbors
-        self.node.state["tokens"] = tokens
         self.finish(
-            {
-                "in_S": self.in_S,
-                "in_R": self.in_R,
-                "join_iteration": self.join_iteration,
-            }
+            _finish_phase_one(
+                self.node.state, self.node.id, u_neighbors, self.in_S,
+                self.in_R, self.join_iteration,
+            )
         )
 
     # -- protocol ----------------------------------------------------------
@@ -182,6 +176,141 @@ class PhaseOneAlgorithm(NodeAlgorithm):
         # own inbox was empty (no candidate or no winner nearby).  An
         # isolated node never receives traffic and must always self-wake.
         return self.step in (1, 3) or not self.node.neighbors
+
+
+def _finish_phase_one(
+    state: dict,
+    me: int,
+    u_neighbors: list[int],
+    in_S: bool,
+    in_R: bool,
+    join_iteration: int | None,
+) -> dict[str, Any]:
+    """Write a finished Phase I node's stage state; return its output."""
+    tokens = [(me, u) for u in u_neighbors]
+    if in_R:
+        tokens.append((me, me))
+    state["in_S"] = in_S
+    state["in_R"] = in_R
+    state["u_neighbors"] = u_neighbors
+    state["tokens"] = tokens
+    return {"in_S": in_S, "in_R": in_R, "join_iteration": join_iteration}
+
+
+def phase_one_bulk(
+    network: CongestNetwork, threshold: int, iterations: int
+) -> Iterator[tuple]:
+    """:class:`PhaseOneAlgorithm`'s bulk form: its rounds as numpy arrays.
+
+    Each protocol step is a semiring product with the adjacency matrix,
+    run as a row reduction over the network's CSR arrays: status-1
+    neighbor counts, then the 1-hop and 2-hop maxima, then "any winner
+    next door".  Every send is a broadcast, so a node broadcasting ``w``
+    words meters ``degree * w`` words.  Yields each round's ``(messages,
+    words, max_words, cut_words, outputs)`` for
+    :class:`~repro.congest.engine.BulkRounds`; the last round writes every
+    node's stage state and output as :meth:`PhaseOneAlgorithm._finalize`
+    does.  Needs ``iterations >= 0``.
+    """
+    import numpy as np
+
+    n = network.n
+    adjacency = network._adjacency
+    word_bits = network.word_bits
+    limit = network.word_limit if network.strict else math.inf
+    cut = network._cut
+    degree = np.fromiter(map(len, adjacency), np.int64, n)
+    has_neighbors = degree > 0
+    starts = np.zeros(n, np.int64)
+    np.cumsum(degree[:-1], out=starts[1:])
+    indices = np.fromiter(chain.from_iterable(adjacency), np.int64)
+    cut_degree = np.zeros(n, np.int64)
+    if cut:
+        for v, neighbors in enumerate(adjacency):
+            cut_degree[v] = sum(frozenset((v, u)) in cut for u in neighbors)
+    ids = np.arange(n)
+
+    def cost(payload: tuple) -> int:
+        return payload_words(payload, word_bits)
+
+    in_r_words, out_r_words = cost((_TAG_STATUS, 1)), cost((_TAG_STATUS, 0))
+    cand_words = cost((_TAG_CAND,))
+    win_words = cost((_TAG_WIN,))
+    relay_words = np.array([cost((_TAG_RELAY, m)) for m in range(-1, n)])
+
+    def over_neighbors(ufunc, values, empty):
+        # ``ufunc`` over each node's neighbors' ``values``; ``empty`` (the
+        # identity on these values) pads the last row and replaces the
+        # slot reduceat gives a node without neighbors.
+        rows = ufunc.reduceat(np.append(values[indices], empty), starts)
+        return np.where(has_neighbors, rows, empty)
+
+    def meter(words) -> tuple:
+        # ``words``: each node's broadcast cost this round, 0 if silent.
+        heaviest = int(words.max(initial=0, where=has_neighbors))
+        if heaviest > limit:
+            v = int(np.flatnonzero(has_neighbors & (words > limit))[0])
+            raise network._oversize(v, adjacency[v][0], int(words[v]))
+        return (
+            int(degree[words > 0].sum()),
+            int(degree @ words),
+            heaviest,
+            int(cut_degree @ words),
+            {},
+        )
+
+    in_R = np.ones(n, bool)
+    in_C = np.ones(n, bool)
+    joined = np.full(n, -1, np.int64)
+    yield meter(np.where(in_R, in_r_words, out_r_words))
+    for iteration in range(iterations):
+        r_neighbors = over_neighbors(np.add, in_R, 0)
+        candidate = in_C & (r_neighbors > threshold)
+        yield meter(np.where(candidate, cand_words, 0))
+        own = np.where(candidate, ids, -1)
+        local_max = np.maximum(over_neighbors(np.maximum, own, -1), own)
+        yield meter(relay_words[local_max + 1])
+        two_hop_max = np.maximum(
+            local_max, over_neighbors(np.maximum, local_max, -1)
+        )
+        winner = candidate & (ids >= two_hop_max)
+        in_C &= ~winner
+        yield meter(np.where(winner, win_words, 0))
+        joins = in_R & (over_neighbors(np.add, winner, 0) > 0)
+        in_R &= ~joins
+        joined[joins] = iteration
+        yield meter(np.where(in_R, in_r_words, out_r_words))
+    in_r = in_R.tolist()
+    join_iteration = [None if i < 0 else i for i in joined.tolist()]
+    outputs = {
+        v: _finish_phase_one(
+            network.node_state[v],
+            v,
+            [u for u in neighbors if in_r[u]],
+            not in_r[v],
+            in_r[v],
+            join_iteration[v],
+        )
+        for v, neighbors in enumerate(adjacency)
+    }
+    yield 0, 0, 0, 0, outputs
+
+
+def _bulk_ready(network: CongestNetwork) -> bool:
+    """Whether Phase I runs as :func:`phase_one_bulk` on ``network``.
+
+    Only on engine v2 over a plain :class:`CongestNetwork`, with numpy
+    installed.  Engine v1 is the reference, the compiled MPC backend
+    meters every round's sends, and a numpy-free install runs the
+    per-node handlers.
+    """
+    if type(network) is not CongestNetwork or network.engine_name != "v2":
+        return False
+    try:
+        import numpy  # noqa: F401 - the bulk form's one dependency
+    except ImportError:
+        return False
+    return True
 
 
 def residual_graph_from_tokens(tokens: Iterable[tuple[int, int]]) -> nx.Graph:
@@ -281,10 +410,15 @@ def approx_mvc_square(
     total = RunStats(word_bits=network.word_bits)
 
     # Phase I.
-    phase_one = network.run(
-        lambda view: PhaseOneAlgorithm(view, threshold=l, iterations=iterations),
-        label="phase1",
-    )
+    factory = partial(PhaseOneAlgorithm, threshold=l, iterations=iterations)
+    if _bulk_ready(network):
+        phase_one = network.run(
+            factory,
+            label="phase1",
+            bulk=partial(phase_one_bulk, threshold=l, iterations=iterations),
+        )
+    else:
+        phase_one = network.run(factory, label="phase1")
     total = total + phase_one.stats
 
     # Phase II: BFS tree, upcast F, local solve, broadcast solution.

@@ -8,7 +8,7 @@ same messages.  These tests pin that contract from every angle the
 engines distinguish internally — trusted broadcasts, untrusted
 ``send_many`` targets, oversize payloads, invalid targets, duplicate
 targets, self-loop graphs (rejected before any round), custom metering
-subclasses and the numpy-vectorized validation path.
+subclasses and long untrusted batches.
 """
 
 from __future__ import annotations
@@ -272,10 +272,10 @@ def test_duplicate_targets_metered_per_occurrence_delivered_once():
     assert results["v1"].by_id[1] == {0: (5,)}  # one inbox slot
 
 
-class TestNumpyValidationPath:
-    """The vectorized validator must be invisible (numpy installed or not)."""
+class TestLongBatchValidation:
+    """Long untrusted batches validate in reference order, target by target."""
 
-    hub_degree = 64  # comfortably above the numpy batch threshold
+    hub_degree = 64
 
     def _star(self):
         return star_graph(self.hub_degree + 1)
@@ -312,9 +312,8 @@ class TestNumpyValidationPath:
         assert "invalid target" in message
 
     def test_numpy_scalar_targets_rejected_like_reference(self):
-        """np.int64 targets coerce into a clean integer ndarray, but the
-        reference loop rejects non-Python-int targets — the vectorized
-        validator must not accept what v1 raises on."""
+        """The reference loop rejects non-Python-int targets such as
+        np.int64; the kernel's validator must raise on them too."""
         np = pytest.importorskip("numpy")
 
         class HubBlastNumpyInts(NodeAlgorithm):

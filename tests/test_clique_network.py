@@ -2,10 +2,9 @@
 
 ``CongestedCliqueNetwork`` is a one-method ``_can_send`` override, which
 is exactly why it needs dedicated coverage: the round kernel's batch
-fast path takes different branches on the clique, which sets the
-``_plain_adjacency`` class flag to ``False`` (trusted broadcasts still
-skip validation, numpy target validation is off).  These tests pin v1 /
-v2 to identical results off the base network.
+fast path validates untrusted targets through that override, while
+trusted broadcasts still skip validation.  These tests pin v1 / v2 to
+identical results off the base network.
 """
 
 from __future__ import annotations

@@ -278,3 +278,22 @@ class TestStages:
         net = CongestNetwork(g)
         for node_id in net.ids():
             assert net.id_of(net.label_of(node_id)) == node_id
+
+    def test_node_rng_built_on_first_use_with_the_seeded_stream(self):
+        import random
+
+        class Draw(NodeAlgorithm):
+            def on_start(self):
+                built = self.node._rng is not None
+                self.finish((built, self.node.rng.random(), self.node.rng.random()))
+                return None
+
+            def on_round(self, inbox):  # pragma: no cover
+                return None
+
+        net = CongestNetwork(nx.path_graph(3), seed=7)
+        result = net.run(Draw)
+        for node_id, (built, first, second) in result.by_id.items():
+            stream = random.Random(f"7/{node_id}")
+            assert not built
+            assert (first, second) == (stream.random(), stream.random())
