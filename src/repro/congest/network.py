@@ -47,6 +47,12 @@ AlgorithmFactory = Callable[[NodeView], NodeAlgorithm]
 #: :class:`~repro.congest.engine.BulkRounds` steps.
 BulkStage = Callable[["CongestNetwork"], Iterator[tuple]]
 
+#: Fewest nodes at which a stage's bulk form replaces its handlers.
+#: Below it, a process's first bulk stage costs more (numpy's ~0.14 s
+#: import and the CSR set-up) than the handlers it replaces; DESIGN.md,
+#: "Bulk stages", has the measured crossover.
+BULK_MIN_NODES = 224
+
 #: Default cap on simulated rounds, as a multiple of n^2 (quadratic round
 #: counts are the worst case the paper discusses).
 DEFAULT_ROUND_FACTOR = 20
@@ -358,13 +364,15 @@ class CongestNetwork:
         :mod:`repro.congest.engine`); every engine produces identical
         results.
 
-        ``bulk`` is the stage's bulk form: ``bulk(network)`` returns the
-        generator a :class:`~repro.congest.engine.BulkRounds` steps, which
-        runs every node's rounds at once as array operations and then
-        stands in for ``factory``'s handlers (no algorithm is built).  A
-        caller passes one only where it reproduces the handlers exactly:
-        engine v2 on a plain :class:`CongestNetwork` (see ``DESIGN.md``,
-        "Bulk stages").
+        ``bulk`` is the stage's optional bulk form, which must reproduce
+        ``factory``'s handlers exactly: ``bulk(network)`` imports what it
+        needs and returns the generator a
+        :class:`~repro.congest.engine.BulkRounds` steps, running every
+        node's rounds at once as array operations (no algorithm is
+        built).  It runs only on engine v2 over a plain
+        :class:`CongestNetwork` of at least :data:`BULK_MIN_NODES` nodes,
+        and an ``ImportError`` from it falls back to the handlers (see
+        ``DESIGN.md``, "Bulk stages").
         """
         return self._run(
             self._engine_rounds, factory, inputs, max_rounds, trace,
@@ -419,12 +427,13 @@ class CongestNetwork:
             stats = RunStats(word_bits=self.word_bits)
             timeline: list[RoundRecord] | None = [] if trace else None
             loop = (max_rounds, timeline, hook, label)
-            if bulk is None:
+            bulk_rounds = self._bulk_rounds(bulk)
+            if bulk_rounds is None:
                 algorithms = [factory(view) for view in self._make_views(inputs)]
                 rounds(algorithms, stats, *loop)
                 by_id = {alg.node.id: alg.output for alg in algorithms}
             else:
-                stage = BulkRounds(bulk(self), self.n, stats)
+                stage = BulkRounds(bulk_rounds, self.n, stats)
                 drive(stage, self.n, stats, *loop)
                 by_id = stage.outputs
         return RunResult(
@@ -433,6 +442,25 @@ class CongestNetwork:
             by_id=by_id,
             trace=timeline,
         )
+
+    def _bulk_rounds(self, bulk: BulkStage | None) -> Iterator[tuple] | None:
+        """``bulk(self)`` where this network runs bulk forms, else ``None``.
+
+        Engine v1 is the reference and backends meter each round's sends
+        themselves, so only engine v2 on a plain network qualifies; below
+        :data:`BULK_MIN_NODES` the handlers are faster.
+        """
+        if (
+            bulk is None
+            or type(self) is not CongestNetwork
+            or self.engine_name != "v2"
+            or self.n < BULK_MIN_NODES
+        ):
+            return None
+        try:
+            return bulk(self)
+        except ImportError:  # numpy-free install: the handlers run
+            return None
 
     def _engine_rounds(
         self, algorithms: list[NodeAlgorithm], stats: RunStats, *loop: Any

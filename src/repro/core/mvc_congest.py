@@ -208,9 +208,10 @@ def phase_one_bulk(
     next door".  Every send is a broadcast, so a node broadcasting ``w``
     words meters ``degree * w`` words.  Yields each round's ``(messages,
     words, max_words, cut_words, outputs)`` for
-    :class:`~repro.congest.engine.BulkRounds`; the last round writes every
-    node's stage state and output as :meth:`PhaseOneAlgorithm._finalize`
-    does.  Needs ``iterations >= 0``.
+    :class:`~repro.congest.engine.BulkRounds` from the returned generator;
+    the last round writes every node's stage state and output as
+    :meth:`PhaseOneAlgorithm._finalize` does.  Needs ``iterations >= 0``;
+    raises ``ImportError`` at once without numpy.
     """
     import numpy as np
 
@@ -259,58 +260,44 @@ def phase_one_bulk(
             {},
         )
 
-    in_R = np.ones(n, bool)
-    in_C = np.ones(n, bool)
-    joined = np.full(n, -1, np.int64)
-    yield meter(np.where(in_R, in_r_words, out_r_words))
-    for iteration in range(iterations):
-        r_neighbors = over_neighbors(np.add, in_R, 0)
-        candidate = in_C & (r_neighbors > threshold)
-        yield meter(np.where(candidate, cand_words, 0))
-        own = np.where(candidate, ids, -1)
-        local_max = np.maximum(over_neighbors(np.maximum, own, -1), own)
-        yield meter(relay_words[local_max + 1])
-        two_hop_max = np.maximum(
-            local_max, over_neighbors(np.maximum, local_max, -1)
-        )
-        winner = candidate & (ids >= two_hop_max)
-        in_C &= ~winner
-        yield meter(np.where(winner, win_words, 0))
-        joins = in_R & (over_neighbors(np.add, winner, 0) > 0)
-        in_R &= ~joins
-        joined[joins] = iteration
+    def rounds() -> Iterator[tuple]:
+        in_R = np.ones(n, bool)
+        in_C = np.ones(n, bool)
+        joined = np.full(n, -1, np.int64)
         yield meter(np.where(in_R, in_r_words, out_r_words))
-    in_r = in_R.tolist()
-    join_iteration = [None if i < 0 else i for i in joined.tolist()]
-    outputs = {
-        v: _finish_phase_one(
-            network.node_state[v],
-            v,
-            [u for u in neighbors if in_r[u]],
-            not in_r[v],
-            in_r[v],
-            join_iteration[v],
-        )
-        for v, neighbors in enumerate(adjacency)
-    }
-    yield 0, 0, 0, 0, outputs
+        for iteration in range(iterations):
+            r_neighbors = over_neighbors(np.add, in_R, 0)
+            candidate = in_C & (r_neighbors > threshold)
+            yield meter(np.where(candidate, cand_words, 0))
+            own = np.where(candidate, ids, -1)
+            local_max = np.maximum(over_neighbors(np.maximum, own, -1), own)
+            yield meter(relay_words[local_max + 1])
+            two_hop_max = np.maximum(
+                local_max, over_neighbors(np.maximum, local_max, -1)
+            )
+            winner = candidate & (ids >= two_hop_max)
+            in_C &= ~winner
+            yield meter(np.where(winner, win_words, 0))
+            joins = in_R & (over_neighbors(np.add, winner, 0) > 0)
+            in_R &= ~joins
+            joined[joins] = iteration
+            yield meter(np.where(in_R, in_r_words, out_r_words))
+        in_r = in_R.tolist()
+        join_iteration = [None if i < 0 else i for i in joined.tolist()]
+        outputs = {
+            v: _finish_phase_one(
+                network.node_state[v],
+                v,
+                [u for u in neighbors if in_r[u]],
+                not in_r[v],
+                in_r[v],
+                join_iteration[v],
+            )
+            for v, neighbors in enumerate(adjacency)
+        }
+        yield 0, 0, 0, 0, outputs
 
-
-def _bulk_ready(network: CongestNetwork) -> bool:
-    """Whether Phase I runs as :func:`phase_one_bulk` on ``network``.
-
-    Only on engine v2 over a plain :class:`CongestNetwork`, with numpy
-    installed.  Engine v1 is the reference, the compiled MPC backend
-    meters every round's sends, and a numpy-free install runs the
-    per-node handlers.
-    """
-    if type(network) is not CongestNetwork or network.engine_name != "v2":
-        return False
-    try:
-        import numpy  # noqa: F401 - the bulk form's one dependency
-    except ImportError:
-        return False
-    return True
+    return rounds()
 
 
 def residual_graph_from_tokens(tokens: Iterable[tuple[int, int]]) -> nx.Graph:
@@ -410,15 +397,11 @@ def approx_mvc_square(
     total = RunStats(word_bits=network.word_bits)
 
     # Phase I.
-    factory = partial(PhaseOneAlgorithm, threshold=l, iterations=iterations)
-    if _bulk_ready(network):
-        phase_one = network.run(
-            factory,
-            label="phase1",
-            bulk=partial(phase_one_bulk, threshold=l, iterations=iterations),
-        )
-    else:
-        phase_one = network.run(factory, label="phase1")
+    phase_one = network.run(
+        partial(PhaseOneAlgorithm, threshold=l, iterations=iterations),
+        label="phase1",
+        bulk=partial(phase_one_bulk, threshold=l, iterations=iterations),
+    )
     total = total + phase_one.stats
 
     # Phase II: BFS tree, upcast F, local solve, broadcast solution.

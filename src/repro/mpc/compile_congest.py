@@ -74,6 +74,7 @@ from repro.congest.engine import RoundKernel, SentBatch, drive
 from repro.congest.message import payload_words
 from repro.congest.network import (
     AlgorithmFactory,
+    BulkStage,
     CongestNetwork,
     RoundEvent,
     RoundRecord,
@@ -239,6 +240,7 @@ class MPCCongestNetwork(CongestNetwork):
         trace: bool = False,
         on_round: Callable[[RoundEvent], None] | None = None,
         label: str | None = None,
+        bulk: BulkStage | None = None,
     ) -> RunResult:
         """Execute one CONGEST algorithm, at most one shuffle per round.
 
@@ -252,7 +254,8 @@ class MPCCongestNetwork(CongestNetwork):
         machine-locally.  Either way the CONGEST-side metering
         (``stats``, traces, round events) comes from the same kernel
         rounds, so the parity contract is independent of the window
-        length.
+        length.  A stage's ``bulk`` form never runs here: the ledger
+        needs each round's sends, so ``factory``'s handlers always do.
         """
         return self._run(
             self._compiled_rounds, factory, inputs, max_rounds, trace,

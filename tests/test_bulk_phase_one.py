@@ -2,7 +2,9 @@
 
 Engine v2 runs :func:`~repro.core.mvc_congest.phase_one_bulk` in place of
 :class:`~repro.core.mvc_congest.PhaseOneAlgorithm`'s per-node handlers on
-a plain :class:`CongestNetwork`.  Everything a caller or observer can see
+a plain :class:`CongestNetwork` of at least ``BULK_MIN_NODES`` nodes; the
+tests lower that threshold to 0 so small graphs take the bulk path, and
+the bulk form's factory fails if any handler is built.  Everything a caller or observer can see
 must be the same either way: ``RunStats`` field by field, every
 ``RoundEvent`` (``awake`` included) and ``RoundRecord``, ``by_id`` /
 ``outputs``, every node's stage state, cut metering, strict-limit errors
@@ -21,9 +23,10 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from repro.congest import network as network_module
+from repro.congest.clique import CongestedCliqueNetwork
 from repro.congest.errors import CongestionError, RoundLimitError
-from repro.congest.network import CongestNetwork
-from repro.core import mvc_congest
+from repro.congest.network import BULK_MIN_NODES, CongestNetwork
 from repro.core.mvc_congest import (
     PhaseOneAlgorithm,
     approx_mvc_square,
@@ -51,6 +54,23 @@ GRAPHS = {
 EPSILONS = (0.1, 1 / 3, 0.5, 1.0)
 
 
+@pytest.fixture(autouse=True)
+def bulk_at_every_size(monkeypatch):
+    monkeypatch.setattr(network_module, "BULK_MIN_NODES", 0)
+
+
+def _no_handlers(view):
+    raise AssertionError("a bulk run built a per-node algorithm")
+
+
+def phase_one_run_args(form, threshold, iterations):
+    """``network.run`` factory and ``bulk=`` for Phase I in ``form``."""
+    if form == "bulk":
+        bulk = partial(phase_one_bulk, threshold=threshold, iterations=iterations)
+        return _no_handlers, {"bulk": bulk}
+    return partial(PhaseOneAlgorithm, threshold=threshold, iterations=iterations), {}
+
+
 def _with_isolated() -> nx.Graph:
     """Node 0 isolated: its silent rounds and the first sender are 1."""
     graph = nx.Graph([(1, 2), (2, 3), (3, 4), (4, 1), (4, 5)])
@@ -65,13 +85,9 @@ def run_phase_one(
     engine = "v1" if form == "v1" else "v2"
     network = CongestNetwork(graph, seed=3, engine=engine, **net_kwargs)
     events = []
-    extra = {}
-    if form == "bulk":
-        extra["bulk"] = partial(
-            phase_one_bulk, threshold=threshold, iterations=iterations
-        )
+    factory, extra = phase_one_run_args(form, threshold, iterations)
     result = network.run(
-        partial(PhaseOneAlgorithm, threshold=threshold, iterations=iterations),
+        factory,
         max_rounds=max_rounds,
         trace=True,
         on_round=events.append,
@@ -175,13 +191,9 @@ def test_strict_error_round_and_events_agree():
         events = []
         network = CongestNetwork(graph, engine="v1" if form == "v1" else "v2",
                                  word_limit=1, on_round=events.append)
-        extra = {}
-        if form == "bulk":
-            extra["bulk"] = partial(phase_one_bulk, threshold=2, iterations=2)
+        factory, extra = phase_one_run_args(form, 2, 2)
         with pytest.raises(CongestionError) as info:
-            network.run(
-                partial(PhaseOneAlgorithm, threshold=2, iterations=2), **extra
-            )
+            network.run(factory, **extra)
         seen[form] = (str(info.value), events, network.node_state)
     assert seen["bulk"] == seen["v2"]
     assert seen["bulk"][0] == seen["v1"][0]
@@ -203,12 +215,10 @@ def test_round_limit_shorter_than_the_stage(max_rounds):
     for form in FORMS:
         events = []
         network = CongestNetwork(graph, engine="v1" if form == "v1" else "v2")
-        extra = {}
-        if form == "bulk":
-            extra["bulk"] = partial(phase_one_bulk, threshold=1, iterations=3)
+        factory, extra = phase_one_run_args(form, 1, 3)
         with pytest.raises(RoundLimitError) as info:
             network.run(
-                partial(PhaseOneAlgorithm, threshold=1, iterations=3),
+                factory,
                 max_rounds=max_rounds,
                 on_round=events.append,
                 **extra,
@@ -240,14 +250,28 @@ def _count_handlers(monkeypatch):
         (lambda g: CongestNetwork(g, engine="v2"), True),
         (lambda g: CongestNetwork(g, engine="v1"), False),
         (lambda g: MPCCongestNetwork(g, alpha=0.9), False),
+        (lambda g: CongestedCliqueNetwork(g, engine="v2"), False),
     ],
-    ids=["v2", "v1", "mpc"],
+    ids=["v2", "v1", "mpc", "clique"],
 )
 def test_only_plain_v2_runs_the_bulk_form(monkeypatch, make, bulk):
     calls = _count_handlers(monkeypatch)
     graph = GRAPHS["gnp"]()
     approx_mvc_square(graph, 0.5, network=make(graph))
     assert (calls[0] == 0) is bulk
+
+
+def test_bulk_form_starts_at_bulk_min_nodes(monkeypatch):
+    monkeypatch.setattr(network_module, "BULK_MIN_NODES", BULK_MIN_NODES)
+    bulk = partial(phase_one_bulk, threshold=1, iterations=1)
+    for n, runs_bulk in ((BULK_MIN_NODES - 1, False), (BULK_MIN_NODES, True)):
+        network = CongestNetwork(path_graph(n), engine="v2")
+        assert (network._bulk_rounds(bulk) is not None) is runs_bulk
+    small = GRAPHS["gnp"]()
+    assert small.number_of_nodes() < BULK_MIN_NODES
+    calls = _count_handlers(monkeypatch)
+    approx_mvc_square(small, 0.5, engine="v2")
+    assert calls[0] > 0
 
 
 def test_metrics_digest_shared_by_bulk_and_handlers(monkeypatch):
@@ -261,7 +285,7 @@ def test_metrics_digest_shared_by_bulk_and_handlers(monkeypatch):
         return collector.deterministic_sha256(), collector.to_json()["variant"]
 
     bulk = digest("v2")
-    monkeypatch.setattr(mvc_congest, "_bulk_ready", lambda network: False)
+    monkeypatch.setattr(network_module, "BULK_MIN_NODES", 10**9)
     handlers = digest("v2")
     assert bulk == handlers
     assert bulk[0] == digest("v1")[0]
@@ -279,11 +303,15 @@ def test_numpy_free_install_runs_the_handlers(monkeypatch):
     assert without.detail == with_numpy.detail
 
 
-def test_solver_imports_leave_numpy_unloaded():
+def test_solver_imports_and_small_solves_leave_numpy_unloaded():
     code = (
         "import sys\n"
         "import repro.core.mvc_congest, repro.core.mds_congest\n"
         "import repro.mpc.compile_congest\n"
+        "print('numpy' in sys.modules)\n"
+        "from repro.graphs.generators import build_graph\n"
+        "graph = build_graph('gnp', 60, seed=1)\n"
+        "repro.core.mvc_congest.approx_mvc_square(graph, 0.5, engine='v2')\n"
         "print('numpy' in sys.modules)\n"
     )
     done = subprocess.run(
@@ -295,4 +323,4 @@ def test_solver_imports_leave_numpy_unloaded():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
