@@ -20,9 +20,9 @@
   order, one pure-Python check each) and shard delivery.  A recording
   kernel also returns each round's sends already metered, as
   ``(sender, targets, payload, words)`` batches.
-* :class:`BulkRounds` — a stage's bulk form (whole-network array rounds,
-  see ``CongestNetwork.run(bulk=...)``) in the shape :func:`drive` steps,
-  so engine v2 runs it through the same loop, limits and round events.
+* :class:`BulkRounds` — a stage's bulk form (whole-network rounds, see
+  ``CongestNetwork.run(bulk=...)``) in the shape :func:`drive` steps, so
+  engine v2 runs it through the same loop, limits and round events.
 
 The wants_wake / self-wake protocol
 -----------------------------------
@@ -590,18 +590,18 @@ class RoundKernel:
 class BulkRounds:
     """A bulk stage stepped by :func:`drive` like a round kernel.
 
-    ``stage`` yields one ``(messages, words, max_words, cut_words,
+    ``stage`` yields one ``(messages, words, max_words, cut_words, awake,
     outputs)`` tuple per round, round 0 first: the round's metered
-    traffic, and the output of each node that finishes in it.  A bulk
-    stage raises its own strict-limit errors, as the round that meters the
-    message would.  Every live node counts as invoked in every round,
-    which is what engine v2 does for a lockstep stage whose nodes all hear
-    from a neighbor or self-wake each round.
+    traffic, how many nodes engine v2 would invoke in it, and the output
+    of each node that finishes in it.  ``awake`` counts the live nodes
+    that hear from a neighbor or self-wake, so every ``RoundEvent`` is the
+    per-node path's (round 0's is ``n``, as :func:`drive` reports it).  A
+    bulk stage raises its own strict-limit errors, as the round that
+    meters the message would.
     """
 
-    def __init__(self, stage: Iterator[tuple], n: int, stats: "RunStats") -> None:
+    def __init__(self, stage: Iterator[tuple], stats: "RunStats") -> None:
         self._stage = stage
-        self._live = n
         self.stats = stats
         #: Nodes that finished during this round.
         self.finished: list[int] = []
@@ -609,15 +609,11 @@ class BulkRounds:
         self.outputs: dict[int, Any] = {}
 
     def start(self) -> None:
-        self._meter()
+        self.step()
 
     def step(self, overlap: Callable[[], Any] | None = None) -> int:
-        awake = self._live
-        self._meter()
-        return awake
-
-    def _meter(self) -> None:
-        messages, words, max_words, cut_words, outputs = next(self._stage)
+        round_ = next(self._stage)
+        messages, words, max_words, cut_words, awake, outputs = round_
         stats = self.stats
         stats.messages += messages
         stats.total_words += words
@@ -626,4 +622,4 @@ class BulkRounds:
         stats.cut_words += cut_words
         self.finished = list(outputs)
         self.outputs.update(outputs)
-        self._live -= len(outputs)
+        return awake

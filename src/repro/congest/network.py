@@ -50,7 +50,8 @@ BulkStage = Callable[["CongestNetwork"], Iterator[tuple]]
 #: Fewest nodes at which a stage's bulk form replaces its handlers.
 #: Below it, a process's first bulk stage costs more (numpy's ~0.14 s
 #: import and the CSR set-up) than the handlers it replaces; DESIGN.md,
-#: "Bulk stages", has the measured crossover.
+#: "Bulk stages", has the measured crossover, and why the numpy-free
+#: tree forms keep the same floor.
 BULK_MIN_NODES = 224
 
 #: Default cap on simulated rounds, as a multiple of n^2 (quadratic round
@@ -367,12 +368,11 @@ class CongestNetwork:
         ``bulk`` is the stage's optional bulk form, which must reproduce
         ``factory``'s handlers exactly: ``bulk(network)`` imports what it
         needs and returns the generator a
-        :class:`~repro.congest.engine.BulkRounds` steps, running every
-        node's rounds at once as array operations (no algorithm is
-        built).  It runs only on engine v2 over a plain
-        :class:`CongestNetwork` of at least :data:`BULK_MIN_NODES` nodes,
-        and an ``ImportError`` from it falls back to the handlers (see
-        ``DESIGN.md``, "Bulk stages").
+        :class:`~repro.congest.engine.BulkRounds` steps, computing every
+        node's rounds at once (no algorithm is built).  It runs only on
+        engine v2 over a plain :class:`CongestNetwork` of at least
+        :data:`BULK_MIN_NODES` nodes, and an ``ImportError`` from it falls
+        back to the handlers (see ``DESIGN.md``, "Bulk stages").
         """
         return self._run(
             self._engine_rounds, factory, inputs, max_rounds, trace,
@@ -433,9 +433,10 @@ class CongestNetwork:
                 rounds(algorithms, stats, *loop)
                 by_id = {alg.node.id: alg.output for alg in algorithms}
             else:
-                stage = BulkRounds(bulk_rounds, self.n, stats)
+                stage = BulkRounds(bulk_rounds, stats)
                 drive(stage, self.n, stats, *loop)
-                by_id = stage.outputs
+                # Nodes finish in any order; the handlers' by_id is by id.
+                by_id = dict(sorted(stage.outputs.items()))
         return RunResult(
             outputs={self._label_of[nid]: out for nid, out in by_id.items()},
             stats=stats,

@@ -37,7 +37,7 @@ import networkx as nx
 
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunStats
-from repro.congest.primitives import BFS_STATE, BfsTreeAlgorithm
+from repro.congest.primitives import BFS_STATE, build_bfs_tree
 from repro.core.estimation import EstimationStage, default_samples
 from repro.core.results import DistributedCoverResult, square_solver_network
 
@@ -370,7 +370,7 @@ def approx_mds_square(
     network.reset_state()
     total = RunStats(word_bits=network.word_bits)
 
-    bfs = network.run(lambda view: BfsTreeAlgorithm(view, n - 1), label="bfs")
+    bfs = build_bfs_tree(network, label="bfs")
     total = total + bfs.stats
     for node_id in network.ids():
         network.node_state[node_id]["in_U"] = True

@@ -39,9 +39,11 @@ from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.message import payload_words
 from repro.congest.network import CongestNetwork, RunStats
 from repro.congest.primitives import (
-    BfsTreeAlgorithm,
     BroadcastAlgorithm,
     ConvergecastAlgorithm,
+    broadcast_bulk,
+    build_bfs_tree,
+    convergecast_bulk,
 )
 from repro.core.results import DistributedCoverResult, square_solver_network
 from repro.exact.vertex_cover import minimum_vertex_cover
@@ -207,11 +209,12 @@ def phase_one_bulk(
     neighbor counts, then the 1-hop and 2-hop maxima, then "any winner
     next door".  Every send is a broadcast, so a node broadcasting ``w``
     words meters ``degree * w`` words.  Yields each round's ``(messages,
-    words, max_words, cut_words, outputs)`` for
-    :class:`~repro.congest.engine.BulkRounds` from the returned generator;
-    the last round writes every node's stage state and output as
-    :meth:`PhaseOneAlgorithm._finalize` does.  Needs ``iterations >= 0``;
-    raises ``ImportError`` at once without numpy.
+    words, max_words, cut_words, awake, outputs)`` for
+    :class:`~repro.congest.engine.BulkRounds` from the returned generator,
+    all ``n`` nodes awake in every round (v2 invokes each, by traffic or
+    self-wake, until the last); the last round writes every node's stage
+    state and output as :meth:`PhaseOneAlgorithm._finalize` does.  Needs
+    ``iterations >= 0``; raises ``ImportError`` at once without numpy.
     """
     import numpy as np
 
@@ -257,6 +260,7 @@ def phase_one_bulk(
             int(degree @ words),
             heaviest,
             int(cut_degree @ words),
+            n,
             {},
         )
 
@@ -295,7 +299,7 @@ def phase_one_bulk(
             )
             for v, neighbors in enumerate(adjacency)
         }
-        yield 0, 0, 0, 0, outputs
+        yield 0, 0, 0, 0, n, outputs
 
     return rounds()
 
@@ -406,10 +410,12 @@ def approx_mvc_square(
 
     # Phase II: BFS tree, upcast F, local solve, broadcast solution.
     leader = n - 1
-    bfs = network.run(lambda view: BfsTreeAlgorithm(view, leader), label="bfs")
+    bfs = build_bfs_tree(network, label="bfs")
     total = total + bfs.stats
 
-    gather = network.run(lambda view: ConvergecastAlgorithm(view), label="upcast")
+    gather = network.run(
+        ConvergecastAlgorithm, label="upcast", bulk=convergecast_bulk
+    )
     total = total + gather.stats
     tokens = gather.by_id[leader]
 
@@ -421,7 +427,9 @@ def approx_mvc_square(
         raise ValueError(f"local solver returned foreign vertices: {unknown}")
 
     network.node_state[leader]["bcast_tokens"] = [(v,) for v in sorted(r_star)]
-    spread = network.run(lambda view: BroadcastAlgorithm(view), label="broadcast")
+    spread = network.run(
+        BroadcastAlgorithm, label="broadcast", bulk=broadcast_bulk
+    )
     total = total + spread.stats
 
     s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}

@@ -30,9 +30,11 @@ import networkx as nx
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunStats
 from repro.congest.primitives import (
-    BfsTreeAlgorithm,
     BroadcastAlgorithm,
     ConvergecastAlgorithm,
+    broadcast_bulk,
+    build_bfs_tree,
+    convergecast_bulk,
 )
 from repro.core.mvc_congest import (
     normalized_epsilon,
@@ -223,10 +225,10 @@ def approx_mwvc_square(
     total = total + phase_one.stats
 
     leader = n - 1
-    bfs = network.run(lambda view: BfsTreeAlgorithm(view, leader))
+    bfs = build_bfs_tree(network)
     total = total + bfs.stats
 
-    gather = network.run(lambda view: ConvergecastAlgorithm(view))
+    gather = network.run(ConvergecastAlgorithm, bulk=convergecast_bulk)
     total = total + gather.stats
     tokens = gather.by_id[leader]
 
@@ -238,7 +240,7 @@ def approx_mwvc_square(
     )
 
     network.node_state[leader]["bcast_tokens"] = [(v,) for v in sorted(r_star)]
-    spread = network.run(lambda view: BroadcastAlgorithm(view))
+    spread = network.run(BroadcastAlgorithm, bulk=broadcast_bulk)
     total = total + spread.stats
 
     s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}

@@ -113,6 +113,7 @@ def assert_forms_agree(runs) -> None:
         assert result.by_id == reference[0].by_id, form
         assert result.outputs == reference[0].outputs, form
         assert list(result.by_id) == list(reference[0].by_id), form
+        assert list(result.outputs) == list(reference[0].outputs), form
         assert events == reference[1], form
         assert state == reference[2], form
         for node_id, node_state in state.items():
@@ -306,6 +307,7 @@ def test_numpy_free_install_runs_the_handlers(monkeypatch):
 def test_solver_imports_and_small_solves_leave_numpy_unloaded():
     code = (
         "import sys\n"
+        "import repro.congest.primitives\n"
         "import repro.core.mvc_congest, repro.core.mds_congest\n"
         "import repro.mpc.compile_congest\n"
         "print('numpy' in sys.modules)\n"
