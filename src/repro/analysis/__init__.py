@@ -8,11 +8,6 @@ Run it with ``python -m repro.analysis src`` or import
 :func:`repro.analysis.engine.analyze_paths`.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.engine import (
     AnalysisResult,
     analyze_paths,
@@ -29,7 +24,4 @@ __all__ = [
     "all_rule_ids",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
-    "load_baseline",
-    "save_baseline",
 ]

@@ -1,8 +1,7 @@
 """``python -m repro.analysis`` — the determinism-contract gate.
 
-Exit codes: ``0`` clean (no findings beyond the baseline), ``1`` new
-findings (or stale baseline entries — the baseline must shrink when code
-is fixed), ``2`` bad arguments (missing targets, unreadable baseline).
+Exit codes: ``0`` no findings, ``1`` findings, ``2`` bad arguments
+(missing targets, an unwritable ``--output``).
 """
 
 from __future__ import annotations
@@ -11,18 +10,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.engine import ANALYSIS_SCHEMA, analyze_paths
+from repro.analysis.engine import AnalysisResult, analyze_paths
 from repro.analysis.registry import BUILTIN_DIAGNOSTICS, RULES
-
-DEFAULT_BASELINE = "analysis-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,24 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--output",
@@ -89,24 +61,13 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _render_text(report: dict[str, Any]) -> str:
-    lines: list[str] = []
-    for finding in report["findings"]:
-        sym = f" [{finding['symbol']}]" if finding.get("symbol") else ""
-        lines.append(
-            f"{finding['path']}:{finding['line']}:{finding['col']}: "
-            f"{finding['rule']} {finding['message']}{sym}"
-        )
-    for fingerprint in report["baseline"]["stale"]:
-        lines.append(f"stale baseline entry: {fingerprint}")
-    summary = (
-        f"{len(report['findings'])} finding(s), "
-        f"{report['counts']['baselined']} baselined, "
-        f"{report['counts']['suppressed']} suppressed, "
-        f"{len(report['baseline']['stale'])} stale baseline entr(y/ies) "
-        f"in {report['counts']['files']} file(s)"
+def _render_text(result: AnalysisResult) -> str:
+    lines = [finding.render() for finding in result.findings]
+    lines.append(
+        f"{len(result.findings)} finding(s), "
+        f"{len(result.suppressions)} suppressed "
+        f"in {len(result.files)} file(s)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -126,54 +87,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE)
-    if args.write_baseline:
-        save_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baseline: dict[str, int] = {}
-    if not args.no_baseline:
-        if args.baseline is not None and not baseline_path.is_file():
-            print(
-                f"error: baseline {baseline_path} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-        if baseline_path.is_file():
-            try:
-                baseline = load_baseline(baseline_path)
-            except BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-    match = apply_baseline(result.findings, baseline)
-    report: dict[str, Any] = {
-        "schema": ANALYSIS_SCHEMA,
-        "findings": [f.to_json() for f in match.new],
-        "baseline": {
-            "path": baseline_path.as_posix() if baseline else None,
-            "baselined": [f.to_json() for f in match.baselined],
-            "stale": match.stale,
-        },
-        "suppressions": [s.to_json() for s in result.suppressions],
-        "counts": {
-            "files": len(result.files),
-            "findings": len(match.new),
-            "baselined": len(match.baselined),
-            "suppressed": len(result.suppressions),
-            "stale": len(match.stale),
-        },
-    }
-
     if args.format == "json":
-        rendered = json.dumps(report, indent=2, sort_keys=True)
+        rendered = json.dumps(result.to_json(), indent=2, sort_keys=True)
     else:
-        rendered = _render_text(report)
+        rendered = _render_text(result)
     print(rendered)
     if args.output:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(rendered + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
 
-    return 1 if (match.new or match.stale) else 0
+    return 1 if result.findings else 0

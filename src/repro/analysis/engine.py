@@ -3,10 +3,9 @@
 Classification decides which modules the DET family applies to: a module
 is *deterministic* when it lives under ``repro/`` and outside the
 declared timing planes (``repro/trace`` — wall-clock is that plane's
-entire job).  A file can override its classification with the
-``# repro: deterministic-module`` / ``# repro: timing-module`` markers;
-tests and benchmarks are non-deterministic by default, so synthetic
-fixtures opt in with the marker.
+entire job).  Tests and benchmarks are non-deterministic by default; a
+file opts in with the ``# repro: deterministic-module`` marker, as the
+analyzer's synthetic fixtures do.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.analysis.registry import ModuleInfo, run_rules
 #: observation; DET rules are off there by default.
 TIMING_PLANE_PREFIXES: tuple[str, ...] = ("repro/trace",)
 
-ANALYSIS_SCHEMA = "repro.analysis-report/1"
+ANALYSIS_SCHEMA = "repro.analysis-report/2"
 
 
 def module_relpath(path: Path) -> str:
@@ -45,9 +44,9 @@ def module_relpath(path: Path) -> str:
     return path.as_posix()
 
 
-def classify_deterministic(relpath: str, forced: bool | None) -> bool:
-    if forced is not None:
-        return forced
+def classify_deterministic(relpath: str, marked: bool) -> bool:
+    if marked:
+        return True
     if not relpath.startswith("repro/"):
         return False
     return not any(
@@ -58,7 +57,7 @@ def classify_deterministic(relpath: str, forced: bool | None) -> bool:
 
 @dataclass
 class AnalysisResult:
-    """Everything one analyzer run produced, before baseline filtering."""
+    """Everything one analyzer run produced; ``to_json`` is the report."""
 
     files: list[str] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
@@ -67,9 +66,13 @@ class AnalysisResult:
     def to_json(self) -> dict[str, Any]:
         return {
             "schema": ANALYSIS_SCHEMA,
-            "files": list(self.files),
             "findings": [f.to_json() for f in self.findings],
             "suppressions": [s.to_json() for s in self.suppressions],
+            "counts": {
+                "files": len(self.files),
+                "findings": len(self.findings),
+                "suppressed": len(self.suppressions),
+            },
         }
 
 
@@ -101,7 +104,7 @@ def analyze_source(path: str, source: str) -> AnalysisResult:
         tree=tree,
         pragmas=pragmas,
         deterministic=classify_deterministic(
-            relpath, pragmas.classification()
+            relpath, pragmas.deterministic_marker
         ),
     )
     raw = run_rules(module) + list(pragmas.findings)

@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one violation of the determinism contract at one
 source location.  Findings are value objects — hashable, ordered by
-location — and carry a *fingerprint* (rule + path + message, no line
-number) so the baseline survives unrelated edits that move code around.
+location — and :meth:`Finding.render` is their one text form.
 """
 
 from __future__ import annotations
@@ -28,16 +27,6 @@ class Finding:
     def family(self) -> str:
         """The rule family prefix (``DET``, ``SCOPE``, ``PAR``, ...)."""
         return "".join(c for c in self.rule if c.isalpha())
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching.
-
-        Deliberately excludes ``line``/``col``: a grandfathered finding
-        stays grandfathered when unrelated edits shift it, and expires
-        exactly when the offending code (or its message) changes.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -1,19 +1,18 @@
-"""Inline pragma suppressions and module classification markers.
+"""Inline pragma suppressions and the module classification marker.
 
 Grammar (inside any ``#`` comment)::
 
     # repro: allow[RULE]  reason text              one line (same or above)
     # repro: allow[RULE1,RULE2] -- reason text     several rules at once
-    # repro: allow-file[RULE] reason text          whole module
     # repro: deterministic-module                  force DET classification
-    # repro: timing-module                         opt out of DET rules
 
 A suppression *must* carry a non-empty reason — the pragma is the audit
 trail for why a contract exception is sound — and an empty reason is
 itself a finding (``PRG001``), so silencing the analyzer always costs one
-written sentence.  A line pragma suppresses matching findings on its own
-line and, when the pragma stands on a comment-only line, on the next code
-line below it.
+written sentence.  A pragma suppresses matching findings on its own line
+and, when it stands on a comment-only line, on the next code line below
+it.  Any other ``# repro: allow`` form (``allow-file[...]`` included) is a
+``PRG001`` finding.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import Finding
 
 _PRAGMA_RE = re.compile(
-    r"#\s*repro:\s*(?P<kind>allow-file|allow)"
+    r"#\s*repro:\s*allow"
     r"\[(?P<rules>[^\]]*)\]\s*(?:--\s*)?(?P<reason>.*?)\s*$"
 )
-_MARKER_RE = re.compile(
-    r"#\s*repro:\s*(?P<marker>deterministic-module|timing-module)\b"
-)
+_MARKER_RE = re.compile(r"#\s*repro:\s*deterministic-module\b")
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,6 @@ class Pragma:
     line: int
     rules: tuple[str, ...]
     reason: str
-    file_level: bool = False
     #: Whether the pragma had the comment line to itself (then it also
     #: covers the next code line, like a decorator).
     own_line: bool = False
@@ -49,33 +45,22 @@ class Pragma:
 
 @dataclass
 class PragmaSet:
-    """All pragmas and markers of one module, plus their own findings."""
+    """All pragmas and the marker of one module, plus their own findings."""
 
     pragmas: list[Pragma] = field(default_factory=list)
-    markers: set[str] = field(default_factory=set)
+    deterministic_marker: bool = False
     #: Malformed-pragma findings (``PRG001``) discovered while parsing.
     findings: list[Finding] = field(default_factory=list)
-
-    def classification(self) -> bool | None:
-        """Forced deterministic classification, or ``None`` if unmarked."""
-        if "timing-module" in self.markers:
-            return False
-        if "deterministic-module" in self.markers:
-            return True
-        return None
 
     def suppression_for(self, finding: Finding) -> str | None:
         """The reason of a pragma covering ``finding``, or ``None``.
 
-        File-level pragmas cover the whole module; line pragmas cover
-        their own line and — when the comment stands alone — the next
-        line (so a pragma can sit above a long statement).
+        A pragma covers its own line and — when the comment stands
+        alone — the next line (so it can sit above a long statement).
         """
         for pragma in self.pragmas:
             if finding.rule not in pragma.rules:
                 continue
-            if pragma.file_level:
-                return pragma.reason
             if finding.line == pragma.line:
                 return pragma.reason
             if pragma.own_line and finding.line > pragma.line:
@@ -104,9 +89,8 @@ def scan_pragmas(path: str, source: str) -> PragmaSet:
             continue
         comment = token.string
         line = token.start[0]
-        marker = _MARKER_RE.search(comment)
-        if marker:
-            result.markers.add(marker.group("marker"))
+        if _MARKER_RE.search(comment):
+            result.deterministic_marker = True
             continue
         match = _PRAGMA_RE.search(comment)
         if match is None:
@@ -148,7 +132,6 @@ def scan_pragmas(path: str, source: str) -> PragmaSet:
                 line=line,
                 rules=rules,
                 reason=reason,
-                file_level=match.group("kind") == "allow-file",
                 own_line=own_line,
             )
         )

@@ -2,8 +2,8 @@
 
 A *rule* is a function ``(module: ModuleInfo) -> Iterable[Finding]``
 registered under a stable id (``DET001``, ``SCOPE002``, ...).  Ids are
-API: pragmas, the baseline file and CI reports all reference them, so a
-rule may be retired but its id never reused for a different check.
+API: pragmas and CI reports reference them, so a rule may be retired but
+its id never reused for a different check.
 
 Rule families (see ``DESIGN.md`` for the full catalog):
 
@@ -36,8 +36,8 @@ class ModuleInfo:
     tree: ast.Module
     pragmas: PragmaSet
     #: Whether DET rules apply here — ``True`` for ``repro/*`` modules
-    #: outside the declared timing planes, overridable per file with the
-    #: ``# repro: deterministic-module`` / ``timing-module`` markers.
+    #: outside the declared timing planes, or any file carrying the
+    #: ``# repro: deterministic-module`` marker.
     deterministic: bool
 
 

@@ -36,6 +36,7 @@ from repro.congest.primitives import (
     build_bfs_tree,
     convergecast_bulk,
 )
+from repro.contract import is_deterministic_int
 from repro.core.mvc_congest import (
     normalized_epsilon,
     residual_graph_from_tokens,
@@ -183,12 +184,26 @@ class WeightedPhaseOneAlgorithm(NodeAlgorithm):
 
 
 def _weights_table(graph: nx.Graph, weights: Mapping[Any, int] | None) -> dict:
-    if weights is None:
-        table = {v: int(graph.nodes[v].get(WEIGHT, 1)) for v in graph.nodes}
-    else:
-        table = {v: int(weights[v]) for v in graph.nodes}
-    if any(w < 0 for w in table.values()):
-        raise ValueError("weights must be nonnegative")
+    """Every vertex's weight, from ``weights`` or the ``weight`` attribute.
+
+    Weights are taken as given, never coerced: a float, bool or string
+    weight (which ``int()`` would truncate or parse) and a vertex missing
+    from ``weights`` raise ``ValueError`` naming the vertex.
+    """
+    table = {}
+    for v in graph.nodes:
+        if weights is None:
+            w = graph.nodes[v].get(WEIGHT, 1)
+        elif v in weights:
+            w = weights[v]
+        else:
+            raise ValueError(f"weights has no entry for vertex {v!r}")
+        if not is_deterministic_int(w) or w < 0:
+            raise ValueError(
+                f"weight of vertex {v!r} must be a nonnegative integer, "
+                f"got {w!r}"
+            )
+        table[v] = w
     return table
 
 

@@ -4,8 +4,8 @@ Each rule is proven twice: it fires on a minimal synthetic violation and
 stays silent on the equivalent compliant code.  SCOPE003 additionally
 re-introduces the PR 8 faults-report-in-digest leak (the sweep runner's
 ``to_json`` without its deterministic-branch strip) and shows the
-analyzer catches it.  CLI tests cover pragma suppression, the baseline
-add/expire workflow, the ``--format json`` schema and exit codes.
+analyzer catches it.  CLI tests cover pragma suppression, the
+``--format json`` schema and exit codes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths, analyze_source
-from repro.analysis.baseline import apply_baseline, load_baseline, save_baseline
 from repro.analysis.cli import main
 from repro.analysis.engine import classify_deterministic, module_relpath
 from repro.analysis.registry import BUILTIN_DIAGNOSTICS, RULES
@@ -45,18 +44,18 @@ def find(source: str, path: str = "repro/synthetic.py"):
 
 class TestClassification:
     def test_repro_modules_are_deterministic(self):
-        assert classify_deterministic("repro/mpc/runtime.py", None)
-        assert classify_deterministic("repro/sweep/tasks.py", None)
+        assert classify_deterministic("repro/mpc/runtime.py", False)
+        assert classify_deterministic("repro/sweep/tasks.py", False)
 
     def test_trace_plane_is_timing(self):
-        assert not classify_deterministic("repro/trace/recorder.py", None)
+        assert not classify_deterministic("repro/trace/recorder.py", False)
 
     def test_tests_are_not_deterministic(self):
-        assert not classify_deterministic("tests/test_x.py", None)
+        assert not classify_deterministic("tests/test_x.py", False)
 
-    def test_marker_overrides(self):
+    def test_marker_opts_in(self):
         assert classify_deterministic("tests/test_x.py", True)
-        assert not classify_deterministic("repro/mpc/runtime.py", False)
+        assert classify_deterministic("repro/trace/recorder.py", True)
 
     def test_module_relpath_anchors_at_repro(self):
         assert (
@@ -64,10 +63,6 @@ class TestClassification:
             == "repro/mpc/runtime.py"
         )
         assert module_relpath(Path("tests/test_x.py")) == "tests/test_x.py"
-
-    def test_timing_module_marker_disables_det(self):
-        source = "# repro: timing-module\nimport time\nt = time.time()\n"
-        assert "DET002" not in rules_fired(source)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +465,15 @@ class TestPragmas:
         assert not result.findings
         assert len(result.suppressions) == 1
 
-    def test_file_level_pragma_covers_module(self):
+    def test_allow_file_pragma_is_a_finding(self):
         source = DET + (
             "# repro: allow-file[DET002] whole module is a timing helper\n"
             "import time\n"
             "a = time.perf_counter()\n"
-            "b = time.monotonic()\n"
         )
         result = analyze_source("repro/synthetic.py", source)
-        assert not result.findings
-        assert len(result.suppressions) == 2
+        assert [f.rule for f in result.findings] == ["PRG001", "DET002"]
+        assert not result.suppressions
 
     def test_pragma_without_reason_is_a_finding(self):
         source = DET + (
@@ -499,84 +493,6 @@ class TestPragmas:
 
 
 # ---------------------------------------------------------------------------
-# baseline workflow
-
-
-class TestBaseline:
-    SOURCE = DET + "import time\nt = time.perf_counter()\n"
-
-    def write_violation(self, tmp_path: Path) -> Path:
-        target = tmp_path / "repro" / "mod.py"
-        target.parent.mkdir()
-        target.write_text(self.SOURCE)
-        return target
-
-    def test_add_then_clean(self, tmp_path, capsys):
-        target = self.write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [str(target), "--baseline", str(baseline), "--write-baseline"]
-            )
-            == 0
-        )
-        # Same tree again: the finding is grandfathered, gate passes.
-        assert main([str(target), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_new_finding_beyond_baseline_fails(self, tmp_path):
-        target = self.write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--write-baseline"])
-        target.write_text(
-            self.SOURCE + "import random\nx = random.random()\n"
-        )
-        assert main([str(target), "--baseline", str(baseline)]) == 1
-
-    def test_fixed_finding_makes_baseline_stale(self, tmp_path, capsys):
-        target = self.write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--write-baseline"])
-        target.write_text(DET + "x = 1\n")
-        # A stale entry is itself a gate failure: the baseline must be
-        # rewritten to shrink when code is fixed.
-        assert main([str(target), "--baseline", str(baseline)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-        main([str(target), "--baseline", str(baseline), "--write-baseline"])
-        assert load_baseline(baseline) == {}
-        assert main([str(target), "--baseline", str(baseline)]) == 0
-
-    def test_count_matching(self, tmp_path):
-        target = self.write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--write-baseline"])
-        # A second occurrence of the same fingerprint is new.
-        target.write_text(
-            DET + "import time\nt = time.perf_counter()\n"
-            "u = time.perf_counter()\n"
-        )
-        assert main([str(target), "--baseline", str(baseline)]) == 1
-
-    def test_apply_baseline_roundtrip(self, tmp_path):
-        result = analyze_paths([str(self.write_violation(tmp_path))])
-        baseline_path = tmp_path / "b.json"
-        save_baseline(baseline_path, result.findings)
-        loaded = load_baseline(baseline_path)
-        match = apply_baseline(result.findings, loaded)
-        assert not match.new
-        assert len(match.baselined) == 1
-        assert not match.stale
-
-    def test_line_moves_do_not_expire_entries(self, tmp_path):
-        target = self.write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(target), "--baseline", str(baseline), "--write-baseline"])
-        target.write_text(DET + "\n\n\n" + "import time\nt = time.perf_counter()\n")
-        assert main([str(target), "--baseline", str(baseline)]) == 0
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -584,24 +500,47 @@ class TestCLI:
     def test_clean_tree_exits_zero(self, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert main([str(target), "--no-baseline"]) == 0
+        assert main([str(target)]) == 0
 
     def test_finding_exits_one(self, tmp_path):
         target = tmp_path / "repro_mod.py"
         target.write_text(DET + "import time\nt = time.time()\n")
-        assert main([str(target), "--no-baseline"]) == 1
+        assert main([str(target)]) == 1
+
+    def test_stray_baseline_file_is_ignored(self, tmp_path, monkeypatch):
+        target = tmp_path / "repro_mod.py"
+        target.write_text(DET + "import time\nt = time.time()\n")
+        (tmp_path / "analysis-baseline.json").write_text(json.dumps({
+            "schema": "repro.analysis-baseline/1",
+            "findings": [{
+                "rule": "DET002", "path": target.name, "count": 1,
+                "message": find(target.read_text())[0].message,
+            }],
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert main([target.name]) == 1
 
     def test_missing_target_exits_two(self, capsys):
-        assert main(["does/not/exist.py", "--no-baseline"]) == 2
+        assert main(["does/not/exist.py"]) == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_missing_explicit_baseline_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag",
+        [["--baseline", "b.json"], ["--no-baseline"], ["--write-baseline"]],
+    )
+    def test_removed_baseline_flags_exit_two(self, tmp_path, flag):
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert (
-            main([str(target), "--baseline", str(tmp_path / "nope.json")])
-            == 2
-        )
+        with pytest.raises(SystemExit) as exc:
+            main([str(target), *flag])
+        assert exc.value.code == 2
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "clean.py"
+        target.write_text("x = 1\n")
+        out_path = tmp_path / "missing" / "report.json"
+        assert main([str(target), "--output", str(out_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -622,12 +561,11 @@ class TestCLI:
     def test_json_schema(self, tmp_path, capsys):
         target = tmp_path / "repro_mod.py"
         target.write_text(DET + "import time\nt = time.time()\n")
-        assert main([str(target), "--no-baseline", "--format", "json"]) == 1
+        assert main([str(target), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.analysis-report/1"
-        assert set(report["counts"]) == {
-            "files", "findings", "baselined", "suppressed", "stale",
-        }
+        assert report["schema"] == "repro.analysis-report/2"
+        assert set(report) == {"schema", "findings", "suppressions", "counts"}
+        assert report["counts"] == {"files": 1, "findings": 1, "suppressed": 0}
         (finding,) = report["findings"]
         assert finding["rule"] == "DET002"
         assert {"rule", "family", "path", "line", "col", "symbol", "message"} \
@@ -638,8 +576,7 @@ class TestCLI:
         target.write_text("x = 1\n")
         out_path = tmp_path / "report.json"
         main(
-            [str(target), "--no-baseline", "--format", "json",
-             "--output", str(out_path)]
+            [str(target), "--format", "json", "--output", str(out_path)]
         )
         capsys.readouterr()
         assert json.loads(out_path.read_text())["counts"]["findings"] == 0
@@ -654,8 +591,7 @@ class TestCLI:
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(target),
-             "--no-baseline"],
+            [sys.executable, "-m", "repro.analysis", str(target)],
             capture_output=True,
             text=True,
             cwd=REPO,

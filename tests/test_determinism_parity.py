@@ -162,8 +162,9 @@ class TestParityPreserved:
     )
     def test_sweep_digests(self, grid, expected):
         # The load-bearing pins: end-to-end sweep digests, covering the
-        # CONGEST outbox/neighbor-iteration reorderings in
-        # mds_congest/mwvc_congest through the full pipeline.
+        # CONGEST outbox/neighbor-iteration reorderings in mds_congest
+        # through the full pipeline.  No sweep task runs mwvc_congest;
+        # its ledger is pinned in tests/test_mwvc_congest.py.
         result = run_sweep(named_grid(grid), jobs=1)
         assert result.deterministic_sha256() == expected
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import networkx as nx
 import pytest
 
+from repro.congest.network import BULK_MIN_NODES, CongestNetwork
 from repro.core.mwvc_congest import approx_mwvc_square
 from repro.exact.vertex_cover import minimum_weighted_vertex_cover
-from repro.graphs.generators import gnp_graph, random_weights
+from repro.graphs.generators import build_graph, gnp_graph, random_weights
 from repro.graphs.power import square
 from repro.graphs.validation import cover_weight, is_vertex_cover
+from repro.metrics.collector import deterministic_sha256
 
 
 def _weighted(n: int, p: float, seed: int, high: int = 30) -> nx.Graph:
@@ -40,6 +44,31 @@ class TestFeasibility:
         g = gnp_graph(8, 0.4, seed=1)
         weights = {v: -1 if v == 0 else 2 for v in g.nodes}
         with pytest.raises(ValueError):
+            approx_mwvc_square(g, 0.5, weights=weights)
+
+    def test_rejects_fractional_weights(self):
+        # int() would truncate every 0.5 to 0 and take the whole path free.
+        g = nx.path_graph(8)
+        with pytest.raises(ValueError, match="vertex 0"):
+            approx_mwvc_square(g, 0.5, weights={v: 0.5 for v in g.nodes})
+
+    def test_rejects_fractional_weight_attribute(self):
+        g = nx.path_graph(8)
+        nx.set_node_attributes(g, 1, "weight")
+        g.nodes[3]["weight"] = 1e-3
+        with pytest.raises(ValueError, match="vertex 3"):
+            approx_mwvc_square(g, 0.5)
+
+    def test_rejects_string_weights(self):
+        g = nx.path_graph(8)
+        weights = {v: "3" if v == 5 else 3 for v in g.nodes}
+        with pytest.raises(ValueError, match="vertex 5"):
+            approx_mwvc_square(g, 0.5, weights=weights)
+
+    def test_rejects_missing_weight(self):
+        g = nx.path_graph(8)
+        weights = {v: 2 for v in g.nodes if v != 6}
+        with pytest.raises(ValueError, match="vertex 6"):
             approx_mwvc_square(g, 0.5, weights=weights)
 
     def test_rejects_disconnected(self):
@@ -105,3 +134,54 @@ class TestStructure:
         result = approx_mwvc_square(g, 0.5, seed=10)
         n = g.number_of_nodes()
         assert result.stats.rounds <= 60 * n
+
+
+class TestLedgerPin:
+    """The whole MWVC ledger, pinned on both engines.
+
+    The digest covers the sorted cover, every ``RunStats`` field and each
+    round's engine-independent ``RoundEvent`` fields.  n = 240 is above
+    ``BULK_MIN_NODES``, so on engine v2 it also runs the bulk tree stages.
+    """
+
+    @pytest.mark.parametrize("engine", ["v1", "v2"])
+    @pytest.mark.parametrize(
+        "n, rounds, messages, expected",
+        [
+            (30, 126, 6102,
+             "e4bc1da465dea2c16e56cdeb6ec63cda"
+             "08e0aa2cb073f5147f42cf0ab0ae27da"),
+            (60, 198, 23151,
+             "dedeb5ca9a25f237c058495acc7cb4e8"
+             "7af64ca16b4d58f931d9d38cf099f557"),
+            (240, 883, 298120,
+             "ce9fc493850356fb32c80735e702eda0"
+             "0db6212a8fa56505333e0f3e964ae866"),
+        ],
+        ids=["n30", "n60", "n240"],
+    )
+    def test_ledger_digest(self, engine, n, rounds, messages, expected):
+        assert BULK_MIN_NODES <= 240
+        graph = build_graph("gnp", n, seed=5)
+        events = []
+        network = CongestNetwork(
+            graph, seed=7, engine=engine, on_round=events.append
+        )
+        result = approx_mwvc_square(
+            graph,
+            0.5,
+            weights={v: 1 + (7 * v) % 9 for v in graph.nodes},
+            network=network,
+        )
+        assert (result.stats.rounds, result.stats.messages) == (
+            rounds, messages,
+        )
+        ledger = {
+            "cover": sorted(result.cover),
+            "stats": dataclasses.asdict(result.stats),
+            "events": [
+                (e.round_index, e.messages, e.words, e.cut_words)
+                for e in events
+            ],
+        }
+        assert deterministic_sha256(ledger) == expected
