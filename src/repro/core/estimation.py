@@ -20,6 +20,7 @@ from typing import Any
 
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunResult
+from repro.contract import is_deterministic_int
 
 _TAG_SAMPLE = 40
 _TAG_MIN = 41
@@ -45,8 +46,10 @@ class EstimationStage(NodeAlgorithm):
         result_key: str = "density_estimate",
     ) -> None:
         super().__init__(node)
-        if samples < 1:
-            raise ValueError("need at least one sample")
+        if not is_deterministic_int(samples) or samples < 1:
+            raise ValueError(
+                f"samples must be a positive integer, got {samples!r}"
+            )
         self.samples = samples
         self.member = bool(node.state.get(member_key, False))
         self.result_key = result_key

@@ -329,6 +329,7 @@ def approx_mvc_square_clique_randomized(
     if epsilon > 1:
         return _trivial_cover_result(graph, network.word_bits)
 
+    normalized_epsilon(epsilon)  # rejects epsilon <= 0 and NaN
     n = network.n
     threshold = 8.0 / epsilon + 2.0
     phases = int(phase_budget_factor * math.log2(max(n, 2))) + 8

@@ -14,12 +14,12 @@ Reproduces Theorem 1 of the paper.  The algorithm runs in O(n/eps) rounds:
   has a winner removing more than ``1/eps`` vertices, so
   ``floor(eps * n) + 1`` iterations always suffice.
 
-* **Phase II**: the leader (maximum id — identifiers are common knowledge)
-  builds a BFS tree, every node pipelines its at most ``1/eps`` incident
-  edges of ``F = {{u, v} in E : u in U}`` upwards (Lemma 2), the leader
-  reconstructs ``H = G^2[U]`` from ``F`` alone (Lemma 3), solves MVC on
-  ``H`` locally (CONGEST allows unbounded local computation) and pipelines
-  the solution back down.
+* **Phase II** (:func:`run_phase_two`, shared with Theorem 7): the leader
+  (maximum id — identifiers are common knowledge) builds a BFS tree, every
+  node pipelines its at most ``1/eps`` incident edges of ``F = {{u, v} in
+  E : u in U}`` upwards (Lemma 2), the leader reconstructs ``H = G^2[U]``
+  from ``F`` alone (Lemma 3), solves MVC on ``H`` locally (CONGEST allows
+  unbounded local computation) and pipelines the solution back down.
 
 Every bit of the above crosses a metered simulator edge; the returned
 statistics are honest CONGEST costs.
@@ -37,7 +37,7 @@ import networkx as nx
 
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.message import payload_words
-from repro.congest.network import CongestNetwork, RunStats
+from repro.congest.network import CongestNetwork, RunResult, RunStats
 from repro.congest.primitives import (
     BroadcastAlgorithm,
     ConvergecastAlgorithm,
@@ -60,9 +60,9 @@ def normalized_epsilon(epsilon: float) -> tuple[int, float]:
     """Return ``(l, eps')`` with ``eps' = 1/l`` and ``l = ceil(1/eps)``.
 
     Lemma 5 requires ``1/eps`` to be an integer; Theorem 1's proof rounds
-    ``eps`` down to ``1/ceil(1/eps)``.
+    ``eps`` down to ``1/ceil(1/eps)``.  Rejects ``eps <= 0`` and NaN.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     l = max(1, math.ceil(1.0 / epsilon))
     return l, 1.0 / l
@@ -81,19 +81,35 @@ class PhaseOneAlgorithm(NodeAlgorithm):
     * ``tokens`` — the convergecast tokens encoding its incident ``F``
       edges (pairs ``(v, u)``) plus the self-marker ``(v, v)`` if
       ``v in U``.
+
+    A node built with ``in_R=False`` starts in the cover.  Variants change
+    the protocol only through the message tags, :meth:`_status`,
+    :meth:`_read_statuses`, :meth:`_win_payload`, :meth:`_joins` and
+    :attr:`weight_of`.
     """
 
-    def __init__(self, node: NodeView, threshold: int, iterations: int) -> None:
+    tag_status, tag_cand, tag_relay, tag_win = (
+        _TAG_STATUS, _TAG_CAND, _TAG_RELAY, _TAG_WIN
+    )
+    #: Known vertex weights; when set, each token ``(v, u)`` carries
+    #: ``weight_of[u]`` as a third entry.
+    weight_of: dict[int, int] | None = None
+
+    def __init__(
+        self, node: NodeView, threshold: float, iterations: int,
+        in_R: bool = True,
+    ) -> None:
         super().__init__(node)
         self.threshold = threshold
         self.iterations = iterations
         self.iteration = 0
         self.step = 0  # 0=sent status, 1=sent cand, 2=sent relay, 3=sent win
-        self.in_R = True
+        self.in_R = in_R
         self.in_C = True
-        self.in_S = False
+        self.in_S = not in_R
         self.r_neighbors: set[int] = set()
-        self.is_candidate = False
+        #: This iteration's WIN payload; None while not a candidate.
+        self.win: tuple | None = None
         self.local_max = -1
         self.final_status = False
         #: Iteration at which this node joined S (None if it never did).
@@ -101,19 +117,32 @@ class PhaseOneAlgorithm(NodeAlgorithm):
         #: deterministic convergence curves from it.
         self.join_iteration: int | None = None
 
-    # -- candidacy ---------------------------------------------------------
+    # -- variant hooks -----------------------------------------------------
 
-    def _active_candidate(self) -> bool:
-        return self.in_C and len(self.r_neighbors) > self.threshold
+    def _status(self) -> tuple:
+        return (self.tag_status, 1 if self.in_R else 0)
+
+    def _read_statuses(self, inbox: Inbox) -> set[int]:
+        """The neighbors whose STATUS says they are still in ``R``."""
+        return {sender for sender, msg in inbox.items() if msg[1] == 1}
+
+    def _win_payload(self) -> tuple | None:
+        """The WIN message this node announces if it wins, or None if it
+        is no candidate; a winner leaves the candidate set ``C``."""
+        if self.in_C and len(self.r_neighbors) > self.threshold:
+            return (self.tag_win,)
+        return None
+
+    def _joins(self, inbox: Inbox) -> bool:
+        """Whether the WIN announcements in ``inbox`` take this node."""
+        return any(msg[0] == self.tag_win for msg in inbox.values())
 
     def _finalize(self, inbox: Inbox) -> None:
-        u_neighbors = sorted(
-            sender for sender, msg in inbox.items() if msg[1] == 1
-        )
+        u_neighbors = sorted(self._read_statuses(inbox))
         self.finish(
             _finish_phase_one(
                 self.node.state, self.node.id, u_neighbors, self.in_S,
-                self.in_R, self.join_iteration,
+                self.in_R, self.join_iteration, self.weight_of,
             )
         )
 
@@ -122,7 +151,7 @@ class PhaseOneAlgorithm(NodeAlgorithm):
     def on_start(self) -> Outbox:
         if self.iterations == 0:
             self.final_status = True
-        return self.broadcast((_TAG_STATUS, 1 if self.in_R else 0))
+        return self.broadcast(self._status())
 
     def on_round(self, inbox: Inbox) -> Outbox:
         if self.final_status:
@@ -130,22 +159,20 @@ class PhaseOneAlgorithm(NodeAlgorithm):
             return None
         if self.step == 0:
             # Statuses arrived; announce candidacy.
-            self.r_neighbors = {
-                sender for sender, msg in inbox.items() if msg[1] == 1
-            }
-            self.is_candidate = self._active_candidate()
+            self.r_neighbors = self._read_statuses(inbox)
+            self.win = self._win_payload()
             self.step = 1
-            if self.is_candidate:
-                return self.broadcast((_TAG_CAND,))
+            if self.win is not None:
+                return self.broadcast((self.tag_cand,))
             return None
         if self.step == 1:
             # Candidate announcements arrived; relay the 1-hop max.
             local_max = max(inbox, default=-1)
-            if self.is_candidate and self.node.id > local_max:
+            if self.win is not None and self.node.id > local_max:
                 local_max = self.node.id
             self.local_max = local_max
             self.step = 2
-            return self.broadcast((_TAG_RELAY, local_max))
+            return self.broadcast((self.tag_relay, local_max))
         if self.step == 2:
             # 2-hop maxima arrived; winners announce.
             two_hop_max = self.local_max
@@ -153,12 +180,12 @@ class PhaseOneAlgorithm(NodeAlgorithm):
                 if msg[1] > two_hop_max:
                     two_hop_max = msg[1]
             self.step = 3
-            if self.is_candidate and self.node.id >= two_hop_max:
+            if self.win is not None and self.node.id >= two_hop_max:
                 self.in_C = False  # the winner leaves the candidate set
-                return self.broadcast((_TAG_WIN,))
+                return self.broadcast(self.win)
             return None
         # step == 3: winner announcements arrived; neighbors join the cover.
-        if self.in_R and any(msg[0] == _TAG_WIN for msg in inbox.values()):
+        if self.in_R and self._joins(inbox):
             self.in_R = False
             self.in_S = True
             self.join_iteration = self.iteration
@@ -166,7 +193,7 @@ class PhaseOneAlgorithm(NodeAlgorithm):
         self.step = 0
         if self.iteration >= self.iterations:
             self.final_status = True
-        return self.broadcast((_TAG_STATUS, 1 if self.in_R else 0))
+        return self.broadcast(self._status())
 
     def wants_wake(self) -> bool:
         # Guaranteed-traffic cadence (see NodeAlgorithm.wants_wake): every
@@ -187,11 +214,14 @@ def _finish_phase_one(
     in_S: bool,
     in_R: bool,
     join_iteration: int | None,
+    weight_of: dict[int, int] | None = None,
 ) -> dict[str, Any]:
     """Write a finished Phase I node's stage state; return its output."""
     tokens = [(me, u) for u in u_neighbors]
     if in_R:
         tokens.append((me, me))
+    if weight_of is not None:
+        tokens = [token + (weight_of[token[1]],) for token in tokens]
     state["in_S"] = in_S
     state["in_R"] = in_R
     state["u_neighbors"] = u_neighbors
@@ -398,43 +428,27 @@ def approx_mvc_square(
     l, _eps_prime = normalized_epsilon(epsilon)
     iterations = n // (l + 1) + 1
     network.reset_state()
-    total = RunStats(word_bits=network.word_bits)
 
-    # Phase I.
     phase_one = network.run(
         partial(PhaseOneAlgorithm, threshold=l, iterations=iterations),
         label="phase1",
         bulk=partial(phase_one_bulk, threshold=l, iterations=iterations),
     )
-    total = total + phase_one.stats
 
-    # Phase II: BFS tree, upcast F, local solve, broadcast solution.
-    leader = n - 1
-    bfs = build_bfs_tree(network, label="bfs")
-    total = total + bfs.stats
+    def solve(tokens: list[tuple[int, int]]) -> tuple[set[int], nx.Graph]:
+        residual = residual_graph_from_tokens(tokens)
+        r_star = set(local_solver(residual, red_edges_from_tokens(tokens)))
+        unknown = r_star - set(residual.nodes)
+        if unknown:
+            raise ValueError(
+                f"local solver returned foreign vertices: {unknown}"
+            )
+        return r_star, residual
 
-    gather = network.run(
-        ConvergecastAlgorithm, label="upcast", bulk=convergecast_bulk
+    result = run_phase_two(
+        network, phase_one, solve,
+        mode="congest", iterations=iterations, threshold=l,
     )
-    total = total + gather.stats
-    tokens = gather.by_id[leader]
-
-    residual = residual_graph_from_tokens(tokens)
-    red = red_edges_from_tokens(tokens)
-    r_star = set(local_solver(residual, red))
-    unknown = r_star - set(residual.nodes)
-    if unknown:
-        raise ValueError(f"local solver returned foreign vertices: {unknown}")
-
-    network.node_state[leader]["bcast_tokens"] = [(v,) for v in sorted(r_star)]
-    spread = network.run(
-        BroadcastAlgorithm, label="broadcast", bulk=broadcast_bulk
-    )
-    total = total + spread.stats
-
-    s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}
-    cover_ids = s_vertices | r_star
-    cover = {network.label_of(v) for v in cover_ids}
 
     collector = getattr(network, "collector", None)
     if collector is not None:
@@ -455,29 +469,56 @@ def approx_mvc_square(
                 joined += 1
             cover_curve.append(joined)
         collector.record_convergence(
-            "cover_size", cover_curve + [len(cover_ids)]
+            "cover_size", cover_curve + [len(result.cover)]
         )
         collector.record_convergence(
             "uncovered_nodes", [n - c for c in cover_curve]
         )
+    return result
 
+
+def run_phase_two(
+    network: CongestNetwork,
+    phase_one: RunResult,
+    solve: Callable[[list[tuple]], tuple[set[int], nx.Graph]],
+    **detail: Any,
+) -> DistributedCoverResult:
+    """Phase II after ``phase_one``, shared by Theorems 1 and 7.
+
+    Builds the BFS tree, convergecasts every node's tokens to the leader
+    (maximum id), which runs ``solve(tokens) -> (r_star, residual)``, and
+    broadcasts ``r_star``.  The cover is Phase I's ``S`` plus ``r_star``;
+    its ``detail`` is ``detail`` followed by the Phase I cover, the residual
+    vertices, the leader's solution and each stage's rounds.
+    """
+    leader = network.n - 1
+    bfs = build_bfs_tree(network, label="bfs")
+    gather = network.run(
+        ConvergecastAlgorithm, label="upcast", bulk=convergecast_bulk
+    )
+    r_star, residual = solve(gather.by_id[leader])
+    network.node_state[leader]["bcast_tokens"] = [(v,) for v in sorted(r_star)]
+    spread = network.run(
+        BroadcastAlgorithm, label="broadcast", bulk=broadcast_bulk
+    )
+
+    stages = {"phase1": phase_one, "bfs": bfs, "upcast": gather,
+              "broadcast": spread}
+    total = RunStats(word_bits=network.word_bits)
+    for stage in stages.values():
+        total = total + stage.stats
+    s_vertices = {v for v, out in phase_one.by_id.items() if out["in_S"]}
+    label_of = network.label_of
     return DistributedCoverResult(
-        cover=cover,
+        cover={label_of(v) for v in s_vertices | r_star},
         stats=total,
         detail={
-            "mode": "congest",
-            "iterations": iterations,
-            "threshold": l,
-            "phase_one_cover": {network.label_of(v) for v in s_vertices},
-            "residual_vertices": {
-                network.label_of(v) for v in residual.nodes
-            },
-            "leader_solution": {network.label_of(v) for v in r_star},
+            **detail,
+            "phase_one_cover": {label_of(v) for v in s_vertices},
+            "residual_vertices": {label_of(v) for v in residual.nodes},
+            "leader_solution": {label_of(v) for v in r_star},
             "phase_rounds": {
-                "phase1": phase_one.stats.rounds,
-                "bfs": bfs.stats.rounds,
-                "upcast": gather.stats.rounds,
-                "broadcast": spread.stats.rounds,
+                name: stage.stats.rounds for name, stage in stages.items()
             },
         },
     )

@@ -11,6 +11,7 @@ from repro.core.estimation import (
     estimate_neighborhood_sizes,
     EstimationStage,
 )
+from repro.core.mds_congest import approx_mds_square
 from repro.graphs.generators import gnp_graph
 from repro.graphs.power import two_hop_neighbors
 
@@ -96,9 +97,15 @@ class TestEstimator:
         assert default_samples(2) >= 4
         assert default_samples(1024) == 8 * 10
 
-    def test_rejects_zero_samples(self):
+    @pytest.mark.parametrize("samples", [0, 2.5, True])
+    def test_rejects_zero_samples(self, samples):
         g = nx.path_graph(3)
         net = CongestNetwork(g)
         net.reset_state()
-        with pytest.raises(ValueError):
-            net.run(lambda view: EstimationStage(view, samples=0))
+        with pytest.raises(ValueError, match=f"got {samples!r}"):
+            net.run(lambda view: EstimationStage(view, samples=samples))
+
+    def test_mds_rejects_fractional_samples(self):
+        # 2.5 would run 3 samples and divide by 2.5, biasing every estimate.
+        with pytest.raises(ValueError, match="samples must be a positive"):
+            approx_mds_square(nx.path_graph(8), samples=2.5)

@@ -13,6 +13,11 @@ from repro.core.mvc_congest import (
     normalized_epsilon,
     residual_graph_from_tokens,
 )
+from repro.core.mvc_clique import (
+    approx_mvc_square_clique_deterministic,
+    approx_mvc_square_clique_randomized,
+)
+from repro.core.mwvc_congest import approx_mwvc_square
 from repro.exact.vertex_cover import minimum_vertex_cover
 from repro.graphs.generators import gnp_graph, random_tree
 from repro.graphs.power import induced_square_subgraph, square
@@ -29,9 +34,24 @@ class TestEpsilonNormalization:
         assert l == 4
         assert eps == 0.25
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            normalized_epsilon(0)
+    @pytest.mark.parametrize("epsilon", [0, -1, math.nan])
+    def test_rejects_nonpositive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            normalized_epsilon(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0, -1, math.nan])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            approx_mvc_square,
+            approx_mwvc_square,
+            approx_mvc_square_clique_deterministic,
+            approx_mvc_square_clique_randomized,
+        ],
+    )
+    def test_cover_drivers_reject(self, solve, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            solve(nx.path_graph(8), epsilon)
 
 
 class TestFeasibility:

@@ -8,7 +8,11 @@ import networkx as nx
 import pytest
 
 from repro.congest.network import BULK_MIN_NODES, CongestNetwork
-from repro.core.mwvc_congest import approx_mwvc_square
+from repro.core.mvc_congest import approx_mvc_square
+from repro.core.mwvc_congest import (
+    WeightedPhaseOneAlgorithm,
+    approx_mwvc_square,
+)
 from repro.exact.vertex_cover import minimum_weighted_vertex_cover
 from repro.graphs.generators import build_graph, gnp_graph, random_weights
 from repro.graphs.power import square
@@ -136,18 +140,54 @@ class TestStructure:
         assert result.stats.rounds <= 60 * n
 
 
+class TestPhaseOne:
+    def test_zero_iterations_still_weigh_tokens(self):
+        # The finalize round alone must learn the neighbors' weights.
+        g = nx.path_graph(5)
+        network = CongestNetwork(g)
+        network.reset_state()
+        network.run(
+            lambda view: WeightedPhaseOneAlgorithm(view, 0.5, iterations=0),
+            inputs={v: 2 + v for v in g},
+        )
+        assert network.node_state[2]["tokens"] == [
+            (2, 1, 3), (2, 3, 5), (2, 2, 4),
+        ]
+
+
+class TestStageLabels:
+    def test_labels_match_algorithm_one(self):
+        graph = build_graph("gnp", 30, seed=5)
+        labels = {}
+        for name, solve in [
+            ("mwvc", approx_mwvc_square), ("mvc", approx_mvc_square),
+        ]:
+            events = []
+            network = CongestNetwork(graph, seed=7, on_round=events.append)
+            solve(graph, 0.5, network=network)
+            labels[name] = list(dict.fromkeys(e.stage_label for e in events))
+        assert labels["mwvc"] == labels["mvc"] == [
+            "phase1", "bfs", "upcast", "broadcast",
+        ]
+
+
 class TestLedgerPin:
     """The whole MWVC ledger, pinned on both engines.
 
     The digest covers the sorted cover, every ``RunStats`` field and each
-    round's engine-independent ``RoundEvent`` fields.  n = 240 is above
-    ``BULK_MIN_NODES``, so on engine v2 it also runs the bulk tree stages.
+    round's engine-independent ``RoundEvent`` fields.  At n = 10 a word
+    holds 4 bits, so the message tags' width shows in the ledger.  n = 240
+    is above ``BULK_MIN_NODES``, so on engine v2 it also runs the bulk
+    tree stages.
     """
 
     @pytest.mark.parametrize("engine", ["v1", "v2"])
     @pytest.mark.parametrize(
         "n, rounds, messages, expected",
         [
+            (10, 49, 612,
+             "4d95f1164816d6bbf07858174bf63714"
+             "53c6b2e48cf2d058f18f485bb7bd4e23"),
             (30, 126, 6102,
              "e4bc1da465dea2c16e56cdeb6ec63cda"
              "08e0aa2cb073f5147f42cf0ab0ae27da"),
@@ -158,7 +198,7 @@ class TestLedgerPin:
              "ce9fc493850356fb32c80735e702eda0"
              "0db6212a8fa56505333e0f3e964ae866"),
         ],
-        ids=["n30", "n60", "n240"],
+        ids=["n10", "n30", "n60", "n240"],
     )
     def test_ledger_digest(self, engine, n, rounds, messages, expected):
         assert BULK_MIN_NODES <= 240
