@@ -1,10 +1,10 @@
 """Process-parallel MPC scaling benchmark: ranks vs wall-clock.
 
-Runs fixed MPC workloads (compiled MVC/MDS and the native matching) at
-several shard-worker counts, records a digest of the shuffle ledger and
-outputs at every count (they must be byte-identical: the parity contract
-of :mod:`repro.mpc.parallel`) and wall-clock numbers in a
-machine-readable BENCH json.  A second section re-evaluates the
+Runs fixed compiled MPC workloads (MVC and MDS) at several shard-worker
+counts, records a digest of the shuffle ledger and outputs at every
+count (they must be byte-identical: the parity contract of
+:mod:`repro.mpc.parallel`) and wall-clock numbers in a machine-readable
+BENCH json.  A second section re-evaluates the
 ``mpc-vs-congest-quick`` sweep grid under the ``REPRO_MPC_WORKERS``
 override and records the merged deterministic sha256 per worker count —
 the whole-grid form of the same contract.
@@ -40,7 +40,7 @@ from _common import print_table
 
 import networkx as nx
 
-from repro.mpc import mpc_maximal_matching, solve_mds_mpc, solve_mvc_mpc
+from repro.mpc import solve_mds_mpc, solve_mvc_mpc
 from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.sweep import named_grid, run_sweep
 
@@ -84,36 +84,15 @@ def _mds_scenario(n: int, p: float, alpha: float, compress):
     return run
 
 
-def _matching_scenario(n: int, p: float, alpha: float):
-    graph = nx.gnp_random_graph(n, p, seed=3)
-
-    def run(workers: int):
-        result = mpc_maximal_matching(
-            graph, alpha=alpha, seed=0, workers=workers
-        )
-        return {
-            "matching": sorted(
-                tuple(sorted(map(repr, edge))) for edge in result.matching
-            ),
-            "phases": result.phases,
-            "machines": result.machines,
-            "stats": repr(result.stats),
-        }
-
-    return run
-
-
 def _scenarios(quick: bool):
     if quick:
         return {
             "mvc-gnp": _mvc_scenario(24, 0.15, 0.8, 1),
             "mds-compress4": _mds_scenario(20, 0.18, 0.8, 4),
-            "matching-gnp": _matching_scenario(24, 0.15, 0.8),
         }
     return {
         "mvc-gnp": _mvc_scenario(120, 0.05, 0.6, 1),
         "mds-compress4": _mds_scenario(100, 0.06, 0.7, 4),
-        "matching-gnp": _matching_scenario(140, 0.05, 0.7),
     }
 
 

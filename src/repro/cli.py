@@ -53,14 +53,11 @@ from repro.graphs.validation import (
     assert_dominating_set,
     assert_vertex_cover,
 )
-from repro.lowerbounds.bcd19 import bcd19_threshold, build_bcd19_mds
-from repro.lowerbounds.ckp17 import build_ckp17_mvc, ckp17_threshold
+from repro.lowerbounds import FAMILIES, build_family
+from repro.lowerbounds.bcd19 import bcd19_threshold
+from repro.lowerbounds.ckp17 import ckp17_threshold
 from repro.lowerbounds.disjointness import disj, random_instance
 from repro.lowerbounds.framework import implied_round_lower_bound
-from repro.lowerbounds.mds_square_gap import (
-    GapConstructionParams,
-    build_gap_family,
-)
 from repro.mpc.machine import MemoryBudgetExceeded, check_alpha
 from repro.mpc.options import RunOptions, parse_scalar
 from repro.sweep import (
@@ -335,17 +332,7 @@ def _check_family_k(args: argparse.Namespace) -> None:
 def _cmd_gallery(args: argparse.Namespace) -> int:
     _check_family_k(args)
     x, y = random_instance(args.k, seed=args.seed)
-    if args.family == "ckp17":
-        fam = build_ckp17_mvc(x, y, args.k)
-    elif args.family == "bcd19":
-        fam = build_bcd19_mds(x, y, args.k)
-    else:
-        params = GapConstructionParams()
-        small_x = frozenset(p for p in x if p[0] <= 3 and p[1] <= 3)
-        small_y = frozenset(p for p in y if p[0] <= 3 and p[1] <= 3)
-        fam = build_gap_family(
-            small_x, small_y, params, weighted=args.family == "gap-weighted"
-        )
+    fam = build_family(args.family, x, y, args.k)
     n = fam.graph.number_of_nodes()
     bound = implied_round_lower_bound(fam.k * fam.k, fam.cut_size, n)
     print(fam.description)
@@ -553,6 +540,11 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
     if args.mpc_workers:
         if args.model != "mpc":
             raise _UsageError("--mpc-workers requires --model mpc")
+        if args.task == "mpc-matching":
+            raise _UsageError(
+                "--mpc-workers shards compiled MPC cells only; the native "
+                "mpc-matching task runs serially"
+            )
         workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
     faults_param: tuple[tuple[str, object], ...] = ()
     if args.faults:
@@ -635,11 +627,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
     # Named grids fix their cell coordinates, so --mpc-workers applies as
-    # the environment override every cell's RunOptions resolves its
-    # default worker count from: the whole grid runs sharded while every
-    # payload (and the deterministic digest) stays byte-identical to a
-    # serial run — which is exactly how the parallel-parity acceptance
-    # gate compares worker counts.
+    # the environment override every compiled cell's RunOptions resolves
+    # its default worker count from (the native matching never reads it):
+    # those cells run sharded while every payload (and the deterministic
+    # digest) stays byte-identical to a serial run — which is exactly how
+    # the parallel-parity acceptance gate compares worker counts.
     env_workers: int | None = None
     if args.grid is not None and args.mpc_workers:
         values = _parse_mpc_workers(args.mpc_workers)
@@ -814,9 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "mds", "approximate MDS on G^2", 24, ("congest", "mpc"), _cmd_mds
     )
 
-    families = ("ckp17", "bcd19", "gap-weighted", "gap-unweighted")
     gallery = sub.add_parser("gallery", help="build a lower-bound family")
-    gallery.add_argument("--family", choices=families, default="ckp17")
+    gallery.add_argument("--family", choices=FAMILIES, default="ckp17")
     gallery.add_argument("--k", type=int, default=4)
     gallery.add_argument("--seed", type=int, default=0)
     gallery.set_defaults(func=_cmd_gallery)
@@ -834,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mpc: stage parity vs engine v2 plus matching maximality, over "
         "sampled seeds",
     )
-    verify.add_argument("--family", choices=families, default="ckp17")
+    verify.add_argument("--family", choices=FAMILIES, default="ckp17")
     verify.add_argument("--k", type=int, default=2)
     verify.add_argument("--samples", type=int, default=5)
     verify.add_argument(
@@ -858,8 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mpc-workers",
         type=parse_scalar,
         default=None,
-        help="mpc model only: shard each parity cell's machines over this "
-        "many processes, the caller plus forks (orthogonal to --jobs, "
+        help="mpc model only: shard each parity cell's compiled stages "
+        "over this many processes, the caller plus forks (compiled cells "
+        "only: the native matching runs serially; orthogonal to --jobs, "
         "which fans out whole cells)",
     )
     verify.add_argument(
@@ -932,8 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--mpc-workers",
         default="",
-        help="MPC shard workers per cell: a comma axis for ad-hoc "
-        "--model mpc grids (one expansion per count; payloads are "
+        help="MPC shard workers per compiled cell (mpc-matching runs "
+        "serially and rejects it): a comma axis for "
+        "ad-hoc --model mpc grids (one expansion per count; payloads are "
         "identical across counts), or a single value for named grids "
         "(applied as the REPRO_MPC_WORKERS override without changing "
         "cell coordinates)",

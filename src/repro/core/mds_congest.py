@@ -38,6 +38,7 @@ import networkx as nx
 from repro.congest.algorithm import Inbox, NodeAlgorithm, NodeView, Outbox
 from repro.congest.network import CongestNetwork, RunStats
 from repro.congest.primitives import BFS_STATE, build_bfs_tree
+from repro.contract import is_deterministic_int
 from repro.core.estimation import EstimationStage, default_samples
 from repro.core.results import DistributedCoverResult, square_solver_network
 
@@ -359,6 +360,8 @@ def approx_mds_square(
     picks the runtime for a freshly built network; incompatible with
     ``network``.  ``graph`` must be connected, simple and undirected;
     other inputs raise the typed errors of :mod:`repro.graphs.instance`.
+    ``max_phases`` caps the voting phases before uncovered vertices join
+    the set locally; it must be an integer >= 1.
     """
     network = square_solver_network(graph, network, seed, engine)
     n = network.n
@@ -366,6 +369,10 @@ def approx_mds_square(
         samples = default_samples(n)
     if max_phases is None:
         max_phases = 50 * (int(math.log2(max(n, 2))) + 2)
+    elif not is_deterministic_int(max_phases) or max_phases < 1:
+        raise ValueError(
+            f"max_phases must be a positive integer, got {max_phases!r}"
+        )
 
     network.reset_state()
     total = RunStats(word_bits=network.word_bits)

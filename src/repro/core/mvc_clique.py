@@ -318,12 +318,18 @@ def approx_mvc_square_clique_randomized(
     The voting phase budget is ``phase_budget_factor * log2(n) + 8``; if
     candidates survive (probability vanishing in n), the budget doubles and
     Phase I reruns — preserving both correctness and the w.h.p. round bound.
-    ``graph`` must be connected, simple and undirected; other inputs raise
-    the typed errors of :mod:`repro.graphs.instance`.
+    ``phase_budget_factor`` must be a finite number >= 0.  ``graph`` must
+    be connected, simple and undirected; other inputs raise the typed
+    errors of :mod:`repro.graphs.instance`.
     """
     network = square_solver_network(
         graph, network, seed, engine, CongestedCliqueNetwork
     )
+    if not (math.isfinite(phase_budget_factor) and phase_budget_factor >= 0):
+        raise ValueError(
+            f"phase_budget_factor must be a finite number >= 0, "
+            f"got {phase_budget_factor!r}"
+        )
     if local_solver is None:
         local_solver = _default_local_solver
     if epsilon > 1:

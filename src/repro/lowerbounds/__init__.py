@@ -10,6 +10,8 @@ converts communication complexity into round lower bounds.
 Each construction module exposes a ``build_*`` function returning a
 :class:`~repro.lowerbounds.framework.LowerBoundFamily` plus verification
 helpers that check the paper's reduction lemmas with exact solvers.
+:func:`build_family` builds a member of any family in :data:`FAMILIES`,
+the ones ``repro gallery`` and ``repro verify`` name.
 """
 
 from repro.lowerbounds.disjointness import (
@@ -48,7 +50,38 @@ from repro.lowerbounds.normal_forms import (
     normalize_path5_dominating_set,
 )
 
+#: The family names ``repro gallery`` and ``repro verify`` accept.
+FAMILIES = ("ckp17", "bcd19", "gap-weighted", "gap-unweighted")
+
+
+def build_family(family: str, x, y, k: int) -> LowerBoundFamily:
+    """The member of ``family`` for the disjointness inputs ``x`` and ``y``.
+
+    ckp17 and bcd19 are built at size ``k``.  The gap constructions index
+    rows by their ``T`` sets, so they keep only the pairs of ``x`` and
+    ``y`` whose coordinates are both at most ``T`` (3 by default).
+    """
+    if family == "ckp17":
+        return build_ckp17_mvc(x, y, k)
+    if family == "bcd19":
+        return build_bcd19_mds(x, y, k)
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown lower-bound family {family!r}; expected one of "
+            f"{', '.join(FAMILIES)}"
+        )
+    params = GapConstructionParams()
+    rows = params.num_sets
+    small_x = frozenset(p for p in x if p[0] <= rows and p[1] <= rows)
+    small_y = frozenset(p for p in y if p[0] <= rows and p[1] <= rows)
+    return build_gap_family(
+        small_x, small_y, params, weighted=family == "gap-weighted"
+    )
+
+
 __all__ = [
+    "FAMILIES",
+    "build_family",
     "disj",
     "random_instance",
     "all_instances",

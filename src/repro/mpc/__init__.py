@@ -7,11 +7,14 @@ with ``S = ceil(n^alpha)`` words of metered memory
 (:mod:`repro.mpc.runtime`), a round-compiler executing any existing
 ``NodeAlgorithm`` one CONGEST round per shuffle with word-for-word parity
 against engine v2 (:mod:`repro.mpc.compile_congest`), a native
-matching workload (:mod:`repro.mpc.matching`), and process-parallel
-shard execution of one instance's machines between shuffle barriers
+matching workload run serially by :meth:`MPCRuntime.run`
+(:mod:`repro.mpc.matching`), and process-parallel shard execution of a
+compiled instance's machines between shuffle barriers
 (:mod:`repro.mpc.parallel`) — ledger-identical at any worker count.
-Every MPC entry point validates its run settings (compression window,
-shard workers, fault plan) as one :class:`~repro.mpc.options.RunOptions`.
+The compiled entry points validate their run settings (compression
+window, shard workers, fault plan) as one
+:class:`~repro.mpc.options.RunOptions`; the native matching takes a
+fault plan only.
 """
 
 from repro.mpc.compile_congest import (
@@ -25,7 +28,6 @@ from repro.mpc.compile_congest import (
 from repro.mpc.machine import (
     Machine,
     MachineProgram,
-    MachineSpec,
     MemoryBudgetExceeded,
     memory_budget,
 )
@@ -65,7 +67,6 @@ __all__ = [
     "MPCRuntime",
     "Machine",
     "MachineProgram",
-    "MachineSpec",
     "MatchingResult",
     "MemoryBudgetExceeded",
     "ParityError",

@@ -26,7 +26,6 @@ internals would measure CPython, not the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
 
@@ -70,60 +69,26 @@ def memory_budget(n: int, alpha: float) -> int:
     return max(1, math.ceil(raw))
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    """The immutable identity and budgets of one MPC machine.
-
-    The explicit half of the instance-state split that process-parallel
-    execution (:mod:`repro.mpc.parallel`) relies on: a spec never changes
-    after construction, so it can cross a process boundary once (fork
-    time) and stay valid for the whole run; everything a round mutates
-    lives on :class:`Machine` (today just ``stored_words``).
-    """
-
-    machine_id: int
-    budget_words: int
-    io_budget_words: int
-
-    @classmethod
-    def create(
-        cls, machine_id: int, budget_words: int, io_factor: float = 8.0
-    ) -> "MachineSpec":
-        if budget_words < 1:
-            raise ValueError("budget_words must be positive")
-        if io_factor < 1.0:
-            raise ValueError("io_factor must be >= 1")
-        return cls(
-            machine_id=machine_id,
-            budget_words=budget_words,
-            io_budget_words=max(
-                budget_words, math.ceil(io_factor * budget_words)
-            ),
-        )
-
-
 class Machine:
-    """One MPC machine: an immutable spec plus mutable metered storage."""
+    """One MPC machine: its identity, budgets and metered storage."""
 
-    __slots__ = ("spec", "stored_words")
+    __slots__ = (
+        "machine_id", "budget_words", "io_budget_words", "stored_words"
+    )
 
     def __init__(
         self, machine_id: int, budget_words: int, io_factor: float = 8.0
     ) -> None:
-        self.spec = MachineSpec.create(machine_id, budget_words, io_factor)
+        if budget_words < 1:
+            raise ValueError("budget_words must be positive")
+        if io_factor < 1.0:
+            raise ValueError("io_factor must be >= 1")
+        self.machine_id = machine_id
+        self.budget_words = budget_words
+        self.io_budget_words = max(
+            budget_words, math.ceil(io_factor * budget_words)
+        )
         self.stored_words = 0
-
-    @property
-    def machine_id(self) -> int:
-        return self.spec.machine_id
-
-    @property
-    def budget_words(self) -> int:
-        return self.spec.budget_words
-
-    @property
-    def io_budget_words(self) -> int:
-        return self.spec.io_budget_words
 
     def charge(self, words: int, what: str = "data") -> None:
         """Account ``words`` of durable storage; raise on overflow."""

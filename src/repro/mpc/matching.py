@@ -229,8 +229,7 @@ class _Coordinator(MachineProgram):
         self.waiting_children = 0
         #: Per-phase ``(active_edges, accepted)`` pairs — the edge count
         #: the tree reported entering the phase and the verdict size.
-        #: Model-level, deterministic, and (like ``phases``) mirrored
-        #: back from shard workers by the parallel finalize.
+        #: Model-level and deterministic, like ``phases``.
         self.progress: list[tuple[int, int]] = []
 
     def _start_wave(self, verdict: tuple[tuple[int, int], ...]):
@@ -279,18 +278,17 @@ def mpc_maximal_matching(
     graph: nx.Graph,
     alpha: float = 0.8,
     seed: int = 0,
-    workers: int | None = None,
     faults: Any = None,
     collector: Any = None,
     tracer: Any = None,
 ) -> MatchingResult:
     """Compute a maximal matching of ``graph`` on the MPC simulator.
 
-    ``workers`` and ``faults`` are validated on entry as one
+    ``faults`` is validated on entry by
     :class:`~repro.mpc.options.RunOptions` (a fault spec is parsed with
-    ``seed``).  Deterministic for a fixed ``(graph, alpha, seed)`` —
-    including the shuffle ledger at any ``workers`` (the process-parallel
-    shard count, resolved from ``REPRO_MPC_WORKERS`` when omitted).
+    ``seed``).  Deterministic for a fixed ``(graph, alpha, seed)``,
+    shuffle ledger included; the programs run in one serial
+    :meth:`~repro.mpc.runtime.MPCRuntime.run` loop.
     ``graph`` is validated as an :class:`~repro.graphs.instance.Instance`
     (empty and non-simple graphs raise its typed errors); it may be
     disconnected.  Raises :class:`~repro.mpc.machine.MemoryBudgetExceeded`
@@ -300,9 +298,10 @@ def mpc_maximal_matching(
     ``collector`` (a :class:`~repro.metrics.MetricsCollector`) observes
     the shuffle stream and receives the matched/active-edge convergence
     curves; ``tracer`` (a :class:`~repro.trace.TraceRecorder`) gets the
-    shuffle and worker-barrier timeline.
+    shuffle timeline.
     """
-    options = RunOptions(workers=workers, faults=faults, seed=seed)
+    # An explicit serial count: the matching never reads REPRO_MPC_WORKERS.
+    options = RunOptions(workers=1, faults=faults, seed=seed)
     instance = Instance(graph)
     n, word_bits, label_of = instance.n, instance.word_bits, instance.labels
     budget = memory_budget(n, alpha)
@@ -366,7 +365,7 @@ def mpc_maximal_matching(
         runtime.on_shuffle = collector.on_shuffle
     runtime.tracer = tracer
     runtime.fault_injector = options.fault_injector()
-    result = runtime.run(programs, max_rounds=max_rounds, options=options)
+    result = runtime.run(programs, max_rounds=max_rounds)
     coordinator = programs[_COORDINATOR]
     matching: set[frozenset] = set()
     matched_vertices: set[int] = set()
@@ -398,12 +397,7 @@ def mpc_maximal_matching(
         collector.record_convergence(
             "active_edges", [active for active, _ in coordinator.progress]
         )
-        collector.record_mpc(
-            {
-                **outcome.summary(),
-                "workers": options.shard_workers(total_machines),
-            }
-        )
+        collector.record_mpc(outcome.summary())
     return outcome
 
 

@@ -1,11 +1,12 @@
 """The run settings of one MPC execution, validated in one place.
 
-A compiled or native MPC run has three settings besides its workload:
-the round-compression window, the shard-worker count and the fault plan.
+A compiled MPC run has three settings besides its workload: the
+round-compression window, the shard-worker count and the fault plan.
 :class:`RunOptions` holds them, and its constructor is the only place
 they are checked.  The Python entry points, the CLI flags and the sweep
 cells all build one, so every entry point rejects the same bad value
-with the same ``ValueError``.
+with the same ``ValueError``.  The native matching runs serially and
+uses it for its fault plan only.
 """
 
 from __future__ import annotations

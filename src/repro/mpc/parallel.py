@@ -1,22 +1,22 @@
-"""Process-parallel execution of one MPC instance's machines.
+"""Process-parallel execution of one compiled MPC instance's machines.
 
-The simulator historically ran every machine of an instance machine-major
-in a single interpreter: a 16-machine simulation got zero hardware
-parallelism (the sweep pool only parallelizes *across* cells).  This
-module supplies the missing layer — a pool of **shards**, each owning a
-fixed subset of the instance's machines, executing their local per-round
-computation concurrently (shard 0 in the caller's process, each other
-shard in a forked worker) while every metered shuffle stays a barrier in
-the parent process, overlapped with the workers' round where it can.
+A pool of **shards**, each owning a fixed subset of a compiled CONGEST
+instance's machines (:mod:`repro.mpc.compile_congest`), executes their
+local per-round computation concurrently (shard 0 in the caller's
+process, each other shard in a forked worker) while every metered
+shuffle stays a barrier in the parent process, overlapped with the
+workers' round where it can.  Native MPC programs
+(:meth:`~repro.mpc.runtime.MPCRuntime.run`) never use it: they run in one
+serial loop.
 
 The plumbing ships each piece of state once: the immutable instance state —
-graph, partition, compiled programs/algorithms — crosses into the workers
-exactly once at fork time (inherited copy-on-write under the ``fork``
-start method), and only small mutable per-round deltas cross the pipes
-afterwards: inboxes (native programs) or the round's metered send
-batches (compiled CONGEST) down, ``(sends, stats-delta, finished)``
-fragments up.  Platforms without ``fork`` fall back to the serial path
-rather than paying a per-round pickle of the whole instance.
+graph, partition, compiled algorithms — crosses into the workers exactly
+once at fork time (inherited copy-on-write under the ``fork`` start
+method), and only small mutable per-round deltas cross the pipes
+afterwards: the round's metered send batches down, ``(sends,
+stats-delta, finished)`` fragments up.  Platforms without ``fork`` fall
+back to the serial path rather than paying a per-round pickle of the
+whole instance.
 
 **Parity contract.**  Shard workers change *where* local computation
 runs, never *what* the ledger records: every shuffle is executed by the
@@ -30,8 +30,8 @@ worker count; ``tests/test_mpc_parallel.py`` enforces this
 differentially.
 
 **Typed error transport.**  An exception raised inside a shard worker —
-canonically :class:`~repro.mpc.machine.MemoryBudgetExceeded` from a
-``Machine.charge`` during ``on_round`` — is shipped back as ``(unit id,
+canonically a :class:`~repro.congest.errors.ProtocolError` from a compiled
+node's ``on_round`` — is shipped back as ``(unit id,
 exception module, qualname, message)`` and re-raised in the parent as the
 *same* exception type with the *same* message, never as a pickling or
 ``BrokenProcessPool`` error.  When several units fail in one round the
@@ -417,50 +417,3 @@ def _task_kind(tasks: Sequence[Any]) -> str | None:
     if isinstance(first, tuple) and first and isinstance(first[0], str):
         return first[0]
     return None
-
-
-class ProgramShard:
-    """Shard handler for native :class:`~repro.mpc.machine.MachineProgram`s.
-
-    Owns the programs of its machine ids (ascending) and advances them one
-    task at a time: ``("start", None)`` runs every ``on_start``;
-    ``("round", {mid: inbox})`` runs every live program's ``on_round``.
-    Returns outboxes (materialized — generators cannot cross a pipe),
-    newly finished ``(mid, output)`` pairs, and at most one typed error.
-    The final ``("finalize", None)`` ships the shard's program objects
-    back so the parent can mirror their post-run state (a serial run
-    mutates the caller's objects in place; the parallel path must look
-    the same to callers that read program attributes afterwards).
-    """
-
-    def __init__(
-        self, programs: Sequence[Any], machine_ids: Sequence[int]
-    ) -> None:
-        self._programs = [(mid, programs[mid]) for mid in sorted(machine_ids)]
-
-    def __call__(self, task: Any) -> dict[str, Any]:
-        kind, inboxes = task
-        if kind == "finalize":
-            return {"programs": list(self._programs), "error": None}
-        sent: list[tuple[int, list[Any]]] = []
-        finished: list[tuple[int, Any]] = []
-        error: tuple[int, str, str, str] | None = None
-        for mid, prog in self._programs:
-            if kind != "start" and prog.done:
-                continue
-            try:
-                # "start" runs unconditionally, exactly like the serial
-                # list comprehension over every program.
-                if kind == "start":
-                    outbox = prog.on_start()
-                else:
-                    outbox = prog.on_round(inboxes.get(mid, []))
-                outbox = None if outbox is None else list(outbox)
-            except Exception as exc:
-                error = describe_error(mid, exc)
-                break
-            if outbox:
-                sent.append((mid, outbox))
-            if prog.done:
-                finished.append((mid, prog.output))
-        return {"outboxes": sent, "finished": finished, "error": error}

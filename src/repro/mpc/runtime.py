@@ -12,8 +12,10 @@ machine — and folds the round into :class:`MPCRunStats` (the
 ``__add__``-with-matching-word-size contract).
 
 Native MPC workloads (:mod:`repro.mpc.matching`) run whole programs
-through :meth:`MPCRuntime.run`, whose :meth:`~MPCRuntime.route` costs and
-delivers every message; the CONGEST round-compiler
+through :meth:`MPCRuntime.run`, one serial loop in the caller's process
+whose :meth:`~MPCRuntime.route` costs and delivers every message;
+machine-local work is not spread over processes, because in the model
+only the metered shuffles synchronise machines.  The CONGEST round-compiler
 (:mod:`repro.mpc.compile_congest`) hands its planner's sums to
 :meth:`~MPCRuntime.shuffle` directly.
 """
@@ -28,7 +30,6 @@ from repro.congest.errors import RoundLimitError
 from repro.congest.message import payload_words
 from repro.congest.network import combine_word_bits
 from repro.mpc.machine import Machine, MachineProgram, MemoryBudgetExceeded
-from repro.mpc.options import RunOptions
 
 #: Routing-header words charged per shuffled message on top of its payload.
 ENVELOPE_WORDS = 1
@@ -171,8 +172,9 @@ class MPCRuntime:
         #: ``None`` (the default) keeps the fault-free hot path untouched.
         self.fault_injector = None
         #: Optional :class:`repro.trace.TraceRecorder`.  Observation only:
-        #: it times the shuffle barrier and rides along to the shard pool;
-        #: ledger, stats and delivery order never depend on it.
+        #: it times the shuffle barrier and rides along to the compiled
+        #: backend's shard pool; ledger, stats and delivery order never
+        #: depend on it.
         self.tracer = None
 
     @property
@@ -322,7 +324,6 @@ class MPCRuntime:
         self,
         programs: Sequence[MachineProgram],
         max_rounds: int | None = None,
-        options: RunOptions | None = None,
     ) -> MPCRunResult:
         """Run one program per machine until all finish.
 
@@ -331,15 +332,10 @@ class MPCRuntime:
         invoked each round with its delivered inbox; a program may return
         a final outbox in the round it finishes (still delivered).  Raises
         :class:`~repro.congest.errors.RoundLimitError` when the programs
-        do not terminate within ``max_rounds``.
-
-        ``options`` (:class:`~repro.mpc.options.RunOptions`, default
-        ``RunOptions()``) supplies the shard-worker count.  With more than
-        one, the per-machine local computation runs on a shard pool (the
-        caller plus forked workers, :mod:`repro.mpc.parallel`), every shuffle
-        still a parent-side barrier — the shuffle ledger, stats, outputs
-        and raised errors are identical to the serial path at any worker
-        count.
+        do not terminate within ``max_rounds``.  Programs run in the
+        caller's process and are mutated in place, so their post-run state
+        (a coordinator's phase counter, a machine's ``stored_words``) is
+        readable afterwards.
         """
         if len(programs) != self.num_machines:
             raise ValueError(
@@ -347,110 +343,26 @@ class MPCRuntime:
             )
         if max_rounds is None:
             max_rounds = DEFAULT_MAX_ROUNDS
-        if options is None:
-            options = RunOptions()
-        workers = options.shard_workers(len(programs))
-        if workers > 1:
-            return self._run_parallel(programs, max_rounds, workers)
         trace_start = len(self.trace)
         rounds_before = self.stats.rounds
         outboxes: list[Any] = [prog.on_start() for prog in programs]
-        while not all(prog.done for prog in programs):
+        while live := sum(1 for prog in programs if not prog.done):
             if self.stats.rounds - rounds_before >= max_rounds:
-                alive = sum(1 for prog in programs if not prog.done)
                 raise RoundLimitError(
                     f"no termination within {max_rounds} shuffle rounds "
-                    f"({alive} machines alive)"
+                    f"({live} machines alive)"
                 )
-            live = sum(1 for prog in programs if not prog.done)
             inboxes = self.route(outboxes, active=live)
             outboxes = [None] * self.num_machines
             for mid, prog in enumerate(programs):
-                if prog.done:
-                    continue
-                outboxes[mid] = prog.on_round(inboxes[mid])
+                if not prog.done:
+                    outboxes[mid] = prog.on_round(inboxes[mid])
         # Final outboxes returned in the round every program finished (or
         # straight from on_start) must still cross one metered shuffle —
         # the loop above only shuffles while someone is live.
         if any(outboxes):
             self.route(outboxes, active=0)
-        return self._finish_run(programs, trace_start)
-
-    def _run_parallel(
-        self,
-        programs: Sequence[MachineProgram],
-        max_rounds: int,
-        workers: int,
-    ) -> MPCRunResult:
-        """The machine-parallel twin of :meth:`run`'s serial loop.
-
-        Programs execute on the shard pool's shards; the parent keeps the
-        done-set, routes every round's outboxes through its own metered
-        :meth:`route` (so budget violations on the shuffle raise here,
-        identically to serial), and re-raises worker-side typed errors —
-        smallest machine id first, the order the serial loop fails in.
-        After the run the workers' final program objects are mirrored back
-        onto the caller's, storage accounting included, so post-run reads
-        (e.g. a coordinator's phase counter) see serial-identical state.
-        """
-        from repro.mpc import parallel as _parallel
-
-        m = self.num_machines
-        shards = _parallel.plan_shards(m, workers)
-        handlers = [
-            _parallel.ProgramShard(programs, shard) for shard in shards
-        ]
-        trace_start = len(self.trace)
-        rounds_before = self.stats.rounds
-        done: set[int] = set()
-        outboxes: list[Any] = [None] * m
-
-        def absorb(frags: list[dict[str, Any]]) -> None:
-            _parallel.raise_shard_error(frags)
-            for frag in frags:
-                for mid, outbox in frag["outboxes"]:
-                    outboxes[mid] = outbox
-                for mid, _output in frag["finished"]:
-                    done.add(mid)
-
-        with _parallel.ForkShardPool(handlers, tracer=self.tracer) as pool:
-            absorb(pool.step_all(("start", None)))
-            while len(done) < m:
-                if self.stats.rounds - rounds_before >= max_rounds:
-                    raise RoundLimitError(
-                        f"no termination within {max_rounds} shuffle rounds "
-                        f"({m - len(done)} machines alive)"
-                    )
-                live = m - len(done)
-                inboxes = self.route(outboxes, active=live)
-                outboxes = [None] * m
-                tasks = [
-                    (
-                        "round",
-                        {
-                            mid: inboxes[mid]
-                            for mid in shard
-                            if mid not in done and inboxes[mid]
-                        },
-                    )
-                    for shard in shards
-                ]
-                absorb(pool.step(tasks))
-            if any(outboxes):
-                self.route(outboxes, active=0)
-            for frag in pool.step_all(("finalize", None)):
-                for mid, worker_prog in frag["programs"]:
-                    prog = programs[mid]
-                    machine = prog.machine
-                    machine.stored_words = worker_prog.machine.stored_words
-                    worker_prog.machine = machine
-                    prog.__dict__.update(worker_prog.__dict__)
-        return self._finish_run(programs, trace_start)
-
-    def _finish_run(
-        self, programs: Sequence[MachineProgram], trace_start: int
-    ) -> MPCRunResult:
-        """Fold this run's trace slice into a per-run stats object."""
+        # Fold this run's trace slice into a per-run stats object.
         run_trace = self.trace[trace_start:]
         stats = MPCRunStats(word_bits=self.word_bits)
         for record in run_trace:
@@ -463,9 +375,7 @@ class MPCRuntime:
                 stats.max_out_words, record.max_out_words
             )
         return MPCRunResult(
-            outputs={
-                mid: prog.output for mid, prog in enumerate(programs)
-            },
+            outputs={mid: prog.output for mid, prog in enumerate(programs)},
             stats=stats,
             trace=run_trace,
         )

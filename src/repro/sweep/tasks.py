@@ -37,6 +37,7 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.congest.network import CongestNetwork, RunStats
+from repro.lowerbounds import FAMILIES
 from repro.sweep.spec import Cell
 
 TaskFn = Callable[[Cell], dict[str, Any]]
@@ -100,11 +101,13 @@ METRICS_TASKS: frozenset[str] = frozenset(
 #: they must stay out of the metrics label, which sits inside the
 #: deterministic section and therefore must be byte-identical across
 #: engines, compression windows, worker counts and fault plans on the
-#: same workload.  The MPC tasks hand ``compress``, ``mpc_workers`` and
-#: ``faults`` to the entry points as they are, which validate them as one
-#: :class:`~repro.mpc.options.RunOptions`: a missing ``mpc_workers``
-#: resolves ``REPRO_MPC_WORKERS``, which is how named grids run parallel
-#: without changing cell coordinates.
+#: same workload.  The compiled MPC tasks hand ``compress``,
+#: ``mpc_workers`` and ``faults`` to the entry points as they are, which
+#: validate them as one :class:`~repro.mpc.options.RunOptions`: a missing
+#: ``mpc_workers`` resolves ``REPRO_MPC_WORKERS``, which is how named
+#: grids run their compiled cells sharded without changing cell
+#: coordinates.  The native matching runs serially and takes no
+#: ``mpc_workers``.
 _VARIANT_PARAMS = frozenset(
     {"compress", "parity", "metrics", "mpc_workers", "faults"}
 )
@@ -335,7 +338,8 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
 
     The cell fails (captured by the runner) unless the output is a valid
     maximal matching within the 2-approximation band of the centralized
-    greedy oracle.
+    greedy oracle.  The matching runs serially, so an ``mpc_workers``
+    param is refused rather than ignored.
     """
     from repro.exact.matching import deterministic_maximal_matching
     from repro.mpc.matching import (
@@ -343,12 +347,17 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
         mpc_maximal_matching,
     )
 
+    if cell.param("mpc_workers") is not None:
+        raise ValueError(
+            "mpc_workers shards compiled MPC cells only; the native "
+            "matching runs serially"
+        )
     alpha = float(cell.param("alpha", 0.8))
     graph = _cell_graph(cell)
     collector = _cell_collector(cell)
     result = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=cell.param("mpc_workers"),
-        faults=cell.param("faults"), collector=collector,
+        graph, alpha=alpha, seed=cell.seed, faults=cell.param("faults"),
+        collector=collector,
     )
     assert_maximal_matching(graph, result.matching)
     oracle = deterministic_maximal_matching(graph)
@@ -380,8 +389,9 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
     Runs the Phase I MVC protocol and the Lemma 29 estimator as bare
     stages on the MPC runtime against an engine-v2 shadow (outputs, stats
     and full traces must be identical), then the native matching with its
-    maximality oracle.  The CLI ``verify --model mpc`` fans these cells
-    out over seeds.
+    maximality oracle.  ``mpc_workers`` shards the compiled stages only;
+    the native matching runs serially.  The CLI ``verify --model mpc``
+    fans these cells out over seeds.
     """
     from repro.core.estimation import EstimationStage
     from repro.core.mvc_congest import PhaseOneAlgorithm
@@ -418,8 +428,7 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
         options=options,
     )
     matching = mpc_maximal_matching(
-        graph, alpha=alpha, seed=cell.seed, workers=options.workers,
-        faults=options.faults,
+        graph, alpha=alpha, seed=cell.seed, faults=options.faults
     )
     assert_maximal_matching(graph, matching.matching)
     oracle = deterministic_maximal_matching(graph)
@@ -490,32 +499,23 @@ def _verify_family(cell: Cell, family: str) -> dict[str, Any]:
     )
     from repro.exact.vertex_cover import minimum_vertex_cover
     from repro.graphs.power import square
-    from repro.lowerbounds.bcd19 import bcd19_threshold, build_bcd19_mds
-    from repro.lowerbounds.ckp17 import build_ckp17_mvc, ckp17_threshold
+    from repro.lowerbounds import build_family
+    from repro.lowerbounds.bcd19 import bcd19_threshold
+    from repro.lowerbounds.ckp17 import ckp17_threshold
     from repro.lowerbounds.disjointness import disj, random_instance
-    from repro.lowerbounds.mds_square_gap import (
-        GapConstructionParams,
-        build_gap_family,
-    )
 
     k = int(cell.param("k", 2))
     x, y = random_instance(k, seed=cell.seed)
+    fam = build_family(family, x, y, k)
     if family == "ckp17":
-        fam = build_ckp17_mvc(x, y, k)
         value = len(minimum_vertex_cover(fam.graph))
         tight = value == ckp17_threshold(k)
     elif family == "bcd19":
-        fam = build_bcd19_mds(x, y, k)
         value = len(minimum_dominating_set(fam.graph))
         tight = value <= bcd19_threshold(k)
     else:
-        params = GapConstructionParams()
-        small_x = frozenset(p for p in x if p[0] <= 3 and p[1] <= 3)
-        small_y = frozenset(p for p in y if p[0] <= 3 and p[1] <= 3)
-        weighted = family == "gap-weighted"
-        fam = build_gap_family(small_x, small_y, params, weighted=weighted)
         sq = square(fam.graph)
-        if weighted:
+        if family == "gap-weighted":
             weights = fam.extra["weights"]
             ds = minimum_weighted_dominating_set(sq, weights)
             value = sum(weights[v] for v in ds)
@@ -531,7 +531,7 @@ def _verify_family(cell: Cell, family: str) -> dict[str, Any]:
     }
 
 
-for _family in ("ckp17", "bcd19", "gap-weighted", "gap-unweighted"):
+for _family in FAMILIES:
     def _make(family: str) -> TaskFn:
         def _task(cell: Cell) -> dict[str, Any]:
             return _verify_family(cell, family)

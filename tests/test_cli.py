@@ -7,15 +7,18 @@ import json
 import networkx as nx
 import pytest
 
+from repro import cli, lowerbounds
 from repro.cli import build_parser, main
 from repro.congest.network import CongestNetwork
 from repro.core.mvc_congest import approx_mvc_square
 from repro.graphs.generators import build_graph
+from repro.lowerbounds import FAMILIES
 from repro.lowerbounds.ckp17 import build_ckp17_mvc
 from repro.mpc.compile_congest import solve_mvc_mpc
 from repro.mpc.options import RunOptions
-from repro.sweep import GridSpec, run_sweep
+from repro.sweep import Cell, GridSpec, run_sweep
 from repro.sweep.runner import check_count
+from repro.sweep.tasks import get_task
 
 
 class TestParser:
@@ -265,15 +268,40 @@ class TestMdsCommand:
 
 
 class TestGalleryCommand:
-    @pytest.mark.parametrize(
-        "family", ["ckp17", "bcd19", "gap-weighted", "gap-unweighted"]
-    )
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_families_build(self, family, capsys):
         code = main(["gallery", "--family", family, "--k", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cut=" in out
         assert "threshold=" in out
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gallery_and_verify_build_the_same_member(
+        self, family, monkeypatch, capsys
+    ):
+        built = []
+        original = lowerbounds.build_family
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_family", recording)
+        monkeypatch.setattr(lowerbounds, "build_family", recording)
+        assert main(["gallery", "--family", family, "--k", "2",
+                     "--seed", "5"]) == 0
+        task = f"verify-{family}"
+        get_task(task)(Cell(task=task, n=0, seed=5, params=(("k", 2),)))
+        gallery, verify = built
+        assert nx.utils.graphs_equal(gallery.graph, verify.graph)
+        assert (gallery.threshold, gallery.extra) == (
+            verify.threshold, verify.extra
+        )
+
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown lower-bound family"):
+            lowerbounds.build_family("ckp18", frozenset(), frozenset(), 2)
 
 
 class TestVerifyCommand:

@@ -58,7 +58,7 @@ ENTRY_POINTS = {
     "solve_mvc_mpc": lambda g: solve_mvc_mpc(g, 0.5, alpha=ALPHA, workers=1),
     "solve_mds_mpc": lambda g: solve_mds_mpc(g, alpha=ALPHA, workers=1),
     "mpc_maximal_matching": (
-        lambda g: mpc_maximal_matching(g, alpha=ALPHA, workers=1)
+        lambda g: mpc_maximal_matching(g, alpha=ALPHA)
     ),
 }
 

@@ -106,6 +106,14 @@ class TestResourceUsage:
         # still dominate.
         assert is_dominating_set(square(g), result.cover)
 
+    @pytest.mark.parametrize("max_phases", [0, -1, 2.5, True])
+    def test_rejects_invalid_max_phases(self, max_phases):
+        # 0 and -1 used to run one phase and force the rest in through
+        # the cleanup; 2.5 ran three phases.
+        g = gnp_graph(12, 0.3, seed=18)
+        with pytest.raises(ValueError, match=f"got {max_phases!r}"):
+            approx_mds_square(g, seed=18, max_phases=max_phases)
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self):

@@ -1,8 +1,9 @@
-"""Process-parallel MPC execution: the serial/parallel parity contract.
+"""Process-parallel compiled MPC execution: the serial/parallel parity.
 
 The contract under test (:mod:`repro.mpc.parallel`): shard workers change
-*where* per-machine local computation runs, never *what* the ledger
-records.  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents, sweep
+*where* a compiled instance's per-machine local computation runs, never
+*what* the ledger records.  Native MPC programs run serially and are
+covered by ``tests/test_mpc_runtime.py``.  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents, sweep
 payloads and the metrics deterministic section must be byte-identical at
 any worker count, and an exception raised inside a worker must surface in
 the parent as the same typed exception with the same message (never a
@@ -22,15 +23,9 @@ from repro.metrics import MetricsCollector
 from repro.mpc import (
     WORKERS_ENV_VAR,
     ForkShardPool,
-    Machine,
-    MachineProgram,
-    MachineSpec,
     MemoryBudgetExceeded,
     MPCCongestNetwork,
-    MPCRuntime,
     RunOptions,
-    WorkerCrashError,
-    mpc_maximal_matching,
     plan_shards,
     solve_mvc_mpc,
 )
@@ -47,12 +42,6 @@ pytestmark = pytest.mark.skipif(
     not fork_available(),
     reason="process-parallel MPC execution requires the fork start method",
 )
-
-
-def _word_bits(n: int = 16) -> int:
-    from repro.congest.message import word_bits_for
-
-    return word_bits_for(n)
 
 
 # -- shard planning and worker resolution ----------------------------------
@@ -104,27 +93,6 @@ class TestResolveWorkers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             RunOptions(workers=0)
-
-
-class TestMachineSpec:
-    def test_machine_delegates_to_frozen_spec(self):
-        machine = Machine(3, 10, io_factor=2.0)
-        assert machine.spec == MachineSpec(3, 10, 20)
-        assert machine.machine_id == 3
-        assert machine.budget_words == 10
-        assert machine.io_budget_words == 20
-        with pytest.raises(AttributeError):
-            machine.spec.budget_words = 99
-
-    def test_io_budget_never_below_memory(self):
-        spec = MachineSpec.create(0, 5, io_factor=1.0)
-        assert spec.io_budget_words == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MachineSpec.create(0, 0)
-        with pytest.raises(ValueError):
-            MachineSpec.create(0, 4, io_factor=0.5)
 
 
 # -- typed error transport -------------------------------------------------
@@ -217,147 +185,6 @@ class TestForkShardPool:
         pool.close()
         pool.close()
         assert len(pool) == 0
-
-
-# -- native runtime: differential behavior ----------------------------------
-
-
-class _ChatterProgram(MachineProgram):
-    """Ping-pongs with the next machine for a fixed number of rounds."""
-
-    def __init__(self, machine, peers: int, rounds: int) -> None:
-        super().__init__(machine)
-        self.peers = peers
-        self.rounds = rounds
-        self.seen = 0
-
-    def on_start(self):
-        return [((self.machine.machine_id + 1) % self.peers, ("hi", 0))]
-
-    def on_round(self, inbox):
-        self.seen += len(inbox)
-        if self.rounds <= 1:
-            self.finish(("seen", self.seen))
-            return [((self.machine.machine_id + 1) % self.peers, ("bye",))]
-        self.rounds -= 1
-        return [((self.machine.machine_id + 1) % self.peers,
-                 ("hi", self.rounds))]
-
-
-class _HoarderProgram(_ChatterProgram):
-    """Chatter that blows its memory budget on a chosen machine/round."""
-
-    def __init__(self, machine, peers, rounds, burst_at: int) -> None:
-        super().__init__(machine, peers, rounds)
-        self.burst_at = burst_at
-
-    def on_round(self, inbox):
-        if (
-            self.machine.machine_id == 1
-            and self.rounds == self.burst_at
-        ):
-            self.machine.charge(10**6, what="a hoarded table")
-        return super().on_round(inbox)
-
-
-class _OneShotProgram(MachineProgram):
-    """Finishes straight from on_start, with a final outbox to flush."""
-
-    def __init__(self, machine, peers, rounds):
-        super().__init__(machine)
-        self.peers = peers
-
-    def on_start(self):
-        self.finish("done")
-        return [((self.machine.machine_id + 1) % self.peers, ("f",))]
-
-
-class _ForeverProgram(_ChatterProgram):
-    """Never terminates — for the round-limit comparison."""
-
-    def on_round(self, inbox):
-        return [((self.machine.machine_id + 1) % self.peers, ("x",))]
-
-
-def _native_run(program_cls, workers, m=5, rounds=4, **kwargs):
-    machines = [Machine(mid, 64) for mid in range(m)]
-    runtime = MPCRuntime(machines, _word_bits())
-    programs = [
-        program_cls(machine, m, rounds, **kwargs) for machine in machines
-    ]
-    result = runtime.run(programs, options=RunOptions(workers=workers))
-    return result, runtime, programs
-
-
-class TestNativeRuntimeParity:
-    @pytest.mark.parametrize("workers", [2, 3, 5, 8])
-    def test_outputs_stats_trace_identical(self, workers):
-        serial, serial_rt, _ = _native_run(_ChatterProgram, workers=1)
-        parallel, parallel_rt, _ = _native_run(_ChatterProgram, workers)
-        assert parallel.outputs == serial.outputs
-        assert parallel.stats == serial.stats
-        assert parallel.trace == serial.trace
-        assert parallel_rt.stats == serial_rt.stats
-
-    def test_program_state_mirrored_back(self):
-        _, _, serial_progs = _native_run(_ChatterProgram, workers=1)
-        _, _, parallel_progs = _native_run(_ChatterProgram, workers=2)
-        for ser, par in zip(serial_progs, parallel_progs):
-            assert par.done and par.seen == ser.seen
-            assert par.machine.stored_words == ser.machine.stored_words
-
-    def test_quiet_final_round_still_shuffled(self):
-        """PR 6 final-flush: outboxes of the finishing round cross a
-        metered ``active=0`` shuffle on the parallel path too."""
-
-        serial, serial_rt, _ = _native_run(_OneShotProgram, workers=1, m=4)
-        parallel, parallel_rt, _ = _native_run(
-            _OneShotProgram, workers=2, m=4
-        )
-        assert serial_rt.trace[-1].active_machines == 0
-        assert parallel_rt.trace == serial_rt.trace
-        assert parallel.outputs == serial.outputs
-
-    def test_round_limit_matches_serial(self):
-        msgs = {}
-        for workers in (1, 2):
-            machines = [Machine(mid, 64) for mid in range(4)]
-            runtime = MPCRuntime(machines, _word_bits())
-            programs = [_ForeverProgram(mach, 4, 0) for mach in machines]
-            from repro.congest.errors import RoundLimitError
-
-            with pytest.raises(RoundLimitError) as excinfo:
-                runtime.run(
-                    programs, max_rounds=6, options=RunOptions(workers=workers)
-                )
-            msgs[workers] = str(excinfo.value)
-        assert msgs[1] == msgs[2]
-
-
-class TestWorkerErrorRegression:
-    """Satellite: worker-side MemoryBudgetExceeded surfaces serially."""
-
-    def _run(self, workers):
-        machines = [Machine(mid, 64) for mid in range(4)]
-        runtime = MPCRuntime(machines, _word_bits())
-        programs = [
-            _HoarderProgram(mach, 4, rounds=4, burst_at=2)
-            for mach in machines
-        ]
-        with pytest.raises(Exception) as excinfo:
-            runtime.run(programs, options=RunOptions(workers=workers))
-        return excinfo.value, runtime
-
-    def test_same_typed_exception_and_message(self):
-        serial_exc, serial_rt = self._run(workers=1)
-        parallel_exc, parallel_rt = self._run(workers=3)
-        assert type(serial_exc) is MemoryBudgetExceeded
-        assert type(parallel_exc) is MemoryBudgetExceeded
-        assert not isinstance(parallel_exc, WorkerCrashError)
-        assert str(parallel_exc) == str(serial_exc)
-        # The partial shuffle ledger up to the failure is identical too.
-        assert parallel_rt.trace == serial_rt.trace
-        assert parallel_rt.stats == serial_rt.stats
 
 
 # -- compiled CONGEST execution: differential parity ------------------------
@@ -453,14 +280,6 @@ class TestCompiledParity:
         # The prefetch shuffles charge only the rounds actually replayed.
         assert sum(r.congest_rounds for r in trace) == stats.congest_rounds
         assert stats.congest_rounds == congest_stats.rounds
-
-    def test_matching_identical_across_workers(self):
-        graph = gnp_graph(20, 0.2, seed=3)
-        serial = mpc_maximal_matching(graph, alpha=0.8, seed=0, workers=1)
-        parallel = mpc_maximal_matching(graph, alpha=0.8, seed=0, workers=3)
-        assert parallel.matching == serial.matching
-        assert parallel.stats == serial.stats
-        assert parallel.phases == serial.phases
 
     def test_construction_failure_is_worker_independent(self):
         graph = gnp_graph(14, 0.5, seed=2)

@@ -89,6 +89,24 @@ class TestMachine:
         machine = Machine(0, 10, io_factor=8.0)
         assert machine.window_budget_words() == machine.io_budget_words
 
+    def test_identity_and_budgets_are_plain_slots(self):
+        machine = Machine(3, 10, io_factor=2.0)
+        assert (
+            machine.machine_id, machine.budget_words,
+            machine.io_budget_words, machine.stored_words,
+        ) == (3, 10, 20, 0)
+        with pytest.raises(AttributeError):
+            machine.spec = None
+
+    def test_io_budget_never_below_memory(self):
+        assert Machine(0, 5, io_factor=1.0).io_budget_words == 5
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="budget_words"):
+            Machine(0, 0)
+        with pytest.raises(ValueError, match="io_factor"):
+            Machine(0, 4, io_factor=0.5)
+
 
 class TestBalancedAssignment:
     def test_loads_respect_budget(self):
@@ -157,6 +175,35 @@ class _Echo(MachineProgram):
     def on_round(self, inbox):
         self.finish(sorted(inbox))
         return None
+
+
+class _Chatter(MachineProgram):
+    """Pings the next machine for ``rounds`` rounds, storing each ping.
+
+    Machine 1 charges a table far beyond its budget when ``hoard_at``
+    rounds remain.
+    """
+
+    def __init__(self, machine, peers, rounds, hoard_at=None):
+        super().__init__(machine)
+        self.next = (machine.machine_id + 1) % peers
+        self.rounds = rounds
+        self.hoard_at = hoard_at
+        self.seen = 0
+
+    def on_start(self):
+        return [(self.next, ("hi", self.rounds))]
+
+    def on_round(self, inbox):
+        if self.machine.machine_id == 1 and self.rounds == self.hoard_at:
+            self.machine.charge(10**6, what="a hoarded table")
+        self.seen += len(inbox)
+        self.machine.charge(len(inbox), what="pings")
+        self.rounds -= 1
+        if self.rounds == 0:
+            self.finish(("seen", self.seen))
+            return [(self.next, ("bye",))]
+        return [(self.next, ("hi", self.rounds))]
 
 
 class TestRuntime:
@@ -270,6 +317,31 @@ class TestRuntime:
         result = runtime.run([_Echo(m, m.machine_id) for m in machines])
         assert len(result.trace) == 1
         assert result.trace[0].active_machines == 3
+
+    def test_charge_overflow_mid_run_raises_with_its_message(self):
+        machines = [Machine(i, 64) for i in range(4)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        programs = [_Chatter(m, 4, rounds=4, hoard_at=2) for m in machines]
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            runtime.run(programs)
+        assert str(excinfo.value) == (
+            "machine 1 needs 1000002 words for a hoarded table but its "
+            "memory budget S is 64 words"
+        )
+        # Rounds 1 and 2 shuffled before machine 1 failed in round 3.
+        assert runtime.stats.rounds == 3
+        assert programs[0].rounds == 1 and not programs[0].done
+
+    def test_programs_hold_their_post_run_state(self):
+        machines = [Machine(i, 64) for i in range(5)]
+        runtime = MPCRuntime(machines, word_bits=5)
+        programs = [_Chatter(m, 5, rounds=4) for m in machines]
+        result = runtime.run(programs)
+        for mid, prog in enumerate(programs):
+            assert prog.done and prog.seen == 4
+            assert prog.machine is machines[mid]
+            assert machines[mid].stored_words == 4
+            assert result.outputs[mid] == ("seen", 4)
 
     def test_on_shuffle_hook_observes_every_record(self):
         seen = []

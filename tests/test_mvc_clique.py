@@ -65,6 +65,15 @@ class TestRandomizedClique:
         assert budget <= 12 * math.log2(32) + 20
         assert result.stats.rounds <= 4 * budget + 40
 
+    @pytest.mark.parametrize("factor", [math.nan, -10, math.inf])
+    def test_rejects_invalid_phase_budget_factor(self, factor):
+        # NaN used to fail in int(); -10 ran a negative phase budget.
+        g = gnp_graph(12, 0.3, seed=7)
+        with pytest.raises(ValueError, match=f"got {factor!r}"):
+            approx_mvc_square_clique_randomized(
+                g, 0.5, seed=7, phase_budget_factor=factor
+            )
+
     def test_no_leftover_candidates(self):
         g = gnp_graph(24, 0.3, seed=6)
         result = approx_mvc_square_clique_randomized(g, 0.5, seed=6)

@@ -5,7 +5,8 @@ window, the shard-worker count and the fault plan are checked in one
 constructor, so the network, the solver entry points, the stage-parity
 harness, the native matching, a sweep cell and the CLI reject the same
 invalid value with the same ``ValueError`` text — and record the same
-effective shard-worker count.
+effective shard-worker count.  The native matching runs serially: it has
+no ``workers`` parameter, so passing one is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from repro.graphs.generators import build_graph, gnp_graph
 from repro.metrics import MetricsCollector
 from repro.mpc import (
     WORKERS_ENV_VAR,
+    Machine,
+    MachineProgram,
     MPCCongestNetwork,
+    MPCRuntime,
     RunOptions,
     mpc_maximal_matching,
     run_stage_parity,
@@ -117,9 +121,50 @@ def _no_worker_override(monkeypatch):
 def test_every_entry_point_raises_the_same_error(
     entry, option, value, message
 ):
+    if (entry, option) == ("mpc_maximal_matching", "workers"):
+        with pytest.raises(TypeError, match="workers"):
+            ENTRY_POINTS[entry](option, value)
+        return
     with pytest.raises(ValueError) as excinfo:
         ENTRY_POINTS[entry](option, value)
     assert str(excinfo.value) == message
+
+
+class TestSerialMatching:
+    """The native matching and its runtime take no shard-worker count."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_workers_parameter_is_gone(self, workers):
+        with pytest.raises(TypeError, match="workers"):
+            mpc_maximal_matching(GRAPH, alpha=0.9, workers=workers)
+
+    def test_runtime_run_takes_no_options(self):
+        runtime = MPCRuntime([Machine(0, 8)], word_bits=4)
+        with pytest.raises(TypeError, match="options"):
+            runtime.run([MachineProgram(Machine(0, 8))], options=None)
+
+    def test_matching_never_reads_the_worker_variable(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "not a count")
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            RunOptions()
+        assert mpc_maximal_matching(GRAPH, alpha=0.9, seed=1).matching
+
+    def test_matching_cell_refuses_a_worker_param(self):
+        cell = Cell(
+            task="mpc-matching", graph="gnp", n=10, seed=1,
+            params=(("alpha", 0.9), ("mpc_workers", 2)),
+        )
+        with pytest.raises(ValueError, match="compiled MPC cells only"):
+            get_task("mpc-matching")(cell)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_cli_refuses_workers_for_matching(self, capsys, workers):
+        code = main(
+            ["sweep", "--task", "mpc-matching", "--model", "mpc",
+             "--ns", "10", "--mpc-workers", workers]
+        )
+        assert code == 2
+        assert "compiled MPC cells only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value, message", INVALID)
@@ -174,7 +219,7 @@ class TestRunOptions:
 class TestRecordedWorkers:
     """The effective shard-worker count, recorded the same way everywhere."""
 
-    def test_compiled_matching_and_cli_agree(self, capsys):
+    def test_compiled_and_cli_agree(self, capsys):
         graph = build_graph("gnp", 16, seed=2)
         collector = MetricsCollector(label="workers")
         _result, payload = solve_mvc_mpc(
@@ -183,14 +228,6 @@ class TestRecordedWorkers:
         machines = payload["machines"]
         assert 1 < machines < 16
         assert collector.to_json()["variant"]["mpc"]["workers"] == machines
-
-        collector = MetricsCollector(label="workers")
-        matching = mpc_maximal_matching(
-            graph, alpha=0.9, seed=2, workers=16, collector=collector
-        )
-        assert collector.to_json()["variant"]["mpc"]["workers"] == (
-            matching.machines
-        )
 
         code = main(
             ["mvc", "--n", "16", "--graph", "gnp", "--model", "mpc",
