@@ -7,7 +7,8 @@ Commands
     clique, or centralized 5/3) on a generated workload and report the
     cover size, round usage and the exact-optimum ratio.
 ``mds``
-    Run the Theorem 28 G^2-MDS algorithm likewise.
+    Run the Theorem 28 G^2-MDS algorithm likewise.  Both run through
+    :func:`repro.solve.solve`, the sweep's solver tasks' path too.
 ``gallery``
     Build and verify one lower-bound family member, printing the
     Theorem 19 quantities.
@@ -32,15 +33,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.congest.engine import resolve_engine_name
-from repro.core.mds_congest import approx_mds_square
-from repro.core.mvc_centralized import five_thirds_mvc_square
-from repro.core.mvc_clique import (
-    approx_mvc_square_clique_deterministic,
-    approx_mvc_square_clique_randomized,
-)
-from repro.core.mvc_congest import approx_mvc_square, normalized_epsilon
-from repro.exact.dominating_set import minimum_dominating_set
-from repro.exact.vertex_cover import minimum_vertex_cover
+from repro.core.mvc_congest import normalized_epsilon
 from repro.graphs.generators import (
     GRAPH_KINDS,
     build_graph,
@@ -49,10 +42,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.instance import InputError
 from repro.graphs.power import square
-from repro.graphs.validation import (
-    assert_dominating_set,
-    assert_vertex_cover,
-)
 from repro.lowerbounds import FAMILIES, build_family
 from repro.lowerbounds.bcd19 import bcd19_threshold
 from repro.lowerbounds.ckp17 import ckp17_threshold
@@ -60,6 +49,7 @@ from repro.lowerbounds.disjointness import disj, random_instance
 from repro.lowerbounds.framework import implied_round_lower_bound
 from repro.mpc.machine import MemoryBudgetExceeded, check_alpha
 from repro.mpc.options import RunOptions, parse_scalar
+from repro.solve import MODELS, check, solve
 from repro.sweep import (
     TABLE_HEADER,
     Cell,
@@ -70,7 +60,7 @@ from repro.sweep import (
 )
 from repro.sweep.grids import NAMED_GRIDS
 from repro.sweep.runner import check_count
-from repro.sweep.tasks import task_names
+from repro.sweep.tasks import METRICS_TASKS, SOLVER_TASKS, task_names
 
 
 def _last_error_line(result) -> str:
@@ -125,75 +115,10 @@ def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
     print(line)
 
 
-#: The mpc-only run flags: ``(flag, attribute, default, what it does)``.
-_MPC_FLAGS = (
-    ("--compress", "compress", 1,
-     "batches CONGEST rounds per MPC shuffle"),
-    ("--mpc-workers", "mpc_workers", None,
-     "shards MPC machines over worker processes"),
-    ("--faults", "faults", None,
-     "injects memory-pressure faults into the MPC shuffles"),
-)
-
-
-def _run_options(args: argparse.Namespace) -> RunOptions | None:
-    """The validated MPC run options of ``--model mpc``, else ``None``.
-
-    Off the mpc model every mpc-only flag must keep its default.
-    """
-    if args.model != "mpc":
-        for flag, attr, default, what in _MPC_FLAGS:
-            if getattr(args, attr, default) != default:
-                raise _UsageError(f"{flag} {what}; it requires --model mpc")
-        return None
-    return _checked(
-        RunOptions,
-        args.compress,
-        args.mpc_workers,
-        getattr(args, "faults", None),
-        seed=getattr(args, "seed", 0),
-    )
-
-
-def _make_collector(args: argparse.Namespace, command: str):
-    """The --metrics collector, or ``None`` when --metrics is not set.
-
-    Only the CONGEST and MPC models have the streams a collector observes.
-    """
-    if args.metrics is None:
-        return None
-    if args.model not in ("congest", "mpc"):
-        raise _UsageError(
-            "--metrics attaches to the CONGEST/MPC instrumentation streams; "
-            "it requires --model congest or --model mpc"
-        )
-    from repro.metrics import MetricsCollector
-
-    label = f"{command}/{args.graph}/n={args.n}/seed={args.seed}"
-    return MetricsCollector(label=label)
-
-
-def _write_metrics(collector, path: str) -> None:
-    out = collector.write(path)
-    print(
-        f"metrics: wrote {out} "
-        f"(deterministic sha256 {collector.deterministic_sha256()})"
-    )
-
-
 def _make_tracer(args: argparse.Namespace):
-    """The --trace recorder, or ``None`` when --trace is not set.
-
-    Only checked where a --model exists (the CONGEST and MPC models have
-    tracer hook points); sweep/verify always accept it.
-    """
-    if getattr(args, "trace", None) is None:
+    """The --trace recorder, or ``None`` when --trace is not set."""
+    if args.trace is None:
         return None
-    if getattr(args, "model", None) not in (None, "congest", "mpc"):
-        raise _UsageError(
-            "--trace records the CONGEST/MPC execution timeline; it "
-            "requires --model congest or --model mpc"
-        )
     from repro.trace import TraceRecorder
 
     return TraceRecorder()
@@ -207,114 +132,52 @@ def _write_trace(recorder, path: str) -> None:
     )
 
 
-def _solve_preamble(args: argparse.Namespace, command: str):
-    """Validate ``mvc``/``mds`` flags and build the input graph.
-
-    Returns ``(graph, run options, collector, tracer)``.
-    """
-    options = _run_options(args)
-    if options is not None:
-        if args.engine is not None:
-            raise _UsageError(
-                "--engine selects a CONGEST engine; the mpc model has its "
-                "own runtime (tune --alpha instead)"
-            )
-        _checked(check_alpha, args.alpha)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """``mvc``/``mds``: one :func:`repro.solve.solve` run, printed."""
+    problem, model = args.command, args.model
+    tracer = _make_tracer(args)
+    settings = dict(
+        seed=args.seed,
+        eps=getattr(args, "eps", None),
+        engine=args.engine,
+        alpha=args.alpha,
+        compress=args.compress,
+        workers=args.mpc_workers,
+        faults=args.faults,
+        # The engine-v2 parity shadow is always on for --model mpc.
+        parity=model == "mpc",
+        metrics=(
+            f"{problem}/{args.graph}/n={args.n}/seed={args.seed}"
+            if args.metrics is not None else None
+        ),
+        tracer=tracer,
+    )
+    options = _checked(check, problem, model, **settings)
     graph = _checked(build_graph, args.graph, args.n, seed=args.seed)
-    return graph, options, _make_collector(args, command), _make_tracer(args)
-
-
-def _congest_network(args: argparse.Namespace, graph, collector, tracer):
-    """The CONGEST network a solver builds by default, plus observers."""
-    from repro.congest.network import CongestNetwork
-
-    network = CongestNetwork(graph, seed=args.seed, engine=args.engine)
-    if collector is not None:
-        collector.attach(network)
-    if tracer is not None:
-        network.tracer = tracer
-    return network
-
-
-def _finish_observers(args: argparse.Namespace, collector, tracer) -> None:
-    if collector is not None:
-        _write_metrics(collector, args.metrics)
+    payload = solve(problem, model, graph, exact=args.exact, **settings)
+    if options is not None:
+        _print_mpc_ledger(payload["mpc"], options)
+    size = payload["cover_size"]
+    rounds = payload["stats"]["rounds"] if "stats" in payload else 0
+    line = (f"graph: {args.graph} n={graph.number_of_nodes()} "
+            f"m={graph.number_of_edges()}")
+    if problem == "mvc":
+        print(f"{line} (square m={square(graph).number_of_edges()})")
+        print(f"model: {model}  cover={size}  rounds={rounds}")
+    else:
+        print(line)
+        print(f"dominating set: {size}  rounds={rounds}  "
+              f"phases={payload['phases']}")
+    if args.exact:
+        print(f"exact optimum: {payload['opt']}  "
+              f"ratio: {payload['ratio']:.3f}")
+    if args.metrics is not None:
+        out, document = Path(args.metrics), payload["metrics"]
+        out.write_text(json.dumps(document, indent=2, sort_keys=True))
+        print(f"metrics: wrote {out} (deterministic sha256 "
+              f"{document['deterministic_sha256']})")
     if tracer is not None:
         _write_trace(tracer, args.trace)
-
-
-def _cmd_mvc(args: argparse.Namespace) -> int:
-    graph, options, collector, tracer = _solve_preamble(args, "mvc")
-    if args.model == "centralized" and args.engine is not None:
-        raise _UsageError(
-            "--engine applies only to distributed models "
-            "(congest, clique-det, clique-rand)"
-        )
-    _checked(normalized_epsilon, args.eps)
-    sq = square(graph)
-    if args.model == "congest":
-        network = _congest_network(args, graph, collector, tracer)
-        result = approx_mvc_square(graph, args.eps, network=network)
-        cover, rounds = result.cover, result.stats.rounds
-    elif args.model == "mpc":
-        from repro.mpc.compile_congest import solve_mvc_mpc
-
-        result, mpc_payload = solve_mvc_mpc(
-            graph, args.eps, alpha=args.alpha, seed=args.seed,
-            check_parity=True, compress=options.compress,
-            collector=collector, workers=options.workers,
-            faults=options.faults, tracer=tracer,
-        )
-        cover, rounds = result.cover, result.stats.rounds
-        _print_mpc_ledger(mpc_payload, options)
-    elif args.model == "clique-det":
-        result = approx_mvc_square_clique_deterministic(
-            graph, args.eps, seed=args.seed, engine=args.engine
-        )
-        cover, rounds = result.cover, result.stats.rounds
-    elif args.model == "clique-rand":
-        result = approx_mvc_square_clique_randomized(
-            graph, args.eps, seed=args.seed, engine=args.engine
-        )
-        cover, rounds = result.cover, result.stats.rounds
-    else:  # centralized
-        cover, _ = five_thirds_mvc_square(graph)
-        rounds = 0
-    assert_vertex_cover(sq, cover)
-    print(f"graph: {args.graph} n={graph.number_of_nodes()} "
-          f"m={graph.number_of_edges()} (square m={sq.number_of_edges()})")
-    print(f"model: {args.model}  cover={len(cover)}  rounds={rounds}")
-    if args.exact:
-        opt = len(minimum_vertex_cover(sq))
-        print(f"exact optimum: {opt}  ratio: {len(cover) / opt:.3f}")
-    _finish_observers(args, collector, tracer)
-    return 0
-
-
-def _cmd_mds(args: argparse.Namespace) -> int:
-    graph, options, collector, tracer = _solve_preamble(args, "mds")
-    sq = square(graph)
-    if args.model == "mpc":
-        from repro.mpc.compile_congest import solve_mds_mpc
-
-        result, mpc_payload = solve_mds_mpc(
-            graph, alpha=args.alpha, seed=args.seed, check_parity=True,
-            compress=options.compress, collector=collector,
-            workers=options.workers, faults=options.faults, tracer=tracer,
-        )
-        _print_mpc_ledger(mpc_payload, options)
-    else:
-        network = _congest_network(args, graph, collector, tracer)
-        result = approx_mds_square(graph, network=network)
-    assert_dominating_set(sq, result.cover)
-    print(f"graph: {args.graph} n={graph.number_of_nodes()} "
-          f"m={graph.number_of_edges()}")
-    print(f"dominating set: {len(result.cover)}  rounds="
-          f"{result.stats.rounds}  phases={result.detail['phases']}")
-    if args.exact:
-        opt = len(minimum_dominating_set(sq))
-        print(f"exact optimum: {opt}  ratio: {len(result.cover) / opt:.3f}")
-    _finish_observers(args, collector, tracer)
     return 0
 
 
@@ -324,9 +187,9 @@ _FAMILY_K_CHECKS = {"ckp17": ckp17_threshold, "bcd19": bcd19_threshold}
 
 
 def _check_family_k(args: argparse.Namespace) -> None:
-    check = _FAMILY_K_CHECKS.get(args.family)
-    if check is not None:
-        _checked(check, args.k)
+    check_k = _FAMILY_K_CHECKS.get(args.family)
+    if check_k is not None:
+        _checked(check_k, args.k)
 
 
 def _cmd_gallery(args: argparse.Namespace) -> int:
@@ -342,93 +205,78 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_grid(family: str, k: int, samples: int) -> GridSpec:
-    """One verification cell per sampled seed, all through the sweep runner."""
-    cells = tuple(
-        Cell(task=f"verify-{family}", n=0, seed=seed, params=(("k", k),))
-        for seed in range(samples)
-    )
-    return GridSpec(name=f"verify-{family}", cells=cells)
-
-
-def _mpc_verify_grid(
-    n: int,
-    alpha: float,
-    samples: int,
-    compress: int | str = 1,
-    workers: int | None = None,
-) -> GridSpec:
-    """One round-compilation parity cell per sampled seed."""
-    params: tuple[tuple[str, object], ...] = (
-        ("alpha", alpha),
-        ("gnp_p", min(0.3, 4.0 / max(n, 2))),
-    )
-    if compress != 1:
-        params += (("compress", compress),)
-    if workers is not None and workers != 1:
-        params += (("mpc_workers", workers),)
-    cells = tuple(
-        Cell(task="mpc-parity", graph="gnp", n=n, seed=seed, params=params)
-        for seed in range(samples)
-    )
-    return GridSpec(name="verify-mpc", cells=cells)
-
-
-def _cmd_verify_mpc(args: argparse.Namespace, options: RunOptions) -> int:
-    _checked(check_alpha, args.alpha)
-    _checked(check_graph_size, args.n)
-    tracer = _make_tracer(args)
-    grid = _mpc_verify_grid(
-        args.n, args.alpha, args.samples, compress=options.compress,
-        workers=args.mpc_workers,
-    )
-    sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
-    failures = 0
-    for result in sweep:
-        if not result.ok:
-            failures += 1
-            print(f"seed={result.cell.seed}: {result.status} "
-                  f"({_last_error_line(result)})")
-            continue
-        payload = result.payload or {}
-        print(f"seed={result.cell.seed}: stages={payload['stages']} "
-              f"rounds={payload['congest_rounds']} "
-              f"matching={payload['matching_size']} "
-              f"(oracle {payload['oracle_size']}) "
-              f"machines={payload['mpc']['machines']} -> ok")
-    print(f"{args.samples - failures}/{args.samples} round-compilation "
-          f"parity samples verified (alpha={args.alpha:g}, n={args.n})")
-    if tracer is not None:
-        _write_trace(tracer, args.trace)
-    return 1 if failures else 0
+#: ``verify``'s flags that belong to one model: ``(flag, attribute,
+#: default, what it does, the model)``.  Off its model a flag must keep
+#: its default.
+_VERIFY_FLAGS = (
+    ("--family", "family", "ckp17", "picks the lower-bound family",
+     "congest"),
+    ("--k", "k", 2, "sizes the lower-bound family", "congest"),
+    ("--n", "n", 16, "sizes the parity workload", "mpc"),
+    ("--alpha", "alpha", 0.9, "sets the per-machine memory exponent", "mpc"),
+    ("--compress", "compress", 1, "batches CONGEST rounds per MPC shuffle",
+     "mpc"),
+    ("--mpc-workers", "mpc_workers", None,
+     "shards MPC machines over worker processes", "mpc"),
+)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _checked(check_count, "samples", args.samples, 1)
     _checked(check_count, "jobs", args.jobs, 1)
-    options = _run_options(args)
-    if options is not None:
-        return _cmd_verify_mpc(args, options)
-    _check_family_k(args)
+    for flag, attr, default, what, model in _VERIFY_FLAGS:
+        if args.model != model and getattr(args, attr) != default:
+            raise _UsageError(f"{flag} {what}; it requires --model {model}")
+    # One cell per sampled seed, all through the sweep runner.
+    mpc = args.model == "mpc"
+    if mpc:
+        _checked(RunOptions, args.compress, args.mpc_workers)
+        _checked(check_alpha, args.alpha)
+        _checked(check_graph_size, args.n)
+        task, name, n = "mpc-parity", "verify-mpc", args.n
+        params: tuple[tuple[str, object], ...] = (
+            ("alpha", args.alpha),
+            ("gnp_p", min(0.3, 4.0 / max(n, 2))),
+        )
+        if args.compress != 1:
+            params += (("compress", args.compress),)
+        if args.mpc_workers not in (None, 1):
+            params += (("mpc_workers", args.mpc_workers),)
+    else:
+        _check_family_k(args)
+        task = name = f"verify-{args.family}"
+        n, params = 0, (("k", args.k),)
+    grid = GridSpec(name=name, cells=tuple(
+        Cell(task=task, n=n, seed=seed, params=params)
+        for seed in range(args.samples)
+    ))
     tracer = _make_tracer(args)
-    grid = _verify_grid(args.family, args.k, args.samples)
     sweep = run_sweep(grid, jobs=args.jobs, trace=tracer)
     failures = 0
     for result in sweep:
+        payload = result.payload or {}
         if not result.ok:
             failures += 1
             print(f"seed={result.cell.seed}: {result.status} "
                   f"({_last_error_line(result)})")
-            continue
-        payload = result.payload or {}
-        ok = payload["ok"]
-        if not ok:
-            failures += 1
-        print(f"seed={result.cell.seed}: optimum={payload['value']} "
-              f"threshold={payload['threshold']} "
-              f"intersecting={payload['intersecting']} "
-              f"-> {'ok' if ok else 'FAIL'}")
-    print(f"{args.samples - failures}/{args.samples} instances verified")
+        elif mpc:
+            print(f"seed={result.cell.seed}: stages={payload['stages']} "
+                  f"rounds={payload['congest_rounds']} "
+                  f"matching={payload['matching_size']} "
+                  f"(oracle {payload['oracle_size']}) "
+                  f"machines={payload['mpc']['machines']} -> ok")
+        else:
+            failures += not payload["ok"]
+            print(f"seed={result.cell.seed}: optimum={payload['value']} "
+                  f"threshold={payload['threshold']} "
+                  f"intersecting={payload['intersecting']} "
+                  f"-> {'ok' if payload['ok'] else 'FAIL'}")
+    verified = args.samples - failures
+    if mpc:
+        print(f"{verified}/{args.samples} round-compilation parity samples "
+              f"verified (alpha={args.alpha:g}, n={args.n})")
+    else:
+        print(f"{verified}/{args.samples} instances verified")
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 1 if failures else 0
@@ -524,38 +372,29 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
             f"{'mpc' if is_mpc_task else 'congest'} model; pass a matching "
             f"--model"
         )
+    if args.model != "mpc":
+        for attr in ("alphas", "compress", "mpc_workers", "faults"):
+            if getattr(args, attr):
+                flag = "--" + attr.replace("_", "-")
+                raise _UsageError(f"{flag} requires --model mpc")
     alphas: tuple[float, ...] = ()
     if args.alphas:
-        if args.model != "mpc":
-            raise _UsageError("--alphas requires --model mpc")
         alphas = _parse_alphas(args.alphas)
     elif args.model == "mpc":
         alphas = (0.8,)
-    compressions: tuple[int | str, ...] = (1,)
-    if args.compress:
-        if args.model != "mpc":
-            raise _UsageError("--compress requires --model mpc")
-        compressions = _parse_compress(args.compress) or (1,)
-    workers_axis: tuple[int, ...] = (1,)
-    if args.mpc_workers:
-        if args.model != "mpc":
-            raise _UsageError("--mpc-workers requires --model mpc")
-        if args.task == "mpc-matching":
-            raise _UsageError(
-                "--mpc-workers shards compiled MPC cells only; the native "
-                "mpc-matching task runs serially"
-            )
-        workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
+    compressions = _parse_compress(args.compress) or (1,)
+    if args.mpc_workers and args.task == "mpc-matching":
+        raise _UsageError(
+            "--mpc-workers shards compiled MPC cells only; the native "
+            "mpc-matching task runs serially"
+        )
+    workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
     faults_param: tuple[tuple[str, object], ...] = ()
     if args.faults:
-        if args.model != "mpc":
-            raise _UsageError("--faults requires --model mpc")
         _checked(RunOptions, workers=1, faults=args.faults)
         faults_param = (("faults", args.faults),)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
-        from repro.sweep.tasks import METRICS_TASKS
-
         if args.task not in METRICS_TASKS:
             raise _UsageError(
                 f"sweep --metrics requires a metrics-capable task "
@@ -576,6 +415,16 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
         )
     epss: tuple[float | None, ...] = (None,)
     if args.epss:
+        eps_tasks = sorted(
+            task for task, (problem, _) in SOLVER_TASKS.items()
+            if problem == "mvc"
+        )
+        if args.task not in eps_tasks:
+            raise _UsageError(
+                f"--epss applies to the MVC solver tasks "
+                f"({', '.join(eps_tasks)}); task {args.task!r} takes no "
+                f"epsilon"
+            )
         epss = _parse_axis(args.epss, "--epss", _eps)
     graphs = _parse_axis(
         args.graphs, "--graphs", lambda part: _checked(check_graph_kind, part)
@@ -717,7 +566,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if sweep.failures else 0
 
 
-def _add_solve_command(sub, name, help, n, models, func):
+def _add_solve_command(sub, name, help, n):
     """The ``mvc``/``mds`` subcommand with the flags both share."""
     cmd = sub.add_parser(name, help=help)
     cmd.add_argument("--n", type=int, default=n)
@@ -725,7 +574,7 @@ def _add_solve_command(sub, name, help, n, models, func):
     cmd.add_argument("--graph", choices=GRAPH_KINDS, default="gnp")
     cmd.add_argument(
         "--model",
-        choices=models,
+        choices=MODELS[name],
         default="congest",
         help="execution model; mpc compiles the CONGEST rounds onto "
         "low-space machines (with an engine-v2 parity check)",
@@ -739,8 +588,9 @@ def _add_solve_command(sub, name, help, n, models, func):
     cmd.add_argument(
         "--alpha",
         type=float,
-        default=0.8,
-        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha)",
+        default=None,
+        help="mpc model only: per-machine memory exponent, S=ceil(n^alpha) "
+        "(default 0.8)",
     )
     cmd.add_argument(
         "--compress",
@@ -785,7 +635,7 @@ def _add_solve_command(sub, name, help, n, models, func):
         "run's outputs and ledgers are unchanged",
     )
     cmd.add_argument("--exact", action="store_true")
-    cmd.set_defaults(func=func)
+    cmd.set_defaults(func=_cmd_solve)
     return cmd
 
 
@@ -796,15 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mvc = _add_solve_command(
-        sub, "mvc", "approximate MVC on G^2", 32,
-        ("congest", "clique-det", "clique-rand", "centralized", "mpc"),
-        _cmd_mvc,
-    )
+    mvc = _add_solve_command(sub, "mvc", "approximate MVC on G^2", 32)
     mvc.add_argument("--eps", type=float, default=0.5)
-    _add_solve_command(
-        sub, "mds", "approximate MDS on G^2", 24, ("congest", "mpc"), _cmd_mds
-    )
+    _add_solve_command(sub, "mds", "approximate MDS on G^2", 24)
 
     gallery = sub.add_parser("gallery", help="build a lower-bound family")
     gallery.add_argument("--family", choices=FAMILIES, default="ckp17")

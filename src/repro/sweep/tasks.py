@@ -7,11 +7,20 @@ runner's parity guarantee (serial and parallel evaluation of the same grid
 merge byte-identically) rests on it.  Timing lives in the runner's
 :class:`~repro.sweep.runner.CellResult`, never in the payload.
 
+The G^2 solver tasks (:data:`SOLVER_TASKS`: ``mvc-congest``,
+``mvc-clique-det``, ``mds-congest``, ``mpc-mvc`` and ``mpc-mds``) are one
+evaluator, :func:`_solve_cell`, which hands the cell's settings to
+:func:`repro.solve.solve` — the path the CLI's ``mvc``/``mds`` commands
+take — so a cell and a CLI run accept and reject the same settings with
+the same message.  The other tasks (the estimator, native MPC matching,
+round-compilation parity, tree primitives, lower-bound verification and
+the self-tests) evaluate their cells themselves.
+
 Conventions shared by the built-in tasks:
 
 * ``stats`` — the simulator :class:`~repro.congest.network.RunStats` as a
-  plain dict (see :func:`stats_to_json`); the runner re-aggregates these
-  with ``RunStats.__add__`` per word size.
+  plain dict (see :func:`repro.solve.stats_to_json`); the runner
+  re-aggregates these with ``RunStats.__add__`` per word size.
 * ``signature`` — a short hex digest of the solution, used by differential
   checks (engine v1 vs v2 parity at benchmark scale) without shipping the
   full solution between processes.
@@ -29,15 +38,15 @@ state, so tasks defined in test or benchmark modules are visible to
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any
 
 from repro.congest.network import CongestNetwork, RunStats
 from repro.lowerbounds import FAMILIES
+from repro.solve import OBSERVED_MODELS, signature_of, solve, stats_to_json
 from repro.sweep.spec import Cell
 
 TaskFn = Callable[[Cell], dict[str, Any]]
@@ -69,45 +78,33 @@ def task_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def stats_to_json(stats: RunStats) -> dict[str, int]:
-    return {
-        "rounds": stats.rounds,
-        "messages": stats.messages,
-        "total_words": stats.total_words,
-        "max_words_per_edge_round": stats.max_words_per_edge_round,
-        "cut_words": stats.cut_words,
-        "word_bits": stats.word_bits,
-    }
-
-
 def stats_from_json(data: dict[str, int]) -> RunStats:
     return RunStats(**data)
 
 
-def signature_of(items: Iterable[Any]) -> str:
-    """Order-independent digest of a solution set."""
-    canon = ",".join(sorted(repr(x) for x in items))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
+#: The G^2 solver tasks, each one (problem, model) of
+#: :func:`repro.solve.solve`.
+SOLVER_TASKS: dict[str, tuple[str, str]] = {
+    "mvc-congest": ("mvc", "congest"),
+    "mvc-clique-det": ("mvc", "clique-det"),
+    "mds-congest": ("mds", "congest"),
+    "mpc-mvc": ("mvc", "mpc"),
+    "mpc-mds": ("mds", "mpc"),
+}
 
 #: Tasks that honor the ``metrics`` cell param by embedding a
 #: :class:`repro.metrics.MetricsCollector` document in their payload.
 METRICS_TASKS: frozenset[str] = frozenset(
-    {"mvc-congest", "mds-congest", "mpc-mvc", "mpc-mds", "mpc-matching"}
-)
+    task for task, (_, model) in SOLVER_TASKS.items()
+    if model in OBSERVED_MODELS
+) | {"mpc-matching"}
 
 
 #: Cell coordinates that select a backend variant rather than a workload;
 #: they must stay out of the metrics label, which sits inside the
 #: deterministic section and therefore must be byte-identical across
 #: engines, compression windows, worker counts and fault plans on the
-#: same workload.  The compiled MPC tasks hand ``compress``,
-#: ``mpc_workers`` and ``faults`` to the entry points as they are, which
-#: validate them as one :class:`~repro.mpc.options.RunOptions`: a missing
-#: ``mpc_workers`` resolves ``REPRO_MPC_WORKERS``, which is how named
-#: grids run their compiled cells sharded without changing cell
-#: coordinates.  The native matching runs serially and takes no
-#: ``mpc_workers``.
+#: same workload.
 _VARIANT_PARAMS = frozenset(
     {"compress", "parity", "metrics", "mpc_workers", "faults"}
 )
@@ -121,28 +118,6 @@ def _metrics_label(cell: Cell) -> str:
         f"{k}={v}" for k, v in cell.params if k not in _VARIANT_PARAMS
     )
     return "/".join(parts)
-
-
-def _cell_collector(cell: Cell):
-    """The cell's metrics collector (``metrics`` param), or ``None``."""
-    if not cell.param("metrics"):
-        return None
-    from repro.metrics import MetricsCollector
-
-    return MetricsCollector(label=_metrics_label(cell))
-
-
-def _observed_congest(cell: Cell, graph: Any):
-    """The cell's CONGEST network, with its collector attached if any.
-
-    The same network the solvers build when handed none, so a cell's
-    payload does not depend on whether it collects metrics.
-    """
-    network = CongestNetwork(graph, seed=cell.seed, engine=cell.engine)
-    collector = _cell_collector(cell)
-    if collector is not None:
-        collector.attach(network)
-    return network, collector
 
 
 def _cell_graph(cell: Cell):
@@ -159,91 +134,40 @@ def _cell_graph(cell: Cell):
 # -- cover / dominating-set solvers ---------------------------------------
 
 
-def _solution_payload(
-    cell: Cell,
-    graph: Any,
-    problem: str,
-    result: Any,
-    collector: Any = None,
-    mpc: dict[str, Any] | None = None,
-    **extra: Any,
-) -> dict[str, Any]:
-    """Verify a solver's ``G^2`` solution and build the cell's payload.
+def cell_settings(cell: Cell) -> dict[str, Any]:
+    """The :func:`repro.solve.solve` settings of a solver-task cell.
 
-    ``problem`` is ``"mvc"`` (a vertex cover) or ``"mds"`` (a dominating
-    set).  An ``exact`` cell param adds the exact optimum and the ratio; a
-    collector adds its metrics document.  An MPC ledger rides under
-    ``mpc``.
+    ``alpha``, ``compress``, ``mpc_workers``, ``faults`` and ``parity``
+    params are the MPC settings; a missing ``mpc_workers`` resolves
+    ``REPRO_MPC_WORKERS``, which is how named grids run their compiled
+    cells sharded without changing cell coordinates.  A ``metrics`` param
+    attaches a collector labelled by :func:`_metrics_label`.
     """
-    from repro.exact.dominating_set import minimum_dominating_set
-    from repro.exact.vertex_cover import minimum_vertex_cover
-    from repro.graphs.power import square
-    from repro.graphs.validation import (
-        assert_dominating_set,
-        assert_vertex_cover,
-    )
-
-    check, optimum = {
-        "mvc": (assert_vertex_cover, minimum_vertex_cover),
-        "mds": (assert_dominating_set, minimum_dominating_set),
-    }[problem]
-    sq = square(graph)
-    check(sq, result.cover)
-    payload: dict[str, Any] = {
-        "cover_size": len(result.cover),
-        **extra,
-        "stats": stats_to_json(result.stats),
-        "signature": signature_of(result.cover),
+    return {
+        "seed": cell.seed,
+        "eps": cell.eps,
+        "engine": cell.engine,
+        "alpha": cell.param("alpha"),
+        "compress": cell.param("compress", 1),
+        "workers": cell.param("mpc_workers"),
+        "faults": cell.param("faults"),
+        "parity": bool(cell.param("parity", False)),
+        "metrics": _metrics_label(cell) if cell.param("metrics") else None,
     }
-    if mpc is not None:
-        payload["mpc"] = mpc
-    if collector is not None:
-        payload["metrics"] = collector.to_json()
-    if cell.param("exact"):
-        opt = len(optimum(sq))
-        payload["opt"] = opt
-        payload["ratio"] = len(result.cover) / opt
-    return payload
 
 
-@register_task("mvc-congest")
-def _mvc_congest(cell: Cell) -> dict[str, Any]:
-    """Algorithm 1 ((1+eps)-MVC of G^2) on the CONGEST simulator."""
-    from repro.core.mvc_congest import approx_mvc_square
-
-    eps = 0.5 if cell.eps is None else cell.eps
-    graph = _cell_graph(cell)
-    network, collector = _observed_congest(cell, graph)
-    result = approx_mvc_square(graph, eps, network=network)
-    return _solution_payload(cell, graph, "mvc", result, collector)
-
-
-@register_task("mvc-clique-det")
-def _mvc_clique_det(cell: Cell) -> dict[str, Any]:
-    """Deterministic congested-clique MVC (Theorem 24)."""
-    from repro.core.mvc_clique import approx_mvc_square_clique_deterministic
-
-    eps = 0.5 if cell.eps is None else cell.eps
-    graph = _cell_graph(cell)
-    result = approx_mvc_square_clique_deterministic(
-        graph, eps, seed=cell.seed, engine=cell.engine
+def _solve_cell(cell: Cell) -> dict[str, Any]:
+    """One G^2 solve (see :data:`SOLVER_TASKS`), verified; an ``exact``
+    param adds the exact optimum and the ratio."""
+    problem, model = SOLVER_TASKS[cell.task]
+    return solve(
+        problem, model, _cell_graph(cell), exact=bool(cell.param("exact")),
+        **cell_settings(cell),
     )
-    return _solution_payload(cell, graph, "mvc", result)
 
 
-@register_task("mds-congest")
-def _mds_congest(cell: Cell) -> dict[str, Any]:
-    """Theorem 28 (O(log Delta)-MDS of G^2) on the CONGEST simulator."""
-    from repro.core.mds_congest import approx_mds_square
-
-    graph = _cell_graph(cell)
-    network, collector = _observed_congest(cell, graph)
-    result = approx_mds_square(graph, network=network)
-    return _solution_payload(
-        cell, graph, "mds", result, collector,
-        phases=result.detail["phases"],
-        max_degree=max(d for _, d in graph.degree),
-    )
+for _solver_task in SOLVER_TASKS:
+    _REGISTRY[_solver_task] = _solve_cell
 
 
 @register_task("mds-estimator")
@@ -274,64 +198,6 @@ def _mds_estimator(cell: Cell) -> dict[str, Any]:
 # -- low-space MPC backend tasks ------------------------------------------
 
 
-@register_task("mpc-mvc")
-def _mpc_mvc(cell: Cell) -> dict[str, Any]:
-    """Algorithm 1 compiled onto the MPC backend.
-
-    One shuffle per CONGEST round classically; with a ``compress`` param
-    ``> 1`` the compiler batches up to that many rounds behind each
-    prefetch shuffle (adaptively, falling back where the frontier exceeds
-    the window budget).  With ``params=(("parity", True),)`` the cell also
-    runs an engine-v2 shadow and asserts word-for-word metering parity
-    (outputs, RunStats, per-round event stream).  The congest-level
-    ``stats`` payload is byte-identical to the ``mvc-congest`` task's on
-    the same cell coordinates — at every ``compress`` — which is what
-    ``bench_mpc.py`` checks.
-    """
-    from repro.mpc.compile_congest import solve_mvc_mpc
-
-    eps = 0.5 if cell.eps is None else cell.eps
-    alpha = float(cell.param("alpha", 0.8))
-    graph = _cell_graph(cell)
-    collector = _cell_collector(cell)
-    result, mpc = solve_mvc_mpc(
-        graph,
-        eps,
-        alpha=alpha,
-        seed=cell.seed,
-        check_parity=bool(cell.param("parity", False)),
-        compress=cell.param("compress", 1),
-        collector=collector,
-        workers=cell.param("mpc_workers"),
-        faults=cell.param("faults"),
-    )
-    return _solution_payload(cell, graph, "mvc", result, collector, mpc)
-
-
-@register_task("mpc-mds")
-def _mpc_mds(cell: Cell) -> dict[str, Any]:
-    """Theorem 28 MDS compiled onto the MPC backend (see ``mpc-mvc``)."""
-    from repro.mpc.compile_congest import solve_mds_mpc
-
-    alpha = float(cell.param("alpha", 0.8))
-    graph = _cell_graph(cell)
-    collector = _cell_collector(cell)
-    result, mpc = solve_mds_mpc(
-        graph,
-        alpha=alpha,
-        seed=cell.seed,
-        check_parity=bool(cell.param("parity", False)),
-        compress=cell.param("compress", 1),
-        collector=collector,
-        workers=cell.param("mpc_workers"),
-        faults=cell.param("faults"),
-    )
-    return _solution_payload(
-        cell, graph, "mds", result, collector, mpc,
-        phases=result.detail["phases"],
-    )
-
-
 @register_task("mpc-matching")
 def _mpc_matching(cell: Cell) -> dict[str, Any]:
     """Native MPC greedy maximal matching, oracle-verified.
@@ -352,9 +218,13 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
             "mpc_workers shards compiled MPC cells only; the native "
             "matching runs serially"
         )
+    collector = None
+    if cell.param("metrics"):
+        from repro.metrics import MetricsCollector
+
+        collector = MetricsCollector(label=_metrics_label(cell))
     alpha = float(cell.param("alpha", 0.8))
     graph = _cell_graph(cell)
-    collector = _cell_collector(cell)
     result = mpc_maximal_matching(
         graph, alpha=alpha, seed=cell.seed, faults=cell.param("faults"),
         collector=collector,

@@ -16,6 +16,8 @@ from repro.lowerbounds import FAMILIES
 from repro.lowerbounds.ckp17 import build_ckp17_mvc
 from repro.mpc.compile_congest import solve_mvc_mpc
 from repro.mpc.options import RunOptions
+from repro.mpc.parallel import WORKERS_ENV_VAR
+from repro.solve import check
 from repro.sweep import Cell, GridSpec, run_sweep
 from repro.sweep.runner import check_count
 from repro.sweep.tasks import get_task
@@ -660,3 +662,199 @@ class TestRetriesFlag:
             main(["sweep", "--grid", "smoke", "--retries", "1"])
         assert excinfo.value.code == 2
         assert "--retries" in capsys.readouterr().err
+
+
+class TestForeignFlags:
+    """A flag of another model exits 2 instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, library_call",
+        [
+            (
+                ["mvc", "--alpha", "5"],
+                lambda: check("mvc", "congest", alpha=5.0),
+            ),
+            (
+                ["mvc", "--model", "clique-rand", "--alpha", "0.5"],
+                lambda: check("mvc", "clique-rand", alpha=0.5),
+            ),
+            (
+                ["mds", "--alpha", "0.9"],
+                lambda: check("mds", "congest", alpha=0.9),
+            ),
+            (
+                ["mvc", "--model", "mpc", "--engine", "v1"],
+                lambda: check("mvc", "mpc", engine="v1"),
+            ),
+            (
+                ["mvc", "--model", "centralized", "--engine", "v1"],
+                lambda: check("mvc", "centralized", engine="v1"),
+            ),
+        ],
+        ids=["mvc-alpha5", "clique-rand-alpha", "mds-alpha", "mpc-engine",
+             "centralized-engine"],
+    )
+    def test_solve_flags_exit_2_with_the_rule(
+        self, argv, library_call, capsys
+    ):
+        assert _usage_error(argv, capsys) == (
+            f"{_library_message(library_call)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, flag, model",
+        [
+            (["verify", "--n", "50", "--alpha", "7"], "--n", "mpc"),
+            (["verify", "--alpha", "7"], "--alpha", "mpc"),
+            (["verify", "--mpc-workers", "2"], "--mpc-workers", "mpc"),
+            (
+                ["verify", "--model", "mpc", "--family", "bcd19", "--k", "3"],
+                "--family",
+                "congest",
+            ),
+            (["verify", "--model", "mpc", "--k", "4"], "--k", "congest"),
+        ],
+        ids=["congest-n", "congest-alpha", "congest-mpc-workers",
+             "mpc-family", "mpc-k"],
+    )
+    def test_verify_flags_exit_2(self, argv, flag, model, capsys):
+        message = _usage_error(argv, capsys)
+        assert message.startswith(f"{flag} ")
+        assert message.endswith(f"; it requires --model {model}\n")
+
+    def test_defaults_are_not_foreign(self, capsys):
+        assert main(["verify", "--model", "mpc", "--samples", "1",
+                     "--n", "12", "--family", "ckp17", "--k", "2"]) == 0
+        assert main(["verify", "--samples", "1", "--compress", "1"]) == 0
+        capsys.readouterr()
+
+
+class TestSweepEpsilonAxis:
+    @pytest.mark.parametrize(
+        "task, model",
+        [("mds-congest", "congest"), ("mpc-mds", "mpc"),
+         ("mds-estimator", "congest"), ("pipeline-path", "congest"),
+         ("mpc-matching", "mpc")],
+    )
+    def test_refused_off_the_mvc_solver_tasks(self, task, model, capsys):
+        message = _usage_error(
+            ["sweep", "--task", task, "--model", model, "--ns", "12",
+             "--epss", "0.3,0.5"],
+            capsys,
+        )
+        assert message.startswith("--epss applies to the MVC solver tasks")
+        assert f"task {task!r} takes no epsilon" in message
+
+    @pytest.mark.parametrize(
+        "task, model",
+        [("mvc-congest", "congest"), ("mvc-clique-det", "congest"),
+         ("mpc-mvc", "mpc")],
+    )
+    def test_accepted_on_the_mvc_solver_tasks(self, task, model):
+        from repro.cli import _sweep_grid_from_args
+
+        args = build_parser().parse_args(
+            ["sweep", "--task", task, "--model", model, "--ns", "12",
+             "--epss", "0.3,0.5"]
+        )
+        grid = _sweep_grid_from_args(args)
+        assert [cell.eps for cell in grid.cells] == [0.3, 0.5]
+
+
+#: Stdout of ``mvc``/``mds --n 14 --seed 2 --exact`` per model, as the
+#: separate CLI and sweep solve paths printed it before they were merged.
+_TRANSCRIPTS = {
+    ("mvc", "congest"): (
+        "graph: gnp n=14 m=20 (square m=51)\n"
+        "model: congest  cover=12  rounds=43\n"
+        "exact optimum: 10  ratio: 1.200\n"
+    ),
+    ("mvc", "clique-det"): (
+        "graph: gnp n=14 m=20 (square m=51)\n"
+        "model: clique-det  cover=12  rounds=25\n"
+        "exact optimum: 10  ratio: 1.200\n"
+    ),
+    ("mvc", "clique-rand"): (
+        "graph: gnp n=14 m=20 (square m=51)\n"
+        "model: clique-rand  cover=10  rounds=11\n"
+        "exact optimum: 10  ratio: 1.000\n"
+    ),
+    ("mvc", "centralized"): (
+        "graph: gnp n=14 m=20 (square m=51)\n"
+        "model: centralized  cover=12  rounds=0\n"
+        "exact optimum: 10  ratio: 1.200\n"
+    ),
+    ("mvc", "mpc"): (
+        "mpc: machines=7 S=9 words (alpha=0.8)  shuffles=43 "
+        "shuffle_words=2880 max_machine_load=35\n"
+        "graph: gnp n=14 m=20 (square m=51)\n"
+        "model: mpc  cover=12  rounds=43\n"
+        "exact optimum: 10  ratio: 1.200\n"
+    ),
+    ("mds", "congest"): (
+        "graph: gnp n=14 m=20\n"
+        "dominating set: 3  rounds=291  phases=2\n"
+        "exact optimum: 2  ratio: 1.500\n"
+    ),
+    ("mds", "mpc"): (
+        "mpc: machines=5 S=11 words (alpha=0.9)  shuffles=151 "
+        "shuffle_words=37867 max_machine_load=80  compression: 291 CONGEST "
+        "rounds in 151 shuffles (-k 4)\n"
+        "graph: gnp n=14 m=20\n"
+        "dominating set: 3  rounds=291  phases=2\n"
+        "exact optimum: 2  ratio: 1.500\n"
+    ),
+}
+
+
+class TestSolveTranscripts:
+    @pytest.fixture(autouse=True)
+    def _serial_mpc(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+
+    @pytest.mark.parametrize(
+        "command, model", sorted(_TRANSCRIPTS), ids="-".join
+    )
+    def test_stdout_is_pinned(self, command, model, capsys):
+        argv = [command, "--n", "14", "--seed", "2", "--exact",
+                "--model", model]
+        if (command, model) == ("mds", "mpc"):
+            argv += ["--alpha", "0.9", "-k", "4"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _TRANSCRIPTS[command, model]
+        assert captured.err == ""
+
+
+class TestMdsObservers:
+    _MODELS = ([], ["--model", "mpc", "--alpha", "0.9"])
+
+    def test_metrics_on_both_models(self, capsys, tmp_path):
+        from repro.metrics import validate_metrics
+
+        digests = set()
+        for i, extra in enumerate(self._MODELS):
+            path = tmp_path / f"mds{i}.json"
+            code = main(["mds", "--n", "14", "--seed", "2",
+                         "--metrics", str(path)] + extra)
+            assert code == 0
+            out = capsys.readouterr().out
+            doc = json.loads(path.read_text())
+            validate_metrics(doc)
+            assert doc["label"] == "mds/gnp/n=14/seed=2"
+            assert f"deterministic sha256 {doc['deterministic_sha256']}" in out
+            digests.add(doc["deterministic_sha256"])
+        assert len(digests) == 1
+
+    def test_trace_on_both_models(self, capsys, tmp_path):
+        from repro.trace import load_trace
+
+        for i, extra in enumerate(self._MODELS):
+            path = tmp_path / f"trace{i}.json"
+            code = main(["mds", "--n", "14", "--seed", "2",
+                         "--trace", str(path)] + extra)
+            assert code == 0
+            out = capsys.readouterr().out
+            summary = load_trace(path)  # validates the document
+            assert f"trace: wrote {path} ({summary['events']} events" in out
+            assert summary["spans"] > 0
