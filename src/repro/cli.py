@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mvc = _add_solve_command(sub, "mvc", "approximate MVC on G^2", 32)
-    mvc.add_argument("--eps", type=float, default=0.5)
+    mvc.add_argument("--eps", type=float, default=None)
     _add_solve_command(sub, "mds", "approximate MDS on G^2", 24)
 
     gallery = sub.add_parser("gallery", help="build a lower-bound family")

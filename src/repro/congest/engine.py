@@ -145,7 +145,7 @@ def emit_round_event(
     hook, round_index: int, messages: int, words: int, awake: int,
     cut_words: int, label: str | None = None, timeline=None, alive: int = 0,
 ) -> None:
-    """Deliver one RoundEvent to ``hook`` (no-op when ``hook`` is None).
+    """Deliver one RoundEvent to ``hook`` (no-op without hook and timeline).
 
     The single construction point for both loops, so the event shape
     cannot drift between backends.  ``label`` is the run-level stage
@@ -153,6 +153,8 @@ def emit_round_event(
     list the round's ``RoundRecord`` (``alive`` unfinished nodes) is
     appended to it first.
     """
+    if hook is None and timeline is None:
+        return
     from repro.congest.network import RoundEvent, RoundRecord
 
     if timeline is not None:

@@ -245,6 +245,12 @@ def phase_one_bulk(
     self-wake, until the last); the last round writes every node's stage
     state and output as :meth:`PhaseOneAlgorithm._finalize` does.  Needs
     ``iterations >= 0``; raises ``ImportError`` at once without numpy.
+
+    The settled tail: after an iteration without candidates none can
+    return, as R and C only lose members, so every later iteration is a
+    silent candidacy, a relay of ``-1`` by every node, silent winners and
+    the unchanged status.  Those four rounds are metered once, in round
+    order (a strict-limit error fires in its own round), then replayed.
     """
     import numpy as np
 
@@ -298,10 +304,22 @@ def phase_one_bulk(
         in_R = np.ones(n, bool)
         in_C = np.ones(n, bool)
         joined = np.full(n, -1, np.int64)
-        yield meter(np.where(in_R, in_r_words, out_r_words))
+        status = meter(np.where(in_R, in_r_words, out_r_words))
+        yield status
         for iteration in range(iterations):
             r_neighbors = over_neighbors(np.add, in_R, 0)
             candidate = in_C & (r_neighbors > threshold)
+            if not candidate.any():
+                # The settled tail; its rounds share one ``{}`` outputs,
+                # which BulkRounds.step only reads.
+                silent = meter(np.zeros(n, np.int64))
+                yield silent
+                relay = meter(np.full(n, relay_words[0]))
+                yield relay
+                yield from (silent, status)
+                for _ in range(iteration + 1, iterations):
+                    yield from (silent, relay, silent, status)
+                break
             yield meter(np.where(candidate, cand_words, 0))
             own = np.where(candidate, ids, -1)
             local_max = np.maximum(over_neighbors(np.maximum, own, -1), own)
@@ -315,7 +333,8 @@ def phase_one_bulk(
             joins = in_R & (over_neighbors(np.add, winner, 0) > 0)
             in_R &= ~joins
             joined[joins] = iteration
-            yield meter(np.where(in_R, in_r_words, out_r_words))
+            status = meter(np.where(in_R, in_r_words, out_r_words))
+            yield status
         in_r = in_R.tolist()
         join_iteration = [None if i < 0 else i for i in joined.tolist()]
         outputs = {

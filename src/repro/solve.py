@@ -97,10 +97,11 @@ def check(
 ) -> RunOptions | None:
     """Check :func:`solve`'s settings; the MPC ``RunOptions`` or ``None``.
 
-    Raises ``ValueError`` on the first broken rule: ``eps`` is MVC's; the
-    mpc and centralized models take no ``engine``; a collector or tracer
-    needs the congest or mpc model; ``alpha``, ``compress``, ``workers``,
-    ``faults`` and ``parity`` are mpc settings.
+    Raises ``ValueError`` on the first broken rule: ``eps`` is MVC's, not
+    the centralized model's; the mpc and centralized models take no
+    ``engine``; a collector or tracer needs the congest or mpc model;
+    ``alpha``, ``compress``, ``workers``, ``faults`` and ``parity`` are mpc
+    settings.
     """
     if model not in MODELS.get(problem, ()):
         raise ValueError(
@@ -112,6 +113,11 @@ def check(
             raise ValueError(
                 f"epsilon is MVC's approximation parameter; {problem} "
                 f"takes none"
+            )
+        if model == "centralized":
+            raise ValueError(
+                "--eps sets Algorithm 1's approximation; the centralized "
+                "5/3 algorithm takes none"
             )
         normalized_epsilon(eps)
     if engine is not None and model == "mpc":

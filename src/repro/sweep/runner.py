@@ -11,7 +11,8 @@ wall-clock fields differ, and those are kept out of
 checkable (``tests/test_sweep.py`` does).
 
 Failure handling: a task that raises is captured as a ``status="error"``
-cell result carrying the formatted traceback; a task that exceeds the
+cell result carrying the formatted traceback (the deterministic view keeps
+only its last line, ``Type: message``, free of file paths); a task that exceeds the
 per-cell ``timeout`` is captured as ``status="timeout"`` (implemented with
 ``SIGALRM``, so it works identically inside pool workers and in serial runs
 on the main thread).  Neither aborts the sweep — the merged table reports
@@ -102,12 +103,17 @@ class CellResult:
                 k: v for k, v in payload.items()
                 if k not in TIMING_SCOPED_FIELD_SET
             }
+        error = self.error
+        if not include_timing and error is not None:
+            # A traceback's frames name file paths and line numbers, which
+            # depend on where the source tree lives; keep ``Type: message``.
+            error = error.rstrip().rsplit("\n", 1)[-1]
         data: dict[str, Any] = {
             "cell": self.cell.to_json(),
             "key": self.cell.key,
             "status": self.status,
             "payload": payload,
-            "error": self.error,
+            "error": error,
         }
         if include_timing:
             data["seconds"] = self.seconds

@@ -204,19 +204,19 @@ def test_strict_error_round_and_events_agree():
 
 def test_non_strict_metering():
     graph = GRAPHS["gnp"]()
-    runs = run_forms(graph, 3, 5, word_limit=1, strict=False)
+    runs = run_forms(graph, 3, 10, word_limit=1, strict=False)
     assert_forms_agree(runs)
     assert runs["bulk"][0].stats.max_words_per_edge_round > 1
+    assert _first_settled(runs["bulk"][1], 10) == 6
 
 
-@pytest.mark.parametrize("max_rounds", [0, 1, 6, 12])
-def test_round_limit_shorter_than_the_stage(max_rounds):
-    graph = GRAPHS["path"]()
+def assert_round_limit_agrees(graph, threshold, iterations, max_rounds):
+    """Every form stops at ``max_rounds`` with the same error and events."""
     outcomes = {}
     for form in FORMS:
         events = []
         network = CongestNetwork(graph, engine="v1" if form == "v1" else "v2")
-        factory, extra = phase_one_run_args(form, 1, 3)
+        factory, extra = phase_one_run_args(form, threshold, iterations)
         with pytest.raises(RoundLimitError) as info:
             network.run(
                 factory,
@@ -227,7 +227,90 @@ def test_round_limit_shorter_than_the_stage(max_rounds):
         outcomes[form] = (str(info.value), events, network.node_state)
     assert outcomes["bulk"] == outcomes["v2"] == outcomes["v1"]
     assert len(outcomes["bulk"][1]) == max_rounds + 1
-    assert "21 nodes alive" in outcomes["bulk"][0]
+    assert f"{graph.number_of_nodes()} nodes alive" in outcomes["bulk"][0]
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1, 6, 12])
+def test_round_limit_shorter_than_the_stage(max_rounds):
+    assert_round_limit_agrees(GRAPHS["path"](), 1, 3, max_rounds)
+
+
+# -- the settled tail -------------------------------------------------------
+#
+# Once an iteration has no candidate, the bulk form replays that
+# iteration's four rounds for the rest of the stage.  On ``gnp`` with
+# threshold 3 the last candidate shows up in iteration 5; threshold 16 is
+# its maximum degree, so no node is ever a candidate.
+
+TAIL_CASES = {
+    "at-iteration-0": ("gnp", 16, 5, 0),
+    "mid-stage": ("gnp", 3, 10, 6),
+    "never-reached": ("gnp", 3, 4, None),
+    "iterations=0": ("gnp", 3, 0, None),
+    "path-at-iteration-0": ("path", 2, 8, 0),
+    "tree-mid-stage": ("tree", 2, 11, 4),
+}
+
+
+def _candidacy_messages(events, iterations):
+    """Per iteration, the messages of its candidacy round (round 1 + 4i)."""
+    return [events[1 + 4 * i].messages for i in range(iterations)]
+
+
+def _first_settled(events, iterations):
+    """The first iteration without a candidate, or ``None``."""
+    counts = _candidacy_messages(events, iterations)
+    return next((i for i, count in enumerate(counts) if count == 0), None)
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_settled_tail_matches_handlers(case):
+    kind, threshold, iterations, settled = TAIL_CASES[case]
+    runs = run_forms(GRAPHS[kind](), threshold, iterations)
+    assert_forms_agree(runs)
+    events = runs["bulk"][1]
+    assert len(events) == 4 * iterations + 2
+    assert _first_settled(events, iterations) == settled
+    if settled is not None:
+        # A settled iteration stays settled: silent candidacy and winner
+        # rounds, and the same relay and status traffic every time.
+        tail = events[1 + 4 * settled:-1]
+        assert [event.messages for event in tail[0::4]] == [0] * len(tail[0::4])
+        assert [event.messages for event in tail[2::4]] == [0] * len(tail[2::4])
+        assert len({event.words for event in tail[1::4]}) == 1
+        assert len({event.words for event in tail[3::4]}) == 1
+
+
+def test_settled_tail_is_replayed_not_recomputed():
+    graph = GRAPHS["gnp"]()
+    network = CongestNetwork(graph, seed=3, engine="v2")
+    rounds = list(phase_one_bulk(network, threshold=3, iterations=10))
+    # Round 24 is iteration 5's status; iteration 6 (rounds 25-28) is the
+    # first settled one, metered once and replayed through iteration 9.
+    status, (silent, relay) = rounds[24], rounds[25:27]
+    replayed = [silent, relay, silent, status] * 4
+    assert len(rounds) == 42
+    assert all(a is b for a, b in zip(rounds[25:-1], replayed, strict=True))
+    assert rounds[-1][5] and all(not round_[5] for round_ in rounds[:-1])
+
+
+@pytest.mark.parametrize("max_rounds", [25, 26, 30, 40])
+def test_round_limit_inside_the_settled_tail(max_rounds):
+    assert_round_limit_agrees(GRAPHS["gnp"](), 3, 10, max_rounds)
+
+
+@pytest.mark.parametrize("threshold, iterations", [(16, 5), (3, 10)])
+def test_cut_words_on_settled_tail_rounds(threshold, iterations):
+    graph = GRAPHS["gnp"]()
+    cut = [(u, v) for u, v in graph.edges if (u + v) % 3 == 0]
+    runs = run_forms(graph, threshold, iterations, cut=cut)
+    assert_forms_agree(runs)
+    events = runs["bulk"][1]
+    settled = _first_settled(events, iterations)
+    tail = events[1 + 4 * settled:-1]
+    # Relays and statuses cross the cut in every settled iteration.
+    assert all(event.cut_words > 0 for event in tail[1::2])
+    assert all(event.cut_words == 0 for event in tail[0::2])
 
 
 # -- through approx_mvc_square ----------------------------------------------

@@ -690,9 +690,13 @@ class TestForeignFlags:
                 ["mvc", "--model", "centralized", "--engine", "v1"],
                 lambda: check("mvc", "centralized", engine="v1"),
             ),
+            (
+                ["mvc", "--model", "centralized", "--eps", "0.3"],
+                lambda: check("mvc", "centralized", eps=0.3),
+            ),
         ],
         ids=["mvc-alpha5", "clique-rand-alpha", "mds-alpha", "mpc-engine",
-             "centralized-engine"],
+             "centralized-engine", "centralized-eps"],
     )
     def test_solve_flags_exit_2_with_the_rule(
         self, argv, library_call, capsys

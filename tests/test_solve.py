@@ -61,6 +61,15 @@ class TestCheck:
             "epsilon is MVC's approximation parameter; mds takes none"
         )
 
+    def test_eps_refused_on_centralized(self):
+        assert "centralized" in _message(
+            lambda: check("mvc", "centralized", eps=0.5)
+        )
+        graph = build_graph("gnp", 10, seed=1)
+        with pytest.raises(ValueError, match="centralized"):
+            solve("mvc", "centralized", graph, eps=0.5)
+        assert solve("mvc", "centralized", graph)["cover_size"] > 0
+
     def test_eps_value_checked(self):
         assert _message(lambda: check("mvc", "congest", eps=0.0)) == (
             "epsilon must be positive"

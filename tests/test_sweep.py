@@ -10,6 +10,8 @@ degrade per cell, never abort a sweep.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.grids import NAMED_GRIDS
+from repro.sweep.runner import SweepResult
 from repro.sweep.tasks import get_task, task_names
 
 
@@ -97,6 +100,31 @@ class TestEvaluateCell:
         assert not result.ok
         assert "selftest-fail cell n=3" in result.error
         assert "RuntimeError" in result.error
+
+    def test_failure_digest_is_free_of_source_paths(self):
+        cell = Cell(task="selftest-fail", n=3)
+        here = evaluate_cell(cell)
+        assert here.error.count('File "') >= 1
+        moved = replace(
+            here,
+            error=re.sub(
+                r'File "[^"]*", line \d+',
+                'File "/elsewhere/repro/sweep/runner.py", line 999',
+                here.error,
+            ),
+        )
+        assert moved.error != here.error
+
+        def sweep(result):
+            return SweepResult(GridSpec("g", (cell,)), [result], 1, 0.0)
+
+        assert sweep(here).deterministic_sha256() == (
+            sweep(moved).deterministic_sha256()
+        )
+        error = sweep(here).to_json(include_timing=False)["results"][0]["error"]
+        assert error == "RuntimeError: selftest-fail cell n=3 seed=0"
+        # The timing view keeps the whole traceback.
+        assert sweep(moved).to_json()["results"][0]["error"] == moved.error
 
     def test_timeout_captured(self):
         result = evaluate_cell(
