@@ -4,10 +4,8 @@ Runs fixed compiled MPC workloads (MVC and MDS) at several shard-worker
 counts, records a digest of the shuffle ledger and outputs at every
 count (they must be byte-identical: the parity contract of
 :mod:`repro.mpc.parallel`) and wall-clock numbers in a machine-readable
-BENCH json.  A second section re-evaluates the
-``mpc-vs-congest-quick`` sweep grid under the ``REPRO_MPC_WORKERS``
-override and records the merged deterministic sha256 per worker count —
-the whole-grid form of the same contract.
+BENCH json.  The worker count is a keyword of the compiled entry points
+only, so the scenarios pass it to them directly.
 
 Shard workers can only beat serial when the machine has cores to spare;
 like ``BENCH_sweep.json``, the json records ``available_cpus`` next to
@@ -41,8 +39,6 @@ from _common import print_table
 import networkx as nx
 
 from repro.mpc import solve_mds_mpc, solve_mvc_mpc
-from repro.mpc.parallel import WORKERS_ENV_VAR
-from repro.sweep import named_grid, run_sweep
 
 
 def _digest(payload) -> str:
@@ -93,35 +89,6 @@ def _scenarios(quick: bool):
     return {
         "mvc-gnp": _mvc_scenario(120, 0.05, 0.6, 1),
         "mds-compress4": _mds_scenario(100, 0.06, 0.7, 4),
-    }
-
-
-def _grid_parity(workers_list) -> dict:
-    """Evaluate the quick MPC grid per worker count via the env override.
-
-    The override is how CI and users run whole named grids parallel; the
-    merged deterministic sha256 must not move, because worker count never
-    enters any cell payload.
-    """
-    grid = named_grid("mpc-vs-congest-quick")
-    saved = os.environ.get(WORKERS_ENV_VAR)
-    digests = {}
-    try:
-        for workers in workers_list:
-            os.environ[WORKERS_ENV_VAR] = str(workers)
-            sweep = run_sweep(grid, jobs=1)
-            sweep.ok_payloads()
-            digests[workers] = sweep.deterministic_sha256()
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV_VAR, None)
-        else:
-            os.environ[WORKERS_ENV_VAR] = saved
-    return {
-        "grid": grid.name,
-        "cells": len(grid),
-        "digests": {str(w): d for w, d in digests.items()},
-        "byte_identical": len(set(digests.values())) == 1,
     }
 
 
@@ -186,18 +153,12 @@ def main(argv=None) -> int:
                  "yes" if identical else "NO")
             )
 
-    grid_report = _grid_parity(
-        workers_list[:2] if args.quick else workers_list
-    )
-    parity_ok = parity_ok and grid_report["byte_identical"]
-
     report = {
         "bench": "mpc-scaling",
         "mode": "quick" if args.quick else "full",
         "available_cpus": available,
         "workers": workers_list,
         "runs": runs,
-        "grid_parity": grid_report,
         "byte_identical_across_workers": parity_ok,
         "best_speedup_at_max_workers": max(
             r["speedup_at_max_workers"] for r in runs
@@ -216,10 +177,6 @@ def main(argv=None) -> int:
         f"MPC shard scaling ({available} cpu(s) available)",
         ["scenario", "workers", "wall s", "speedup", "parity"],
         rows,
-    )
-    print(
-        f"\ngrid {grid_report['grid']}: digests byte-identical across "
-        f"workers: {'yes' if grid_report['byte_identical'] else 'NO'}"
     )
     print(f"BENCH json written to {args.json}")
     return 0

@@ -207,12 +207,6 @@ def gate_mpc_scaling(doc: dict[str, Any]) -> Failures:
     failures: Failures = []
     if doc.get("byte_identical_across_workers") is not True:
         failures.append("top-level byte_identical_across_workers is not true")
-    parity = doc.get("grid_parity", {})
-    if parity.get("byte_identical") is not True:
-        failures.append("grid parity sweep is not byte-identical across worker counts")
-    digests = set(parity.get("digests", {}).values())
-    if len(digests) != 1:
-        failures.append(f"grid parity digests diverge: {len(digests)} distinct values")
     runs = doc.get("runs", [])
     if not runs:
         failures.append("no scaling runs recorded")

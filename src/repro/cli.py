@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -60,7 +59,12 @@ from repro.sweep import (
 )
 from repro.sweep.grids import NAMED_GRIDS
 from repro.sweep.runner import check_count
-from repro.sweep.tasks import METRICS_TASKS, SOLVER_TASKS, task_names
+from repro.sweep.tasks import (
+    METRICS_TASKS,
+    SOLVER_TASKS,
+    check_cell,
+    task_names,
+)
 
 
 def _last_error_line(result) -> str:
@@ -85,7 +89,7 @@ def _checked(validate, *args, **kwargs):
         raise _UsageError(str(exc)) from None
 
 
-def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
+def _print_mpc_ledger(payload: dict) -> None:
     """The MPC ledger line of a ``--model mpc`` run."""
     shuffle = payload["shuffle"]
     line = (
@@ -94,11 +98,6 @@ def _print_mpc_ledger(payload: dict, options: RunOptions) -> None:
         f"shuffle_words={shuffle['total_words']} "
         f"max_machine_load={shuffle['max_in_words']}"
     )
-    workers = options.shard_workers(payload["machines"])
-    if workers > 1:
-        # Printed from the run options, never the payload: the ledger
-        # payload is byte-identical at any worker count by contract.
-        line += f"  workers={workers}"
     # compress is an int window or the string "auto" — compare carefully.
     compress = payload.get("compress", 1)
     if compress == "auto" or compress > 1:
@@ -142,7 +141,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         engine=args.engine,
         alpha=args.alpha,
         compress=args.compress,
-        workers=args.mpc_workers,
         faults=args.faults,
         # The engine-v2 parity shadow is always on for --model mpc.
         parity=model == "mpc",
@@ -152,11 +150,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ),
         tracer=tracer,
     )
-    options = _checked(check, problem, model, **settings)
+    _checked(check, problem, model, **settings)
     graph = _checked(build_graph, args.graph, args.n, seed=args.seed)
     payload = solve(problem, model, graph, exact=args.exact, **settings)
-    if options is not None:
-        _print_mpc_ledger(payload["mpc"], options)
+    if model == "mpc":
+        _print_mpc_ledger(payload["mpc"])
     size = payload["cover_size"]
     rounds = payload["stats"]["rounds"] if "stats" in payload else 0
     line = (f"graph: {args.graph} n={graph.number_of_nodes()} "
@@ -216,8 +214,6 @@ _VERIFY_FLAGS = (
     ("--alpha", "alpha", 0.9, "sets the per-machine memory exponent", "mpc"),
     ("--compress", "compress", 1, "batches CONGEST rounds per MPC shuffle",
      "mpc"),
-    ("--mpc-workers", "mpc_workers", None,
-     "shards MPC machines over worker processes", "mpc"),
 )
 
 
@@ -230,7 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # One cell per sampled seed, all through the sweep runner.
     mpc = args.model == "mpc"
     if mpc:
-        _checked(RunOptions, args.compress, args.mpc_workers)
+        _checked(RunOptions, args.compress)
         _checked(check_alpha, args.alpha)
         _checked(check_graph_size, args.n)
         task, name, n = "mpc-parity", "verify-mpc", args.n
@@ -240,8 +236,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         if args.compress != 1:
             params += (("compress", args.compress),)
-        if args.mpc_workers not in (None, 1):
-            params += (("mpc_workers", args.mpc_workers),)
     else:
         _check_family_k(args)
         task = name = f"verify-{args.family}"
@@ -332,18 +326,7 @@ def _parse_compress(text: str) -> tuple[int | str, ...]:
     return _parse_axis(
         text,
         "--compress",
-        lambda part: _checked(
-            RunOptions, parse_scalar(part), workers=1
-        ).compress,
-    )
-
-
-def _parse_mpc_workers(text: str) -> tuple[int, ...]:
-    """``--mpc-workers`` for sweeps: counts ``RunOptions`` accepts, deduped."""
-    return _parse_axis(
-        text,
-        "--mpc-workers",
-        lambda part: _checked(RunOptions, workers=parse_scalar(part)).workers,
+        lambda part: _checked(RunOptions, parse_scalar(part)).compress,
     )
 
 
@@ -373,25 +356,18 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
             f"--model"
         )
     if args.model != "mpc":
-        for attr in ("alphas", "compress", "mpc_workers", "faults"):
+        for attr in ("alphas", "compress", "faults"):
             if getattr(args, attr):
-                flag = "--" + attr.replace("_", "-")
-                raise _UsageError(f"{flag} requires --model mpc")
+                raise _UsageError(f"--{attr} requires --model mpc")
     alphas: tuple[float, ...] = ()
     if args.alphas:
         alphas = _parse_alphas(args.alphas)
     elif args.model == "mpc":
         alphas = (0.8,)
     compressions = _parse_compress(args.compress) or (1,)
-    if args.mpc_workers and args.task == "mpc-matching":
-        raise _UsageError(
-            "--mpc-workers shards compiled MPC cells only; the native "
-            "mpc-matching task runs serially"
-        )
-    workers_axis = _parse_mpc_workers(args.mpc_workers) or (1,)
     faults_param: tuple[tuple[str, object], ...] = ()
     if args.faults:
-        _checked(RunOptions, workers=1, faults=args.faults)
+        _checked(RunOptions, faults=args.faults)
         faults_param = (("faults", args.faults),)
     metrics_param: tuple[tuple[str, object], ...] = ()
     if args.metrics is not None:
@@ -433,35 +409,35 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
         args.ns, "--ns", lambda part: _checked(check_graph_size, int(part))
     )
     _checked(check_count, "replicates", args.replicates, 1)
-    # One expansion per (alpha, compression, workers) triple (extra
-    # per-cell axes the cartesian helper does not know about); seeds
-    # derive from the other coordinates, so the same point at two alphas,
-    # window lengths or worker counts evaluates the same workload graph —
-    # and for workers, produces the byte-identical payload.
+    # One expansion per (alpha, compression) pair (extra per-cell axes the
+    # cartesian helper does not know about); seeds derive from the other
+    # coordinates, so the same point at two alphas or window lengths
+    # evaluates the same workload graph.
     cells = []
     for alpha in alphas or (None,):
         for compress in compressions:
-            for workers in workers_axis:
-                params = metrics_param + faults_param
-                if alpha is not None:
-                    params += (("alpha", alpha),)
-                if compress != 1:
-                    params += (("compress", compress),)
-                if workers != 1:
-                    params += (("mpc_workers", workers),)
-                expansion = expand_grid(
-                    name=f"adhoc-{args.task}",
-                    task=args.task,
-                    graphs=graphs,
-                    ns=ns,
-                    epss=epss,
-                    engines=engines,
-                    replicates=args.replicates,
-                    base_seed=args.base_seed,
-                    params=params,
-                )
-                cells.extend(expansion.cells)
+            params = metrics_param + faults_param
+            if alpha is not None:
+                params += (("alpha", alpha),)
+            if compress != 1:
+                params += (("compress", compress),)
+            expansion = expand_grid(
+                name=f"adhoc-{args.task}",
+                task=args.task,
+                graphs=graphs,
+                ns=ns,
+                epss=epss,
+                engines=engines,
+                replicates=args.replicates,
+                base_seed=args.base_seed,
+                params=params,
+            )
+            cells.extend(expansion.cells)
     grid = GridSpec(name=f"adhoc-{args.task}", cells=tuple(cells))
+    # A flag that sets a param the task never reads would otherwise be
+    # ignored by every cell (e.g. --compress on the native matching).
+    for cell in grid.cells:
+        _checked(check_cell, cell)
     if not grid.cells:
         # An empty axis (e.g. --ns "" from an unset shell variable) would
         # otherwise "succeed" vacuously with 0 cells and exit 0.
@@ -475,44 +451,16 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> GridSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     grid = _sweep_grid_from_args(args)
-    # Named grids fix their cell coordinates, so --mpc-workers applies as
-    # the environment override every compiled cell's RunOptions resolves
-    # its default worker count from (the native matching never reads it):
-    # those cells run sharded while every payload (and the deterministic
-    # digest) stays byte-identical to a serial run — which is exactly how
-    # the parallel-parity acceptance gate compares worker counts.
-    env_workers: int | None = None
-    if args.grid is not None and args.mpc_workers:
-        values = _parse_mpc_workers(args.mpc_workers)
-        if len(values) != 1:
-            raise _UsageError(
-                "named grids take a single --mpc-workers value (applied "
-                "as the REPRO_MPC_WORKERS override); axes apply to ad-hoc "
-                "--task grids"
-            )
-        env_workers = values[0]
-    from repro.mpc.parallel import WORKERS_ENV_VAR
-
-    saved_workers = os.environ.get(WORKERS_ENV_VAR)
-    if env_workers is not None:
-        os.environ[WORKERS_ENV_VAR] = str(env_workers)
-    try:
-        # run_sweep checks jobs, repeats and the timeout before any cell
-        # runs, so its ValueError is a bad flag value.
-        sweep = _checked(
-            run_sweep,
-            grid,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            repeats=args.repeats,
-            trace=tracer,
-        )
-    finally:
-        if env_workers is not None:
-            if saved_workers is None:
-                os.environ.pop(WORKERS_ENV_VAR, None)
-            else:
-                os.environ[WORKERS_ENV_VAR] = saved_workers
+    # run_sweep checks jobs, repeats and the timeout before any cell runs,
+    # so its ValueError is a bad flag value.
+    sweep = _checked(
+        run_sweep,
+        grid,
+        jobs=args.jobs,
+        timeout=args.timeout,
+        repeats=args.repeats,
+        trace=tracer,
+    )
     data = sweep.to_json()
     digest = sweep.deterministic_sha256()
     data["deterministic_sha256"] = digest
@@ -603,14 +551,6 @@ def _add_solve_command(sub, name, help, n):
         "each window's k",
     )
     cmd.add_argument(
-        "--mpc-workers",
-        type=parse_scalar,
-        default=None,
-        help="mpc model only: shard the machines over this many processes, "
-        "the caller plus forks (default: REPRO_MPC_WORKERS env or 1); "
-        "the shuffle ledger and outputs are identical at any count",
-    )
-    cmd.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -630,9 +570,9 @@ def _add_solve_command(sub, name, help, n):
         default=None,
         metavar="PATH",
         help="write a Chrome trace-event / Perfetto JSON timeline of the "
-        "run (stage spans, shuffles, shard-worker barriers) to "
-        "PATH; congest and mpc models only — purely observational, the "
-        "run's outputs and ledgers are unchanged",
+        "run (stage spans, shuffles, compression windows) to PATH; "
+        "congest and mpc models only — purely observational, the run's "
+        "outputs and ledgers are unchanged",
     )
     cmd.add_argument("--exact", action="store_true")
     cmd.set_defaults(func=_cmd_solve)
@@ -688,15 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mpc model only: batch up to k CONGEST rounds per shuffle in "
         "the parity cells, or 'auto' (no -k short form here; --k is the "
         "family size)",
-    )
-    verify.add_argument(
-        "--mpc-workers",
-        type=parse_scalar,
-        default=None,
-        help="mpc model only: shard each parity cell's compiled stages "
-        "over this many processes, the caller plus forks (compiled cells "
-        "only: the native matching runs serially; orthogonal to --jobs, "
-        "which fans out whole cells)",
     )
     verify.add_argument(
         "--jobs",
@@ -764,16 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated shuffle-compression windows for --model mpc "
         "(one grid expansion per k; duplicates dropped, values >= 1 or "
         "'auto'; default 1)",
-    )
-    sweep.add_argument(
-        "--mpc-workers",
-        default="",
-        help="MPC shard workers per compiled cell (mpc-matching runs "
-        "serially and rejects it): a comma axis for "
-        "ad-hoc --model mpc grids (one expansion per count; payloads are "
-        "identical across counts), or a single value for named grids "
-        "(applied as the REPRO_MPC_WORKERS override without changing "
-        "cell coordinates)",
     )
     sweep.add_argument(
         "--faults",

@@ -10,7 +10,8 @@ against engine v2 (:mod:`repro.mpc.compile_congest`), a native
 matching workload run serially by :meth:`MPCRuntime.run`
 (:mod:`repro.mpc.matching`), and process-parallel shard execution of a
 compiled instance's machines between shuffle barriers
-(:mod:`repro.mpc.parallel`) — ledger-identical at any worker count.
+(:mod:`repro.mpc.parallel`) — ledger-identical at any worker count, and
+reached only through the compiled entry points' ``workers`` keyword.
 The compiled entry points validate their run settings (compression
 window, shard workers, fault plan) as one
 :class:`~repro.mpc.options.RunOptions`; the native matching takes a
@@ -33,7 +34,6 @@ from repro.mpc.machine import (
 )
 from repro.mpc.options import RunOptions
 from repro.mpc.parallel import (
-    WORKERS_ENV_VAR,
     ForkShardPool,
     WorkerCrashError,
     plan_shards,
@@ -72,7 +72,6 @@ __all__ = [
     "ParityError",
     "RunOptions",
     "ShuffleRecord",
-    "WORKERS_ENV_VAR",
     "WorkerCrashError",
     "assert_maximal_matching",
     "balanced_assignment",

@@ -141,10 +141,9 @@ class MPCCongestNetwork(CongestNetwork):
     before any round runs.
 
     ``options`` (:class:`~repro.mpc.options.RunOptions`; by default
-    ``RunOptions()``: no compression, ``REPRO_MPC_WORKERS`` shard workers,
-    no faults) sets the compression window, the shard-worker count and
-    the fault plan.  A fault plan gets one injector for the network's
-    lifetime.
+    ``RunOptions()``: no compression, one shard, no faults) sets the
+    compression window, the shard-worker count and the fault plan.  A
+    fault plan gets one injector for the network's lifetime.
     """
 
     engine_name = "mpc"
@@ -871,7 +870,7 @@ def solve_mvc_mpc(
     check_parity: bool = False,
     compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     faults: Any = None,
     tracer: Any = None,
 ):
@@ -907,7 +906,7 @@ def solve_mds_mpc(
     check_parity: bool = False,
     compress: int | str = 1,
     collector: Any | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     faults: Any = None,
     tracer: Any = None,
 ):

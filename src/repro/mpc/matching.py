@@ -300,8 +300,7 @@ def mpc_maximal_matching(
     curves; ``tracer`` (a :class:`~repro.trace.TraceRecorder`) gets the
     shuffle timeline.
     """
-    # An explicit serial count: the matching never reads REPRO_MPC_WORKERS.
-    options = RunOptions(workers=1, faults=faults, seed=seed)
+    options = RunOptions(faults=faults, seed=seed)
     instance = Instance(graph)
     n, word_bits, label_of = instance.n, instance.word_bits, instance.labels
     budget = memory_budget(n, alpha)

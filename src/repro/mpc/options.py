@@ -5,18 +5,18 @@ round-compression window, the shard-worker count and the fault plan.
 :class:`RunOptions` holds them, and its constructor is the only place
 they are checked.  The Python entry points, the CLI flags and the sweep
 cells all build one, so every entry point rejects the same bad value
-with the same ``ValueError``.  The native matching runs serially and
-uses it for its fault plan only.
+with the same ``ValueError``.  Only the Python entry points take a
+shard-worker count.  The native matching runs serially and uses it for
+its fault plan only.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import InitVar, dataclass
 from typing import Any
 
 from repro.contract import is_deterministic_int
-from repro.mpc.parallel import WORKERS_ENV_VAR, fork_available
+from repro.mpc.parallel import fork_available
 
 
 def _is_count(value: Any) -> bool:
@@ -46,8 +46,9 @@ class RunOptions:
     * ``compress`` — the round-compression window: an integer >= 1, or
       ``"auto"`` to let a peak-hold estimator pick each window.
     * ``workers`` — shards for the machines' local computation, the
-      caller plus ``workers - 1`` forked workers: an integer >= 1.  ``None`` resolves the
-      ``REPRO_MPC_WORKERS`` environment variable, then 1.
+      caller plus ``workers - 1`` forked workers: an integer >= 1, by
+      default 1 (serial).  It is a library setting only: no command-line
+      flag, sweep cell or environment variable sets it.
     * ``faults`` — a ``mem@B[:M]`` fault spec string, parsed here once
       with ``seed`` (the run seed), or a
       :class:`~repro.faults.plan.FaultPlan`, which keeps its own seed.  A
@@ -60,7 +61,7 @@ class RunOptions:
     """
 
     compress: int | str = 1
-    workers: int | None = None
+    workers: int = 1
     faults: Any = None
     seed: InitVar[int] = 0
 
@@ -70,18 +71,9 @@ class RunOptions:
                 f"compress must be an integer >= 1 or 'auto', "
                 f"got {self.compress!r}"
             )
-        workers = self.workers
-        if workers is None:
-            raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-            workers = parse_scalar(raw) if raw else 1
-            if not _is_count(workers):
-                raise ValueError(
-                    f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-                )
-            object.__setattr__(self, "workers", workers)
-        elif not _is_count(workers):
+        if not _is_count(self.workers):
             raise ValueError(
-                f"workers must be an integer >= 1, got {workers!r}"
+                f"workers must be an integer >= 1, got {self.workers!r}"
             )
         if self.faults is not None:
             # Imported lazily: the fault-free path never loads the plane.

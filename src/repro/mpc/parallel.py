@@ -54,15 +54,6 @@ import time
 from collections.abc import Callable, Sequence
 from typing import Any
 
-#: Environment override for the default worker count: a
-#: :class:`~repro.mpc.options.RunOptions` built without an explicit
-#: ``workers`` resolves it from this variable (then falls back to 1, the
-#: serial path).  Because the value is read when the options are built,
-#: exporting it turns a whole sweep parallel without touching any cell
-#: coordinates — which is how the parity acceptance gate runs one grid at
-#: several worker counts and byte-compares the ledgers.
-WORKERS_ENV_VAR = "REPRO_MPC_WORKERS"
-
 #: Sentinel shutting down a shard worker's command loop.
 _STOP = "__repro_mpc_shard_stop__"
 

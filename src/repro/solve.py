@@ -51,8 +51,6 @@ DEFAULT_ALPHA = 0.8
 _MPC_SETTINGS = (
     ("alpha", None, "--alpha", "sets the per-machine memory exponent"),
     ("compress", 1, "--compress", "batches CONGEST rounds per MPC shuffle"),
-    ("workers", None, "--mpc-workers",
-     "shards MPC machines over worker processes"),
     ("faults", None, "--faults",
      "injects memory-pressure faults into the MPC shuffles"),
     ("parity", False, "parity", "runs an engine-v2 shadow of the MPC run"),
@@ -89,7 +87,6 @@ def check(
     engine: str | None = None,
     alpha: float | None = None,
     compress: int | str = 1,
-    workers: int | None = None,
     faults: Any = None,
     parity: bool = False,
     metrics: str | None = None,
@@ -100,8 +97,9 @@ def check(
     Raises ``ValueError`` on the first broken rule: ``eps`` is MVC's, not
     the centralized model's; the mpc and centralized models take no
     ``engine``; a collector or tracer needs the congest or mpc model;
-    ``alpha``, ``compress``, ``workers``, ``faults`` and ``parity`` are mpc
-    settings.
+    ``alpha``, ``compress``, ``faults`` and ``parity`` are mpc settings.
+    MPC runs here are serial: the shard-worker count is a keyword of the
+    compiled entry points alone.
     """
     if model not in MODELS.get(problem, ()):
         raise ValueError(
@@ -141,14 +139,14 @@ def check(
             "requires --model congest or --model mpc"
         )
     if model != "mpc":
-        given = {"alpha": alpha, "compress": compress, "workers": workers,
-                 "faults": faults, "parity": parity}
+        given = {"alpha": alpha, "compress": compress, "faults": faults,
+                 "parity": parity}
         for name, unset, flag, what in _MPC_SETTINGS:
             if given[name] != unset:
                 raise ValueError(f"{flag} {what}; it requires --model mpc")
         return None
     check_alpha(DEFAULT_ALPHA if alpha is None else alpha)
-    return RunOptions(compress, workers, faults, seed=seed)
+    return RunOptions(compress, faults=faults, seed=seed)
 
 
 def solve(
@@ -161,7 +159,6 @@ def solve(
     engine: str | None = None,
     alpha: float | None = None,
     compress: int | str = 1,
-    workers: int | None = None,
     faults: Any = None,
     parity: bool = False,
     metrics: str | None = None,
@@ -179,8 +176,8 @@ def solve(
     """
     check(
         problem, model, seed=seed, eps=eps, engine=engine, alpha=alpha,
-        compress=compress, workers=workers, faults=faults, parity=parity,
-        metrics=metrics, tracer=tracer,
+        compress=compress, faults=faults, parity=parity, metrics=metrics,
+        tracer=tracer,
     )
     eps = DEFAULT_EPS if eps is None else eps
     collector = None
@@ -197,8 +194,7 @@ def solve(
         result, mpc = run(
             alpha=float(DEFAULT_ALPHA if alpha is None else alpha),
             seed=seed, check_parity=parity, compress=compress,
-            collector=collector, workers=workers, faults=faults,
-            tracer=tracer,
+            collector=collector, faults=faults, tracer=tracer,
         )
     elif model == "congest":
         network = CongestNetwork(graph, seed=seed, engine=engine)

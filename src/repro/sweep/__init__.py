@@ -20,6 +20,7 @@ from repro.sweep.runner import (
 )
 from repro.sweep.spec import Cell, GridSpec, derive_seed, expand_grid
 from repro.sweep.tasks import (
+    check_cell,
     get_task,
     register_task,
     signature_of,
@@ -38,6 +39,7 @@ __all__ = [
     "STATUS_TIMEOUT",
     "SweepResult",
     "TABLE_HEADER",
+    "check_cell",
     "derive_seed",
     "evaluate_cell",
     "expand_grid",

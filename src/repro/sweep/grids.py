@@ -12,40 +12,6 @@ from __future__ import annotations
 
 from repro.sweep.spec import Cell, GridSpec
 
-#: Scenario table of the engine-scaling sweep: task, (full sizes), (quick
-#: sizes); run with ``python -m repro sweep --grid engine-scaling``.
-ENGINE_SCALING_SCENARIOS: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
-    ("pipeline-path", (120, 240, 480), (240,)),
-    ("broadcast-star", (100, 200, 400), (200,)),
-    ("mvc-er", (60, 120, 240), (120,)),
-    ("mvc-power-law", (60, 120), (60,)),
-    ("mds-er", (32, 48), ()),
-)
-
-_SCENARIO_CELLS = {
-    "pipeline-path": lambda n, engine: Cell(
-        task="pipeline-path", graph="path", n=n, seed=1, engine=engine
-    ),
-    "broadcast-star": lambda n, engine: Cell(
-        task="broadcast-star", graph="star", n=n, seed=1, engine=engine
-    ),
-    "mvc-er": lambda n, engine: Cell(
-        task="mvc-congest", graph="gnp", n=n, seed=n, eps=0.5, engine=engine
-    ),
-    "mvc-power-law": lambda n, engine: Cell(
-        task="mvc-congest",
-        graph="power-law",
-        n=n,
-        seed=n,
-        eps=0.5,
-        engine=engine,
-    ),
-    "mds-er": lambda n, engine: Cell(
-        task="mds-congest", graph="gnp", n=n, seed=n, engine=engine
-    ),
-}
-
-
 def e01_grid() -> GridSpec:
     """E01 / Theorem 1: rounds and ratio vs (n, eps) for G^2-MVC."""
     cells = [
@@ -91,23 +57,6 @@ def e12_mds_grid() -> GridSpec:
         for n in (16, 32)
     ]
     return GridSpec(name="e12-mds", cells=tuple(cells))
-
-
-def engine_scaling_grid(quick: bool = False) -> GridSpec:
-    """Engine v1-vs-v2 differential sweep across scenario x size.
-
-    Adjacent (v1, v2) cell pairs per (scenario, n); the benchmark checks
-    payload parity within each pair and computes wall-clock speedups.
-    """
-    cells = []
-    for name, sizes, quick_sizes in ENGINE_SCALING_SCENARIOS:
-        for n in quick_sizes if quick else sizes:
-            for engine in ("v1", "v2"):
-                cells.append(_SCENARIO_CELLS[name](n, engine))
-    return GridSpec(
-        name="engine-scaling-quick" if quick else "engine-scaling",
-        cells=tuple(cells),
-    )
 
 
 #: Engines compared by the solver-engines grid, in evaluation order.
@@ -380,8 +329,6 @@ NAMED_GRIDS = {
     "e01": e01_grid,
     "e12-estimator": e12_estimator_grid,
     "e12-mds": e12_mds_grid,
-    "engine-scaling": engine_scaling_grid,
-    "engine-scaling-quick": lambda: engine_scaling_grid(quick=True),
     "solver-engines": solver_engines_grid,
     "solver-engines-quick": lambda: solver_engines_grid(quick=True),
     "smoke": smoke_grid,

@@ -39,7 +39,7 @@ from typing import Any
 from repro.congest.network import RunStats
 from repro.contract import TIMING_SCOPED_FIELD_SET
 from repro.sweep.spec import Cell, GridSpec
-from repro.sweep.tasks import get_task, stats_from_json
+from repro.sweep.tasks import check_cell, get_task, stats_from_json
 
 try:  # POSIX-only; RSS metering degrades to None elsewhere.
     import resource
@@ -374,6 +374,7 @@ def evaluate_cell(
     try:
         try:
             task = get_task(cell.task)
+            check_cell(cell)
             payload: dict[str, Any] | None = None
             best = float("inf")
             for _ in range(max(1, repeats)):

@@ -30,10 +30,13 @@ Conventions shared by the built-in tasks:
 * per-cell engine selection — ``cell.engine`` is passed straight to the
   solver / network constructor, so one grid can mix ``v1`` and ``v2`` cells.
 
-New tasks register with :func:`register_task`; the registry is module-level
-state, so tasks defined in test or benchmark modules are visible to
-``multiprocessing`` workers under the default ``fork`` start method (and to
-``spawn`` workers as long as the defining module is imported on both sides).
+New tasks register with :func:`register_task`, naming the cell params they
+read; :func:`check_cell` refuses a cell carrying any other, so a leftover
+or misspelt param fails loudly instead of being ignored.  The registry is
+module-level state, so tasks defined in test or benchmark modules are
+visible to ``multiprocessing`` workers under the default ``fork`` start
+method (and to ``spawn`` workers as long as the defining module is
+imported on both sides).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.congest.network import CongestNetwork, RunStats
@@ -53,13 +56,24 @@ TaskFn = Callable[[Cell], dict[str, Any]]
 
 _REGISTRY: dict[str, TaskFn] = {}
 
-def register_task(name: str) -> Callable[[TaskFn], TaskFn]:
-    """Decorator registering ``fn`` as the evaluator for task ``name``."""
+#: Per task, the cell params its evaluator reads.
+_READS: dict[str, frozenset[str]] = {}
+
+#: The params :func:`_cell_graph` reads.
+_GRAPH_PARAMS = ("graph_seed", "gnp_p")
+
+
+def register_task(
+    name: str, reads: Iterable[str] = ()
+) -> Callable[[TaskFn], TaskFn]:
+    """Decorator registering ``fn`` as the evaluator for task ``name``,
+    which reads the cell params named in ``reads``."""
 
     def deco(fn: TaskFn) -> TaskFn:
         if name in _REGISTRY:
             raise ValueError(f"task {name!r} already registered")
         _REGISTRY[name] = fn
+        _READS[name] = frozenset(reads)
         return fn
 
     return deco
@@ -76,6 +90,20 @@ def get_task(name: str) -> TaskFn:
 
 def task_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def check_cell(cell: Cell) -> None:
+    """Raise ``ValueError`` naming each param of ``cell`` its task does
+    not read (``KeyError`` for an unknown task)."""
+    get_task(cell.task)
+    reads = _READS[cell.task]
+    unread = [key for key, _ in cell.params if key not in reads]
+    if unread:
+        raise ValueError(
+            f"task {cell.task!r} does not read the cell param"
+            f"{'s' if len(unread) > 1 else ''} {', '.join(unread)}; it "
+            f"reads {', '.join(sorted(reads)) or 'none'}"
+        )
 
 
 def stats_from_json(data: dict[str, int]) -> RunStats:
@@ -103,11 +131,8 @@ METRICS_TASKS: frozenset[str] = frozenset(
 #: Cell coordinates that select a backend variant rather than a workload;
 #: they must stay out of the metrics label, which sits inside the
 #: deterministic section and therefore must be byte-identical across
-#: engines, compression windows, worker counts and fault plans on the
-#: same workload.
-_VARIANT_PARAMS = frozenset(
-    {"compress", "parity", "metrics", "mpc_workers", "faults"}
-)
+#: engines, compression windows and fault plans on the same workload.
+_VARIANT_PARAMS = frozenset({"compress", "parity", "metrics", "faults"})
 
 
 def _metrics_label(cell: Cell) -> str:
@@ -137,11 +162,9 @@ def _cell_graph(cell: Cell):
 def cell_settings(cell: Cell) -> dict[str, Any]:
     """The :func:`repro.solve.solve` settings of a solver-task cell.
 
-    ``alpha``, ``compress``, ``mpc_workers``, ``faults`` and ``parity``
-    params are the MPC settings; a missing ``mpc_workers`` resolves
-    ``REPRO_MPC_WORKERS``, which is how named grids run their compiled
-    cells sharded without changing cell coordinates.  A ``metrics`` param
-    attaches a collector labelled by :func:`_metrics_label`.
+    ``alpha``, ``compress``, ``faults`` and ``parity`` params are the MPC
+    settings; cells run serially.  A ``metrics`` param attaches a
+    collector labelled by :func:`_metrics_label`.
     """
     return {
         "seed": cell.seed,
@@ -149,7 +172,6 @@ def cell_settings(cell: Cell) -> dict[str, Any]:
         "engine": cell.engine,
         "alpha": cell.param("alpha"),
         "compress": cell.param("compress", 1),
-        "workers": cell.param("mpc_workers"),
         "faults": cell.param("faults"),
         "parity": bool(cell.param("parity", False)),
         "metrics": _metrics_label(cell) if cell.param("metrics") else None,
@@ -167,10 +189,14 @@ def _solve_cell(cell: Cell) -> dict[str, Any]:
 
 
 for _solver_task in SOLVER_TASKS:
-    _REGISTRY[_solver_task] = _solve_cell
+    register_task(
+        _solver_task,
+        reads=(*_GRAPH_PARAMS, "alpha", "compress", "faults", "parity",
+               "metrics", "exact"),
+    )(_solve_cell)
 
 
-@register_task("mds-estimator")
+@register_task("mds-estimator", reads=(*_GRAPH_PARAMS, "samples"))
 def _mds_estimator(cell: Cell) -> dict[str, Any]:
     """Lemma 29 two-hop-size estimator concentration on one graph."""
     from repro.core.estimation import estimate_neighborhood_sizes
@@ -198,14 +224,15 @@ def _mds_estimator(cell: Cell) -> dict[str, Any]:
 # -- low-space MPC backend tasks ------------------------------------------
 
 
-@register_task("mpc-matching")
+@register_task(
+    "mpc-matching", reads=(*_GRAPH_PARAMS, "alpha", "faults", "metrics")
+)
 def _mpc_matching(cell: Cell) -> dict[str, Any]:
     """Native MPC greedy maximal matching, oracle-verified.
 
     The cell fails (captured by the runner) unless the output is a valid
     maximal matching within the 2-approximation band of the centralized
-    greedy oracle.  The matching runs serially, so an ``mpc_workers``
-    param is refused rather than ignored.
+    greedy oracle.
     """
     from repro.exact.matching import deterministic_maximal_matching
     from repro.mpc.matching import (
@@ -213,11 +240,6 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
         mpc_maximal_matching,
     )
 
-    if cell.param("mpc_workers") is not None:
-        raise ValueError(
-            "mpc_workers shards compiled MPC cells only; the native "
-            "matching runs serially"
-        )
     collector = None
     if cell.param("metrics"):
         from repro.metrics import MetricsCollector
@@ -252,16 +274,17 @@ def _mpc_matching(cell: Cell) -> dict[str, Any]:
     return payload
 
 
-@register_task("mpc-parity")
+@register_task(
+    "mpc-parity", reads=(*_GRAPH_PARAMS, "alpha", "compress", "faults")
+)
 def _mpc_parity(cell: Cell) -> dict[str, Any]:
     """Round-compilation trust-but-check: stage parity plus matching.
 
     Runs the Phase I MVC protocol and the Lemma 29 estimator as bare
     stages on the MPC runtime against an engine-v2 shadow (outputs, stats
     and full traces must be identical), then the native matching with its
-    maximality oracle.  ``mpc_workers`` shards the compiled stages only;
-    the native matching runs serially.  The CLI ``verify --model mpc``
-    fans these cells out over seeds.
+    maximality oracle.  The CLI ``verify --model mpc`` fans these cells
+    out over seeds.
     """
     from repro.core.estimation import EstimationStage
     from repro.core.mvc_congest import PhaseOneAlgorithm
@@ -275,9 +298,7 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
 
     alpha = float(cell.param("alpha", 0.9))
     options = RunOptions(
-        cell.param("compress", 1),
-        cell.param("mpc_workers"),
-        cell.param("faults"),
+        cell.param("compress", 1), faults=cell.param("faults"),
         seed=cell.seed,
     )
     graph = _cell_graph(cell)
@@ -312,10 +333,10 @@ def _mpc_parity(cell: Cell) -> dict[str, Any]:
     }
 
 
-# -- engine-scaling primitives (sparse-activity workloads) ----------------
+# -- tree primitives (sparse-activity workloads) --------------------------
 
 
-@register_task("pipeline-path")
+@register_task("pipeline-path", reads=("tokens",))
 def _pipeline_path(cell: Cell) -> dict[str, Any]:
     """BFS + convergecast of a token batch along a path.
 
@@ -339,7 +360,7 @@ def _pipeline_path(cell: Cell) -> dict[str, Any]:
     }
 
 
-@register_task("broadcast-star")
+@register_task("broadcast-star", reads=("tokens",))
 def _broadcast_star(cell: Cell) -> dict[str, Any]:
     """BFS + token broadcast on a high-degree star."""
     from repro.congest.primitives import broadcast_tokens
@@ -409,7 +430,7 @@ for _family in FAMILIES:
         _task.__doc__ = f"Exact verification of one {family} instance."
         return _task
 
-    _REGISTRY[f"verify-{_family}"] = _make(_family)
+    register_task(f"verify-{_family}", reads=("k",))(_make(_family))
 
 
 # -- self-test tasks (failure / timeout plumbing) -------------------------
@@ -427,7 +448,7 @@ def _selftest_fail(cell: Cell) -> dict[str, Any]:
     raise RuntimeError(f"selftest-fail cell n={cell.n} seed={cell.seed}")
 
 
-@register_task("selftest-sleep")
+@register_task("selftest-sleep", reads=("sleep",))
 def _selftest_sleep(cell: Cell) -> dict[str, Any]:
     """Sleeps ``params['sleep']`` seconds; exercises timeout capture."""
     time.sleep(float(cell.param("sleep", 1.0)))  # repro: allow[DET002] selftest task exists to exercise timeout capture

@@ -16,7 +16,6 @@ from repro.lowerbounds import FAMILIES
 from repro.lowerbounds.ckp17 import build_ckp17_mvc
 from repro.mpc.compile_congest import solve_mvc_mpc
 from repro.mpc.options import RunOptions
-from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.solve import check
 from repro.sweep import Cell, GridSpec, run_sweep
 from repro.sweep.runner import check_count
@@ -186,11 +185,6 @@ class TestBadValues:
             ),
             (
                 ["sweep", "--task", "mpc-mvc", "--model", "mpc",
-                 "--ns", "10", "--mpc-workers", "0"],
-                lambda: RunOptions(workers=0),
-            ),
-            (
-                ["sweep", "--task", "mpc-mvc", "--model", "mpc",
                  "--ns", "10", "--faults", "bogus"],
                 lambda: RunOptions(faults="bogus"),
             ),
@@ -219,7 +213,7 @@ class TestBadValues:
             "sweep-repeats0", "sweep-repeats-3", "sweep-timeout0",
             "sweep-timeout-1", "sweep-engine-v9", "sweep-graph-bogus",
             "sweep-eps0", "sweep-n0", "sweep-replicates0",
-            "sweep-alphas0", "sweep-compress0", "sweep-mpc-workers0",
+            "sweep-alphas0", "sweep-compress0",
             "sweep-faults-bogus", "verify-mpc-alpha0", "verify-mpc-alpha3",
             "verify-mpc-n0", "verify-mpc-n-3",
         ],
@@ -664,6 +658,51 @@ class TestRetriesFlag:
         assert "--retries" in capsys.readouterr().err
 
 
+class TestMpcWorkersFlag:
+    """Shard workers are a library keyword: no subcommand takes the flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mvc", "--model", "mpc"],
+            ["mds", "--model", "mpc"],
+            ["verify", "--model", "mpc"],
+            ["sweep", "--grid", "mpc-smoke"],
+        ],
+        ids=["mvc", "mds", "verify", "sweep"],
+    )
+    def test_removed_flag_is_a_parse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--mpc-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--mpc-workers" in capsys.readouterr().err
+
+
+class TestUnreadCellParams:
+    """An ad-hoc sweep refuses a param its task never reads, up front."""
+
+    def test_compress_on_the_native_matching_exits_2(self, capsys):
+        code = main(
+            ["sweep", "--task", "mpc-matching", "--model", "mpc",
+             "--ns", "24", "--compress", "1,4"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: task 'mpc-matching' does not read the cell param "
+            "compress; it reads alpha, faults, gnp_p, graph_seed, metrics\n"
+        )
+
+    def test_params_the_task_reads_pass(self, capsys):
+        code = main(
+            ["sweep", "--task", "mpc-parity", "--model", "mpc",
+             "--ns", "12", "--compress", "2", "--quiet"]
+        )
+        assert code == 0
+        assert "1 ok" in capsys.readouterr().out
+
+
 class TestForeignFlags:
     """A flag of another model exits 2 instead of being ignored."""
 
@@ -710,7 +749,6 @@ class TestForeignFlags:
         [
             (["verify", "--n", "50", "--alpha", "7"], "--n", "mpc"),
             (["verify", "--alpha", "7"], "--alpha", "mpc"),
-            (["verify", "--mpc-workers", "2"], "--mpc-workers", "mpc"),
             (
                 ["verify", "--model", "mpc", "--family", "bcd19", "--k", "3"],
                 "--family",
@@ -718,8 +756,7 @@ class TestForeignFlags:
             ),
             (["verify", "--model", "mpc", "--k", "4"], "--k", "congest"),
         ],
-        ids=["congest-n", "congest-alpha", "congest-mpc-workers",
-             "mpc-family", "mpc-k"],
+        ids=["congest-n", "congest-alpha", "mpc-family", "mpc-k"],
     )
     def test_verify_flags_exit_2(self, argv, flag, model, capsys):
         message = _usage_error(argv, capsys)
@@ -812,10 +849,6 @@ _TRANSCRIPTS = {
 
 
 class TestSolveTranscripts:
-    @pytest.fixture(autouse=True)
-    def _serial_mpc(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-
     @pytest.mark.parametrize(
         "command, model", sorted(_TRANSCRIPTS), ids="-".join
     )

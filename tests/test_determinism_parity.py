@@ -158,6 +158,21 @@ class TestParityPreserved:
                 "52bb0c1a865125d830841745774ed772"
                 "a10e52421fc6c5f32fb1a411bcc77cf4",
             ),
+            (
+                "mpc-compression-quick",
+                "82c4aa62a6b204930fdb85190b7b377f"
+                "5571518b2683a3f81bb1a76630c78eb1",
+            ),
+            (
+                "mpc-vs-congest-quick",
+                "728055d7fb92a4610bb2e98e4a367572"
+                "3d5a632d74128af3e2d8ee0a030a8060",
+            ),
+            (
+                "solver-engines-quick",
+                "51eb7508d33f4a838e8b2d0fa19f6ea5"
+                "1e3491cfad288028680ce6f37680c26e",
+            ),
         ],
     )
     def test_sweep_digests(self, grid, expected):

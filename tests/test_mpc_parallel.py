@@ -3,9 +3,9 @@
 The contract under test (:mod:`repro.mpc.parallel`): shard workers change
 *where* a compiled instance's per-machine local computation runs, never
 *what* the ledger records.  Native MPC programs run serially and are
-covered by ``tests/test_mpc_runtime.py``.  The ShuffleRecord stream, ``MPCRunStats``, RoundEvents, sweep
-payloads and the metrics deterministic section must be byte-identical at
-any worker count, and an exception raised inside a worker must surface in
+covered by ``tests/test_mpc_runtime.py``.  The ShuffleRecord stream,
+``MPCRunStats``, RoundEvents and the metrics deterministic section must
+be byte-identical at any worker count, and an exception raised inside a worker must surface in
 the parent as the same typed exception with the same message (never a
 pickling or worker-crash error), after the same shuffle prefix.
 """
@@ -16,12 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.congest.primitives import BfsTreeAlgorithm
 from repro.graphs.generators import build_graph, gnp_graph, path_graph
 from repro.metrics import MetricsCollector
 from repro.mpc import (
-    WORKERS_ENV_VAR,
     ForkShardPool,
     MemoryBudgetExceeded,
     MPCCongestNetwork,
@@ -35,8 +33,6 @@ from repro.mpc.parallel import (
     raise_shard_error,
     rebuild_exception,
 )
-from repro.sweep import Cell
-from repro.sweep.tasks import get_task
 
 pytestmark = pytest.mark.skipif(
     not fork_available(),
@@ -74,21 +70,8 @@ class TestPlanShards:
 
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
+        monkeypatch.setenv("REPRO_MPC_WORKERS", "7")
         assert RunOptions(workers=3).workers == 3
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert RunOptions(workers=None).workers == 4
-
-    def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert RunOptions(workers=None).workers == 1
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            RunOptions(workers=None)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -324,54 +307,3 @@ class TestPlannerStateLoadCache:
         assert second.stats == first.stats
         # Identical stage, identical window plan: same shuffle count.
         assert net.runtime.stats.rounds == 2 * shuffles_first
-
-
-# -- sweep and CLI integration ----------------------------------------------
-
-
-class TestSweepIntegration:
-    def _cell(self, params=()):
-        return Cell(
-            task="mpc-mvc", graph="gnp", n=14, seed=3,
-            params=tuple(sorted((("alpha", 0.9),) + params)),
-        )
-
-    def test_payload_identical_across_worker_param(self):
-        task = get_task("mpc-mvc")
-        serial = task(self._cell())
-        parallel = task(self._cell(params=(("mpc_workers", 2),)))
-        assert parallel == serial
-
-    def test_env_override_reaches_network(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        net = MPCCongestNetwork(gnp_graph(10, 0.3, seed=0), alpha=0.9)
-        assert net.options.workers == 2
-
-    def test_explicit_workers_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        net = MPCCongestNetwork(
-            gnp_graph(10, 0.3, seed=0), alpha=0.9,
-            options=RunOptions(workers=1),
-        )
-        assert net.options.workers == 1
-
-
-class TestCli:
-    def test_mvc_mpc_workers_prints_count(self, capsys):
-        code = main([
-            "mvc", "--n", "12", "--model", "mpc", "--alpha", "0.9",
-            "--mpc-workers", "2",
-        ])
-        assert code == 0
-        assert "workers=2" in capsys.readouterr().out
-
-    def test_workers_require_mpc_model(self, capsys):
-        code = main(["mvc", "--n", "12", "--mpc-workers", "2"])
-        assert code == 2
-        assert "--model mpc" in capsys.readouterr().err
-
-    def test_rejects_nonpositive_workers(self, capsys):
-        code = main([
-            "mvc", "--n", "12", "--model", "mpc", "--mpc-workers", "0",
-        ])
-        assert code == 2

@@ -4,9 +4,10 @@ The contract under test (:mod:`repro.mpc.options`): the compression
 window, the shard-worker count and the fault plan are checked in one
 constructor, so the network, the solver entry points, the stage-parity
 harness, the native matching, a sweep cell and the CLI reject the same
-invalid value with the same ``ValueError`` text — and record the same
-effective shard-worker count.  The native matching runs serially: it has
-no ``workers`` parameter, so passing one is a ``TypeError``.
+invalid value with the same ``ValueError`` text.  The shard-worker count
+is a library keyword only: no flag, cell param or environment variable
+sets it.  The native matching runs serially: it has no ``workers``
+parameter, so passing one is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.faults import FaultPlan
 from repro.graphs.generators import build_graph, gnp_graph
 from repro.metrics import MetricsCollector
 from repro.mpc import (
-    WORKERS_ENV_VAR,
+    ForkShardPool,
     Machine,
     MachineProgram,
     MPCCongestNetwork,
@@ -31,7 +32,7 @@ from repro.mpc import (
     solve_mvc_mpc,
 )
 from repro.mpc.parallel import fork_available
-from repro.sweep import Cell
+from repro.sweep import Cell, check_cell
 from repro.sweep.tasks import get_task
 
 _COMPRESS = "compress must be an integer >= 1 or 'auto', got {!r}"
@@ -85,16 +86,12 @@ def _stage_parity(option, value):
     )
 
 
-_CELL_PARAMS = {"compress": "compress", "workers": "mpc_workers",
-                "faults": "faults"}
-
-
 def _sweep_cell(option, value):
-    params = (("alpha", 0.9), (_CELL_PARAMS[option], value))
     cell = Cell(
         task="mpc-mvc", graph="gnp", n=10, seed=1,
-        params=tuple(sorted(params)),
+        params=tuple(sorted((("alpha", 0.9), (option, value)))),
     )
+    check_cell(cell)
     get_task("mpc-mvc")(cell)
 
 
@@ -107,13 +104,7 @@ ENTRY_POINTS = {
     "sweep-mpc-mvc": _sweep_cell,
 }
 
-_CLI_FLAGS = {"compress": "--compress", "workers": "--mpc-workers",
-              "faults": "--faults"}
-
-
-@pytest.fixture(autouse=True)
-def _no_worker_override(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+_CLI_FLAGS = {"compress": "--compress", "faults": "--faults"}
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -125,6 +116,13 @@ def test_every_entry_point_raises_the_same_error(
         with pytest.raises(TypeError, match="workers"):
             ENTRY_POINTS[entry](option, value)
         return
+    if (entry, option) == ("sweep-mpc-mvc", "workers"):
+        # Cells run serially: a worker param is one the task never reads.
+        message = (
+            "task 'mpc-mvc' does not read the cell param workers; it reads "
+            "alpha, compress, exact, faults, gnp_p, graph_seed, metrics, "
+            "parity"
+        )
     with pytest.raises(ValueError) as excinfo:
         ENTRY_POINTS[entry](option, value)
     assert str(excinfo.value) == message
@@ -143,31 +141,19 @@ class TestSerialMatching:
         with pytest.raises(TypeError, match="options"):
             runtime.run([MachineProgram(Machine(0, 8))], options=None)
 
-    def test_matching_never_reads_the_worker_variable(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not a count")
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            RunOptions()
-        assert mpc_maximal_matching(GRAPH, alpha=0.9, seed=1).matching
-
     def test_matching_cell_refuses_a_worker_param(self):
         cell = Cell(
             task="mpc-matching", graph="gnp", n=10, seed=1,
             params=(("alpha", 0.9), ("mpc_workers", 2)),
         )
-        with pytest.raises(ValueError, match="compiled MPC cells only"):
-            get_task("mpc-matching")(cell)
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_sweep_cli_refuses_workers_for_matching(self, capsys, workers):
-        code = main(
-            ["sweep", "--task", "mpc-matching", "--model", "mpc",
-             "--ns", "10", "--mpc-workers", workers]
-        )
-        assert code == 2
-        assert "compiled MPC cells only" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="cell param mpc_workers"):
+            check_cell(cell)
 
 
-@pytest.mark.parametrize("option, value, message", INVALID)
+@pytest.mark.parametrize(
+    "option, value, message",
+    [case for case in INVALID if case[0] in _CLI_FLAGS],
+)
 def test_cli_exits_2_with_the_same_message(capsys, option, value, message):
     if isinstance(value, str) and option != "faults":
         pytest.skip("the command line cannot spell a string-typed number")
@@ -186,10 +172,14 @@ class TestRunOptions:
             1, 1, None
         )
 
-    def test_bad_env_override_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2.5")
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            RunOptions()
+    @pytest.mark.parametrize("value", ["2", "2.5", "not a count"])
+    def test_the_worker_variable_is_not_read(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_MPC_WORKERS", value)
+        assert RunOptions().workers == 1
+
+    def test_workers_none_is_refused(self):
+        with pytest.raises(ValueError, match="got None"):
+            RunOptions(workers=None)
 
     def test_spec_is_parsed_with_the_run_seed(self):
         plan = RunOptions(faults="mem@1", seed=7).faults
@@ -215,11 +205,33 @@ class TestRunOptions:
         assert RunOptions(workers=1).shard_workers(3) == 1
 
 
+class TestNoWorkerKnobOutsideTheLibrary:
+    """With ``REPRO_MPC_WORKERS`` exported, the CLI still runs serially."""
+
+    def test_cli_builds_no_shard_pool(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_MPC_WORKERS", "2")
+        built = []
+        real_init = ForkShardPool.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ForkShardPool, "__init__", spy)
+        code = main(
+            ["mvc", "--n", "16", "--graph", "gnp", "--model", "mpc",
+             "--alpha", "0.9", "--seed", "2"]
+        )
+        assert code == 0
+        assert "workers=" not in capsys.readouterr().out
+        assert built == []
+
+
 @pytest.mark.skipif(not fork_available(), reason="shard workers need fork")
 class TestRecordedWorkers:
-    """The effective shard-worker count, recorded the same way everywhere."""
+    """The library's shard-worker count reaches the metrics variant."""
 
-    def test_compiled_and_cli_agree(self, capsys):
+    def test_compiled_run_records_the_count(self):
         graph = build_graph("gnp", 16, seed=2)
         collector = MetricsCollector(label="workers")
         _result, payload = solve_mvc_mpc(
@@ -228,10 +240,3 @@ class TestRecordedWorkers:
         machines = payload["machines"]
         assert 1 < machines < 16
         assert collector.to_json()["variant"]["mpc"]["workers"] == machines
-
-        code = main(
-            ["mvc", "--n", "16", "--graph", "gnp", "--model", "mpc",
-             "--alpha", "0.9", "--seed", "2", "--mpc-workers", "16"]
-        )
-        assert code == 0
-        assert f"workers={machines}" in capsys.readouterr().out

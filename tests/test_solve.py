@@ -8,7 +8,6 @@ import pytest
 from repro.cli import main
 from repro.graphs.generators import build_graph
 from repro.mpc.options import RunOptions
-from repro.mpc.parallel import WORKERS_ENV_VAR
 from repro.solve import MODELS, OBSERVED_MODELS, check, solve
 from repro.sweep import Cell, named_grid
 from repro.sweep.grids import NAMED_GRIDS
@@ -18,11 +17,6 @@ from repro.sweep.tasks import (
     cell_settings,
     get_task,
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_worker_override(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
 
 
 def _message(call) -> str:
@@ -41,11 +35,17 @@ class TestCheck:
         assert (options is None) == (model != "mpc")
 
     def test_mpc_returns_validated_options(self):
-        options = check("mds", "mpc", compress="auto", workers=2,
-                        faults="mem@3")
+        options = check("mds", "mpc", compress="auto", faults="mem@3")
         assert options.compress == "auto"
-        assert options.workers == 2
+        assert options.workers == 1
         assert options.faults is not None
+
+    @pytest.mark.parametrize("entry", [check, solve])
+    def test_workers_setting_is_gone(self, entry):
+        args = ("mvc", "mpc") if entry is check else (
+            "mvc", "mpc", build_graph("gnp", 10, seed=1))
+        with pytest.raises(TypeError, match="workers"):
+            entry(*args, workers=2)
 
     @pytest.mark.parametrize(
         "problem, model", [("mvc", "cube"), ("mds", "clique-det"),
@@ -91,7 +91,7 @@ class TestCheck:
     @pytest.mark.parametrize(
         "setting, value, flag",
         [("alpha", 0.9, "--alpha"), ("compress", 2, "--compress"),
-         ("workers", 2, "--mpc-workers"), ("faults", "mem@1", "--faults"),
+         ("faults", "mem@1", "--faults"),
          ("parity", True, "parity")],
     )
     @pytest.mark.parametrize("model", ["congest", "clique-det",

@@ -27,7 +27,7 @@ from repro.sweep import (
 )
 from repro.sweep.grids import NAMED_GRIDS
 from repro.sweep.runner import SweepResult
-from repro.sweep.tasks import get_task, task_names
+from repro.sweep.tasks import check_cell, get_task, task_names
 
 
 class TestSpec:
@@ -93,6 +93,25 @@ class TestEvaluateCell:
         result = evaluate_cell(Cell(task="selftest-ok", n=5, seed=7))
         assert result.ok
         assert result.payload == {"n": 5, "seed": 7, "signature": "ok-5"}
+
+    def test_unread_param_fails_the_cell_before_the_task(self):
+        result = evaluate_cell(
+            Cell(task="selftest-sleep", params=(("sleep", 0.0),
+                                               ("slepe", 5.0)))
+        )
+        assert result.status == "error"
+        assert result.error.strip().splitlines()[-1] == (
+            "ValueError: task 'selftest-sleep' does not read the cell "
+            "param slepe; it reads sleep"
+        )
+
+    def test_unread_params_are_all_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            check_cell(Cell(task="selftest-ok", params=(("a", 1), ("b", 2))))
+        assert str(excinfo.value) == (
+            "task 'selftest-ok' does not read the cell params a, b; it "
+            "reads none"
+        )
 
     def test_failure_captured_with_traceback(self):
         result = evaluate_cell(Cell(task="selftest-fail", n=3))
@@ -420,6 +439,7 @@ class TestNamedGrids:
             for cell in grid.cells:
                 assert cell.task in known
                 get_task(cell.task)
+                check_cell(cell)
 
     def test_parallel_bench_grid_meets_acceptance_size(self):
         grid = named_grid("parallel-bench")

@@ -145,12 +145,6 @@ class TestScalingGate:
         run["workers"][first_worker]["ledger_sha256"] = "deadbeef"
         assert any("diverge" in f for f in trend_gate.gate_mpc_scaling(doc))
 
-    def test_grid_parity_digests_must_agree(self):
-        doc = _load("BENCH_mpc_scaling.json")
-        key = sorted(doc["grid_parity"]["digests"])[0]
-        doc["grid_parity"]["digests"][key] = "deadbeef"
-        assert any("digests diverge" in f for f in trend_gate.gate_mpc_scaling(doc))
-
     @staticmethod
     def _slow_run(mode="full", cpus=4, workers=(1, 2, 4)):
         doc = _load("BENCH_mpc_scaling.json")
