@@ -32,7 +32,13 @@ from repro.mpc import (
     solve_mvc_mpc,
 )
 from repro.mpc.parallel import fork_available
-from repro.sweep import Cell, check_cell
+from repro.sweep import (
+    Cell,
+    check_cell,
+    evaluate_cell,
+    named_grid,
+    run_sweep,
+)
 from repro.sweep.tasks import get_task
 
 _COMPRESS = "compress must be an integer >= 1 or 'auto', got {!r}"
@@ -148,6 +154,34 @@ class TestSerialMatching:
         )
         with pytest.raises(ValueError, match="cell param mpc_workers"):
             check_cell(cell)
+
+
+@pytest.mark.parametrize("task", ["mpc-mvc", "mpc-mds", "mpc-parity"])
+def test_compiled_cell_with_a_leftover_worker_param_fails(task):
+    # A grid written when cells could shard must fail loudly rather than
+    # run serially with the param ignored.
+    cell = Cell(
+        task=task, graph="gnp", n=10, seed=1,
+        params=(("alpha", 0.9), ("mpc_workers", 2)),
+    )
+    result = evaluate_cell(cell)
+    assert result.status == "error"
+    last = result.error.strip().splitlines()[-1]
+    assert last.startswith(
+        f"ValueError: task {task!r} does not read the cell param "
+        "mpc_workers; it reads "
+    )
+
+
+def test_exported_worker_variable_leaves_the_sweep_digest(monkeypatch):
+    # The variable once resized the shard pool and changed the recorded
+    # worker count, and with it the digest of this grid.
+    monkeypatch.setenv("REPRO_MPC_WORKERS", "2")
+    result = run_sweep(named_grid("mpc-compression-quick"), jobs=1)
+    assert result.deterministic_sha256() == (
+        "82c4aa62a6b204930fdb85190b7b377f"
+        "5571518b2683a3f81bb1a76630c78eb1"
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,11 @@ degrade per cell, never abort a sweep.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +442,27 @@ class TestNamedGrids:
                 assert cell.task in known
                 get_task(cell.task)
                 check_cell(cell)
+
+    @pytest.mark.parametrize(
+        "grid", ["probe", "matching-quick", "matching-full"]
+    )
+    def test_bench_mpc_grid_cells_read_only_declared_params(self, grid):
+        # bench_mpc.py builds its own grids beside the named ones; a
+        # param its task does not declare would fail the cell mid-run.
+        path = Path(__file__).resolve().parent.parent / "benchmarks"
+        spec = importlib.util.spec_from_file_location(
+            "bench_mpc", path / "bench_mpc.py"
+        )
+        bench_mpc = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_mpc)
+        spec = {
+            "probe": bench_mpc.probe_grid(),
+            "matching-quick": bench_mpc.matching_grid(quick=True),
+            "matching-full": bench_mpc.matching_grid(quick=False),
+        }[grid]
+        assert len(spec) > 0
+        for cell in spec.cells:
+            check_cell(cell)
 
     def test_parallel_bench_grid_meets_acceptance_size(self):
         grid = named_grid("parallel-bench")
